@@ -1,18 +1,36 @@
 //! Query execution with block-metered I/O.
 //!
-//! The executor is deliberately simple — selections are pushed into scans,
-//! joins are hash joins in connectivity order — because the point of running
-//! queries in this reproduction is to *measure* cost (Figure 15) and to rank
-//! results, not to compete with a real optimizer. Every block touched by a
-//! scan charges the [`IoMeter`], which is what makes measured execution time
-//! comparable to the paper's `b × Σ blocks(R)` estimate.
+//! A conjunctive query runs in two phases.
+//!
+//! 1. **Scan.** Every FROM relation is scanned in full, once, in scan order
+//!    ([`scan_order`]: the first FROM relation, then each relation joined to
+//!    those before it), with its selections pushed down. Each block charges
+//!    the [`IoMeter`], so measured I/O is the paper's `b × Σ blocks(R)`
+//!    (Figure 15), and a fault plan sees the same read schedule whatever the
+//!    join phase does. Rows that pass are *borrowed* from the table.
+//! 2. **Join.** Hash joins in [`join_order`] over the exact filtered row
+//!    counts: the smallest input first, then the smallest input joined to
+//!    the rows so far, never a cross product. A joined row is a list of
+//!    borrowed tuples; only projected result rows are cloned.
+//!
+//! A personalized query (Section 4.2's `UNION ALL … HAVING COUNT(*) = L`)
+//! scans every sub-query first, in order, then joins them most selective
+//! first into a running intersection of their distinct projected rows,
+//! still borrowed, and clones only the rows that survive it. Once the
+//! intersection is empty, the remaining sub-queries — scanned and charged
+//! like the rest — are not joined. Ranked execution ([`crate::rank`]) shares
+//! this path with a `HAVING COUNT(*) >= n` threshold.
+//!
+//! Join keys and row identity use `Value`'s `Eq`/`Hash` under std's keyed
+//! default hasher: NULL never joins, and `Int(1)` and `Float(1.0)` differ.
 
 use crate::error::{EngineError, EngineResult};
-use crate::query::{CmpOp, ConjunctiveQuery, PersonalizedQuery, Predicate};
+use crate::explain::{join_order, scan_order};
+use crate::query::{ConjunctiveQuery, PersonalizedQuery, Predicate};
 use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_storage::{Database, IoMeter, QualifiedAttr, RelationId, Tuple, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The output of query execution: projected tuples in deterministic order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,123 +51,206 @@ impl ExecOutput {
     }
 }
 
-/// An intermediate result: a tuple layout plus rows in that layout.
-struct Intermediate {
-    layout: Vec<QualifiedAttr>,
-    rows: Vec<Tuple>,
-}
+/// A projected row whose cells are borrowed from the tables.
+pub(crate) type RowRef<'a> = Vec<&'a Value>;
 
-impl Intermediate {
-    fn position(&self, qa: QualifiedAttr) -> Option<usize> {
-        self.layout.iter().position(|a| *a == qa)
-    }
-}
-
-/// Scans one relation, applying pushed-down selections, charging the meter
-/// for every block read. Scan totals are reported to `recorder` once per
-/// scan (not per block) so the no-op path stays out of the inner loop.
-fn scan_filtered(
-    db: &Database,
-    meter: &IoMeter,
+/// One scanned relation: the rows that passed its pushed-down selections.
+struct Input<'a> {
     relation: RelationId,
-    selections: &[(QualifiedAttr, CmpOp, Value)],
-    recorder: &dyn Recorder,
-) -> EngineResult<Intermediate> {
-    let table = db.table(relation)?;
-    let arity = table.schema().arity();
-    let layout: Vec<QualifiedAttr> = (0..arity)
-        .map(|i| QualifiedAttr::new(relation.0, i as u16))
-        .collect();
-    let mut rows = Vec::new();
-    let mut blocks = 0u64;
-    let mut scanned = 0u64;
-    for block in table.blocks() {
-        meter.try_charge(1)?;
-        blocks += 1;
-        for row in block.rows() {
-            scanned += 1;
-            let keep = selections.iter().all(|(qa, op, value)| {
-                let idx = qa.attr.index();
-                op.eval(&row[idx], value)
-            });
-            if keep {
-                rows.push(row.clone());
-            }
-        }
-    }
-    recorder.add("engine.scans", 1);
-    recorder.add("engine.blocks_scanned", blocks);
-    recorder.add("engine.rows_scanned", scanned);
-    Ok(Intermediate { layout, rows })
+    rows: Vec<&'a Tuple>,
 }
 
-/// Hash-joins two intermediates on the given (left, right) column pairs.
-fn hash_join(left: Intermediate, right: Intermediate, keys: &[(usize, usize)]) -> Intermediate {
-    // Build on the smaller side for memory, probing with the larger.
-    let (build, probe, build_keys, probe_keys, build_is_left) =
-        if left.rows.len() <= right.rows.len() {
-            let bk: Vec<usize> = keys.iter().map(|(l, _)| *l).collect();
-            let pk: Vec<usize> = keys.iter().map(|(_, r)| *r).collect();
-            (left, right, bk, pk, true)
-        } else {
-            let bk: Vec<usize> = keys.iter().map(|(_, r)| *r).collect();
-            let pk: Vec<usize> = keys.iter().map(|(l, _)| *l).collect();
-            (right, left, bk, pk, false)
-        };
+/// Joined rows, row-major: one borrowed tuple per joined relation.
+struct Joined<'a> {
+    relations: Vec<RelationId>,
+    tuples: Vec<&'a Tuple>,
+}
 
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, row) in build.rows.iter().enumerate() {
-        let key: Vec<Value> = build_keys.iter().map(|&k| row[k].clone()).collect();
-        if key.iter().any(Value::is_null) {
-            continue; // NULL never joins
-        }
-        table.entry(key).or_default().push(i);
+impl<'a> Joined<'a> {
+    fn rows(&self) -> std::slice::ChunksExact<'_, &'a Tuple> {
+        self.tuples.chunks_exact(self.relations.len())
     }
 
-    // Output layout is always left ++ right to keep attribute positions
-    // independent of which side was chosen as build.
-    let mut layout;
-    let mut rows = Vec::new();
-    if build_is_left {
-        layout = build.layout.clone();
-        layout.extend(probe.layout.iter().copied());
-        for prow in &probe.rows {
-            let key: Vec<Value> = probe_keys.iter().map(|&k| prow[k].clone()).collect();
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            if let Some(matches) = table.get(&key) {
-                for &bi in matches {
-                    let mut out = build.rows[bi].clone();
-                    out.extend(prow.iter().cloned());
-                    rows.push(out);
+    fn len(&self) -> usize {
+        self.tuples.len() / self.relations.len()
+    }
+
+    /// `(tuple slot, attribute index)` of `qa` in a joined row.
+    fn locate(&self, qa: QualifiedAttr) -> Option<(usize, usize)> {
+        let slot = self.relations.iter().position(|r| *r == qa.relation)?;
+        Some((slot, qa.attr.index()))
+    }
+}
+
+/// Validates `query` and scans its relations in scan order. Scan totals are
+/// reported to `recorder` once per scan (not per block) so the no-op path
+/// stays out of the inner loop.
+fn scan<'a>(
+    db: &'a Database,
+    query: &ConjunctiveQuery,
+    meter: &IoMeter,
+    recorder: &dyn Recorder,
+) -> EngineResult<Vec<Input<'a>>> {
+    query.validate(db.catalog())?;
+    let mut inputs = Vec::with_capacity(query.relations.len());
+    for relation in scan_order(db.catalog(), query)? {
+        let table = db.table(relation)?;
+        let selections: Vec<_> = query
+            .predicates
+            .iter()
+            .filter_map(|p| match p {
+                Predicate::Selection { attr, op, value } if attr.relation == relation => {
+                    Some((attr.attr.index(), *op, value))
                 }
+                _ => None,
+            })
+            .collect();
+        let mut rows = Vec::new();
+        let mut scanned = 0u64;
+        for block in table.blocks() {
+            meter.try_charge(1)?;
+            scanned += block.len() as u64;
+            rows.extend(
+                block
+                    .rows()
+                    .iter()
+                    .filter(|row| selections.iter().all(|(i, op, v)| op.eval(&row[*i], v))),
+            );
+        }
+        recorder.add("engine.scans", 1);
+        recorder.add("engine.blocks_scanned", table.num_blocks());
+        recorder.add("engine.rows_scanned", scanned);
+        inputs.push(Input { relation, rows });
+    }
+    Ok(inputs)
+}
+
+/// Joins the scanned inputs in [`join_order`]: each step hash-joins the
+/// next input on every join predicate linking it to the rows so far.
+fn join<'a>(
+    db: &Database,
+    query: &ConjunctiveQuery,
+    inputs: Vec<Input<'a>>,
+    recorder: &dyn Recorder,
+) -> EngineResult<Joined<'a>> {
+    let relations: Vec<RelationId> = inputs.iter().map(|i| i.relation).collect();
+    let sizes: Vec<f64> = inputs.iter().map(|i| i.rows.len() as f64).collect();
+    let order = join_order(db.catalog(), query, &relations, &sizes)?;
+    let mut slots: Vec<Option<Input<'a>>> = inputs.into_iter().map(Some).collect();
+    let mut ordered = order.into_iter().filter_map(|i| slots[i].take());
+    let first = ordered.next().ok_or(EngineError::EmptyFrom)?;
+    let mut joined = Joined {
+        relations: vec![first.relation],
+        tuples: first.rows,
+    };
+    for input in ordered {
+        let mut keys = Vec::new();
+        for (l, r) in query.joins() {
+            let (old, new) = if l.relation == input.relation {
+                (*r, *l)
+            } else if r.relation == input.relation {
+                (*l, *r)
+            } else {
+                continue;
+            };
+            if let Some(at) = joined.locate(old) {
+                keys.push((at, new.attr.index()));
+            }
+        }
+        joined = hash_join(joined, input, &keys);
+        recorder.add("engine.joins", 1);
+        recorder.add("engine.join_rows_emitted", joined.len() as u64);
+    }
+    Ok(joined)
+}
+
+/// Hash-joins `right` onto `left`. Each key pairs a `(slot, attribute)` of
+/// a joined row with an attribute of `right`. The smaller side builds.
+fn hash_join<'a>(
+    left: Joined<'a>,
+    right: Input<'a>,
+    keys: &[((usize, usize), usize)],
+) -> Joined<'a> {
+    let left_key = |row: &[&'a Tuple], key: &mut RowRef<'a>| {
+        key.clear();
+        key.extend(keys.iter().map(|&((slot, a), _)| &row[slot][a]));
+    };
+    let right_key = |row: &'a Tuple, key: &mut RowRef<'a>| {
+        key.clear();
+        key.extend(keys.iter().map(|&(_, a)| &row[a]));
+    };
+    let width = left.relations.len();
+    let mut tuples = Vec::new();
+    let mut key = Vec::with_capacity(keys.len());
+    if left.len() <= right.rows.len() {
+        let table = build(left.rows(), left_key);
+        for &row in &right.rows {
+            right_key(row, &mut key);
+            for &i in table.get(key.as_slice()).into_iter().flatten() {
+                tuples.extend_from_slice(&left.tuples[i * width..(i + 1) * width]);
+                tuples.push(row);
             }
         }
     } else {
-        layout = probe.layout.clone();
-        layout.extend(build.layout.iter().copied());
-        for prow in &probe.rows {
-            let key: Vec<Value> = probe_keys.iter().map(|&k| prow[k].clone()).collect();
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            if let Some(matches) = table.get(&key) {
-                for &bi in matches {
-                    let mut out = prow.clone();
-                    out.extend(build.rows[bi].iter().cloned());
-                    rows.push(out);
-                }
+        let table = build(right.rows.iter().copied(), right_key);
+        for row in left.rows() {
+            left_key(row, &mut key);
+            for &i in table.get(key.as_slice()).into_iter().flatten() {
+                tuples.extend_from_slice(row);
+                tuples.push(right.rows[i]);
             }
         }
     }
-    Intermediate { layout, rows }
+    let mut relations = left.relations;
+    relations.push(right.relation);
+    Joined { relations, tuples }
+}
+
+/// The build side of a hash join: row positions by key. Keys holding a
+/// NULL are left out, so NULL never joins — probing needs no check.
+fn build<'a, R>(
+    rows: impl Iterator<Item = R>,
+    key_of: impl Fn(R, &mut RowRef<'a>),
+) -> HashMap<RowRef<'a>, Vec<usize>> {
+    let mut table: HashMap<RowRef<'a>, Vec<usize>> = HashMap::new();
+    let mut key = Vec::new();
+    for (i, row) in rows.enumerate() {
+        key_of(row, &mut key);
+        if key.iter().any(|v| v.is_null()) {
+            continue;
+        }
+        match table.get_mut(key.as_slice()) {
+            Some(matches) => matches.push(i),
+            None => {
+                table.insert(key.clone(), vec![i]);
+            }
+        }
+    }
+    table
+}
+
+/// `(tuple slot, attribute index)` of each projected attribute.
+fn projection(
+    db: &Database,
+    query: &ConjunctiveQuery,
+    joined: &Joined<'_>,
+) -> EngineResult<Vec<(usize, usize)>> {
+    query
+        .projection
+        .iter()
+        .map(|qa| {
+            joined
+                .locate(*qa)
+                .ok_or_else(|| EngineError::ProjectionUnavailable {
+                    attr: db.catalog().attr_name(*qa),
+                })
+        })
+        .collect()
 }
 
 /// Executes a conjunctive query, returning projected rows.
 ///
-/// Joins are performed in connectivity order starting from the query's first
-/// relation; a relation with no join path to the rest is rejected
+/// A relation with no join path to the query's first relation is rejected
 /// ([`EngineError::DisconnectedRelation`]) rather than producing a cartesian
 /// product — the paper's preference paths always join through the graph.
 pub fn execute(
@@ -169,105 +270,11 @@ pub fn execute_recorded(
     recorder: &dyn Recorder,
 ) -> EngineResult<ExecOutput> {
     let _span = span_guard(recorder, "engine.execute");
-    query.validate(db.catalog())?;
-
-    // Group pushed-down selections per relation.
-    let mut selections: HashMap<RelationId, Vec<(QualifiedAttr, CmpOp, Value)>> = HashMap::new();
-    for pred in &query.predicates {
-        if let Predicate::Selection { attr, op, value } = pred {
-            selections
-                .entry(attr.relation)
-                .or_default()
-                .push((*attr, *op, value.clone()));
-        }
-    }
-
-    let first = query.relations[0];
-    let mut current = scan_filtered(
-        db,
-        meter,
-        first,
-        selections.get(&first).map(|v| v.as_slice()).unwrap_or(&[]),
-        recorder,
-    )?;
-    let mut joined: HashSet<RelationId> = HashSet::from([first]);
-    let mut remaining: Vec<RelationId> = query
-        .relations
-        .iter()
-        .copied()
-        .filter(|r| *r != first)
-        .collect();
-
-    while !remaining.is_empty() {
-        // Find a remaining relation connected to the joined set.
-        let next_pos = remaining.iter().position(|r| {
-            query.joins().any(|(l, rgt)| {
-                (l.relation == *r && joined.contains(&rgt.relation))
-                    || (rgt.relation == *r && joined.contains(&l.relation))
-            })
-        });
-        let Some(pos) = next_pos else {
-            let name = db
-                .catalog()
-                .relation(remaining[0])
-                .map(|s| s.name.clone())?;
-            return Err(EngineError::DisconnectedRelation { relation: name });
-        };
-        let rel = remaining.remove(pos);
-        let right = scan_filtered(
-            db,
-            meter,
-            rel,
-            selections.get(&rel).map(|v| v.as_slice()).unwrap_or(&[]),
-            recorder,
-        )?;
-
-        // All join predicates linking `rel` with the current intermediate.
-        let mut keys: Vec<(usize, usize)> = Vec::new();
-        for (l, r) in query.joins() {
-            let (cur_attr, new_attr) = if l.relation == rel && joined.contains(&r.relation) {
-                (*r, *l)
-            } else if r.relation == rel && joined.contains(&l.relation) {
-                (*l, *r)
-            } else {
-                continue;
-            };
-            let li =
-                current
-                    .position(cur_attr)
-                    .ok_or_else(|| EngineError::ProjectionUnavailable {
-                        attr: db.catalog().attr_name(cur_attr),
-                    })?;
-            let ri =
-                right
-                    .position(new_attr)
-                    .ok_or_else(|| EngineError::ProjectionUnavailable {
-                        attr: db.catalog().attr_name(new_attr),
-                    })?;
-            keys.push((li, ri));
-        }
-        current = hash_join(current, right, &keys);
-        recorder.add("engine.joins", 1);
-        recorder.add("engine.join_rows_emitted", current.rows.len() as u64);
-        joined.insert(rel);
-    }
-
-    // Project.
-    let positions: Vec<usize> = query
-        .projection
-        .iter()
-        .map(|qa| {
-            current
-                .position(*qa)
-                .ok_or_else(|| EngineError::ProjectionUnavailable {
-                    attr: db.catalog().attr_name(*qa),
-                })
-        })
-        .collect::<EngineResult<_>>()?;
-    let mut rows: Vec<Tuple> = current
-        .rows
-        .iter()
-        .map(|row| positions.iter().map(|&i| row[i].clone()).collect())
+    let joined = join(db, query, scan(db, query, meter, recorder)?, recorder)?;
+    let columns = projection(db, query, &joined)?;
+    let mut rows: Vec<Tuple> = joined
+        .rows()
+        .map(|row| columns.iter().map(|&(s, a)| row[s][a].clone()).collect())
         .collect();
     rows.sort();
     recorder.add("engine.rows_emitted", rows.len() as u64);
@@ -305,35 +312,88 @@ pub fn execute_personalized_recorded(
     if pq.is_trivial() {
         return execute_recorded(db, &pq.base, meter, recorder);
     }
-    let want = pq.num_preferences();
-    let mut counts: HashMap<Tuple, usize> = HashMap::new();
-    for sub in &pq.subqueries {
-        let sub_span = span_guard(recorder, "engine.subquery");
-        let out = execute_recorded(db, sub, meter, recorder)?;
-        recorder.add("engine.subqueries", 1);
-        if recorder.is_enabled() {
-            recorder.observe("engine.subquery_rows", out.rows.len() as u64);
-        }
-        drop(sub_span);
-        let distinct: HashSet<Tuple> = out.rows.into_iter().collect();
-        for row in distinct {
-            *counts.entry(row).or_insert(0) += 1;
-        }
-    }
-    let mut rows: Vec<Tuple> = counts
-        .into_iter()
-        .filter(|(_, c)| *c == want)
-        .map(|(r, _)| r)
+    let kept = satisfying_rows(db, pq, pq.num_preferences(), meter, recorder)?;
+    let mut rows: Vec<Tuple> = kept
+        .into_keys()
+        .map(|row| row.into_iter().cloned().collect())
         .collect();
     rows.sort();
     recorder.add("engine.personalized_rows_kept", rows.len() as u64);
     Ok(ExecOutput { rows })
 }
 
+/// The distinct projected rows of `pq`'s sub-queries that satisfy at least
+/// `min_count` of them (`HAVING COUNT(*) >= min_count`), each with the
+/// ascending indices of the sub-queries it satisfies. Rows stay borrowed.
+///
+/// Every sub-query is scanned first, in order, so the I/O schedule does not
+/// depend on the data. Sub-queries are then joined most selective first —
+/// smallest filtered input, then fewest input rows — and their rows folded
+/// into a running set: a row first seen at step `s` enters only if the
+/// steps left could still bring it to `min_count`, and after each step the
+/// rows that no longer can are dropped. For `min_count = L` this is a
+/// running intersection, and once it is empty the remaining sub-queries
+/// are not joined at all.
+pub(crate) fn satisfying_rows<'a>(
+    db: &'a Database,
+    pq: &PersonalizedQuery,
+    min_count: usize,
+    meter: &IoMeter,
+    recorder: &dyn Recorder,
+) -> EngineResult<HashMap<RowRef<'a>, Vec<usize>>> {
+    let mut scanned = Vec::with_capacity(pq.subqueries.len());
+    for sub in &pq.subqueries {
+        let _sub_span = span_guard(recorder, "engine.subquery");
+        let _span = span_guard(recorder, "engine.execute");
+        scanned.push(scan(db, sub, meter, recorder)?);
+        recorder.add("engine.subqueries", 1);
+    }
+    let mut order: Vec<usize> = (0..scanned.len()).collect();
+    order.sort_by_key(|&i| {
+        let sizes = scanned[i].iter().map(|input| input.rows.len());
+        (sizes.clone().min(), sizes.sum::<usize>())
+    });
+
+    let steps = order.len();
+    let mut kept: HashMap<RowRef<'a>, Vec<usize>> = HashMap::new();
+    let mut key = Vec::new();
+    for (step, i) in order.into_iter().enumerate() {
+        let admits = step + min_count <= steps;
+        if kept.is_empty() && !admits {
+            break;
+        }
+        let sub = &pq.subqueries[i];
+        let joined = join(db, sub, std::mem::take(&mut scanned[i]), recorder)?;
+        let columns = projection(db, sub, &joined)?;
+        recorder.add("engine.rows_emitted", joined.len() as u64);
+        if recorder.is_enabled() {
+            recorder.observe("engine.subquery_rows", joined.len() as u64);
+        }
+        for row in joined.rows() {
+            key.clear();
+            key.extend(columns.iter().map(|&(s, a)| &row[s][a]));
+            match kept.get_mut(key.as_slice()) {
+                Some(subs) if subs.last() != Some(&i) => subs.push(i),
+                Some(_) => {}
+                None if admits => {
+                    kept.insert(key.clone(), vec![i]);
+                }
+                None => {}
+            }
+        }
+        let left = steps - 1 - step;
+        kept.retain(|_, subs| subs.len() + left >= min_count);
+    }
+    for subs in kept.values_mut() {
+        subs.sort_unstable();
+    }
+    Ok(kept)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryBuilder;
+    use crate::query::{CmpOp, QueryBuilder};
     use cqp_storage::{DataType, RelationSchema};
 
     /// The movie database of the paper's running example.
@@ -560,5 +620,135 @@ mod tests {
         // Each sub-query scans MOVIE (2 blocks) + DIRECTOR (2 blocks).
         assert_eq!(meter.blocks_read(), 8);
         assert!((meter.elapsed_ms() - 8.0).abs() < 1e-12);
+    }
+
+    /// `L(k, v)` and `R(k, w)` at 2 tuples per block.
+    fn keyed_db(left: &[(Option<i64>, &str)], right: &[(Option<i64>, &str)]) -> Database {
+        let mut db = Database::with_block_capacity(2);
+        for (name, rows) in [("L", left), ("R", right)] {
+            db.create_relation(RelationSchema::new(
+                name,
+                vec![("k", DataType::Int), ("v", DataType::Str)],
+            ))
+            .unwrap();
+            for (k, v) in rows {
+                let key = k.map_or(Value::Null, Value::Int);
+                db.insert_into(name, vec![key, Value::str(*v)]).unwrap();
+            }
+        }
+        db
+    }
+
+    #[test]
+    fn null_keys_never_match_whichever_side_builds() {
+        let small: &[(Option<i64>, &str)] = &[(Some(1), "a"), (None, "n")];
+        let large: &[(Option<i64>, &str)] = &[
+            (Some(1), "x"),
+            (None, "y"),
+            (None, "z"),
+            (Some(2), "w"),
+            (Some(1), "u"),
+        ];
+        // The smaller input builds, so swapping the data swaps the sides.
+        for (left, right, want) in [
+            (small, large, [["a", "u"], ["a", "x"]]),
+            (large, small, [["u", "a"], ["x", "a"]]),
+        ] {
+            let db = keyed_db(left, right);
+            for from in ["L", "R"] {
+                let other = if from == "L" { "R" } else { "L" };
+                let q = QueryBuilder::from(db.catalog(), from)
+                    .unwrap()
+                    .join(from, "k", other, "k")
+                    .unwrap()
+                    .select("L", "v")
+                    .unwrap()
+                    .select("R", "v")
+                    .unwrap()
+                    .build();
+                let out = execute(&db, &q, &IoMeter::default()).unwrap();
+                let want: Vec<Tuple> = want
+                    .iter()
+                    .map(|r| r.iter().map(|s| Value::str(*s)).collect())
+                    .collect();
+                assert_eq!(out.rows, want, "FROM {from} first");
+            }
+        }
+    }
+
+    /// A personalized query whose first preference matches nothing.
+    fn empty_first_preference(db: &Database) -> PersonalizedQuery {
+        let c = db.catalog();
+        let base = QueryBuilder::from(c, "MOVIE")
+            .unwrap()
+            .select("MOVIE", "title")
+            .unwrap()
+            .build();
+        PersonalizedQuery::compose(
+            base,
+            vec![
+                vec![
+                    Predicate::join(
+                        c.resolve("MOVIE", "did").unwrap(),
+                        c.resolve("DIRECTOR", "did").unwrap(),
+                    ),
+                    Predicate::eq(c.resolve("DIRECTOR", "name").unwrap(), "Nobody"),
+                ],
+                vec![
+                    Predicate::join(
+                        c.resolve("MOVIE", "mid").unwrap(),
+                        c.resolve("GENRE", "mid").unwrap(),
+                    ),
+                    Predicate::eq(c.resolve("GENRE", "genre").unwrap(), "musical"),
+                ],
+            ],
+        )
+    }
+
+    #[test]
+    fn empty_intersection_still_charges_every_later_subquery() {
+        let db = paper_db();
+        let pq = empty_first_preference(&db);
+        let meter = IoMeter::new(1.0);
+        let obs = cqp_obs::Obs::new();
+        let out = execute_personalized_recorded(&db, &pq, &meter, &obs).unwrap();
+        assert!(out.is_empty());
+        let stats = db.analyze();
+        let blocks = crate::cost::CostModel::new(&stats).personalized_blocks(&pq);
+        assert_eq!(meter.blocks_read(), blocks);
+        let reg = obs.registry();
+        assert_eq!(reg.counter("engine.scans"), 4);
+        assert_eq!(reg.counter("engine.blocks_scanned"), 9);
+        assert_eq!(reg.counter("engine.rows_scanned"), 4 + 3 + 4 + 5);
+    }
+
+    #[test]
+    fn every_nth_fault_fails_on_the_same_block() {
+        // 9 blocks in scan order: MOVIE 2 + DIRECTOR 2, then MOVIE 2 +
+        // GENRE 3. Each case is (n, completed scans, their blocks) at the
+        // failure, as the row-cloning executor reported them: every 5th
+        // read fails sub-query 2's first MOVIE block, every 7th its first
+        // GENRE block, every 9th the last GENRE block — after the empty
+        // first preference, so later sub-queries are still scanned.
+        let db = paper_db();
+        let pq = empty_first_preference(&db);
+        for (n, scans, blocks) in [(5, 2, 4), (7, 3, 6), (9, 3, 6)] {
+            let plan = std::sync::Arc::new(cqp_storage::FaultPlan::new(
+                3,
+                cqp_storage::FaultMode::EveryNth { n },
+            ));
+            let meter = IoMeter::new(1.0).with_fault_plan(plan.clone());
+            let obs = cqp_obs::Obs::new();
+            let err = execute_personalized_recorded(&db, &pq, &meter, &obs).unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::Storage(cqp_storage::StorageError::InjectedIo { read_index: n - 1 })
+            );
+            assert_eq!(meter.blocks_read(), n - 1);
+            assert_eq!(plan.reads_seen(), n);
+            let reg = obs.registry();
+            assert_eq!(reg.counter("engine.scans"), scans, "n = {n}");
+            assert_eq!(reg.counter("engine.blocks_scanned"), blocks, "n = {n}");
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! `EXPLAIN` for conjunctive and personalized queries.
 //!
-//! Renders the plan the executor will follow — scans with pushed-down
-//! selections, hash joins in connectivity order, and the union/group
+//! Renders the plan the executor follows — scans with pushed-down
+//! selections, hash joins smallest input first, and the union/group
 //! combiner — annotated with the block cost model's and the cardinality
-//! estimator's numbers. What you see is exactly what
-//! [`crate::exec::execute`] does; the planner logic is shared.
+//! estimator's numbers. The planner logic is shared: [`scan_order`] and
+//! [`join_order`] are what [`crate::exec::execute`] calls, except that the
+//! executor orders joins on the exact row counts its scans produced, where
+//! `EXPLAIN` has only the estimator's.
 
 use crate::card::CardEstimator;
 use crate::cost::CostModel;
@@ -70,34 +72,64 @@ impl PlanNode {
     }
 }
 
-/// The join order the executor uses: the first FROM relation, then any
-/// relation connected to the joined set by a join predicate.
-pub(crate) fn join_order(query: &ConjunctiveQuery) -> EngineResult<Vec<RelationId>> {
-    if query.relations.is_empty() {
+/// Smallest-input-first join order: start from the input with the fewest
+/// rows, then repeatedly take the smallest input joined by a predicate to
+/// those already taken, so no step is a cross product. `rows[i]` is the
+/// size of `relations[i]`: the executor passes the exact row counts its
+/// scans produced, [`explain`] the [`CardEstimator`]'s estimates. Ties go to
+/// the earlier relation. Returns positions into `relations`.
+pub(crate) fn join_order(
+    catalog: &Catalog,
+    query: &ConjunctiveQuery,
+    relations: &[RelationId],
+    rows: &[f64],
+) -> EngineResult<Vec<usize>> {
+    if relations.is_empty() {
         return Err(EngineError::EmptyFrom);
     }
-    let mut order = vec![query.relations[0]];
-    let mut remaining: Vec<RelationId> = query.relations[1..].to_vec();
+    let mut order: Vec<usize> = Vec::with_capacity(relations.len());
+    let mut remaining: Vec<usize> = (0..relations.len()).collect();
     while !remaining.is_empty() {
-        let pos = remaining.iter().position(|r| {
-            query.joins().any(|(l, rgt)| {
-                (l.relation == *r && order.contains(&rgt.relation))
-                    || (rgt.relation == *r && order.contains(&l.relation))
-            })
-        });
-        match pos {
-            Some(p) => order.push(remaining.remove(p)),
-            None => {
-                return Err(EngineError::DisconnectedRelation {
-                    relation: format!("{:?}", remaining[0]),
+        let taken = |rel: RelationId| order.iter().any(|&j| relations[j] == rel);
+        let joinable = |i: usize| {
+            order.is_empty()
+                || query.joins().any(|(l, r)| {
+                    (l.relation == relations[i] && taken(r.relation))
+                        || (r.relation == relations[i] && taken(l.relation))
                 })
-            }
-        }
+        };
+        let next = (0..remaining.len())
+            .filter(|&p| joinable(remaining[p]))
+            .min_by(|&a, &b| rows[remaining[a]].total_cmp(&rows[remaining[b]]));
+        let Some(p) = next else {
+            let name = catalog.relation(relations[remaining[0]])?.name.clone();
+            return Err(EngineError::DisconnectedRelation { relation: name });
+        };
+        order.push(remaining.remove(p));
     }
     Ok(order)
 }
 
+/// The order the executor scans relations in: the first FROM relation,
+/// then each relation joined to those before it — [`join_order`] over equal
+/// sizes. Scans keep this order whatever the join order, so block charges
+/// and fault-plan schedules do not depend on the data.
+pub(crate) fn scan_order(
+    catalog: &Catalog,
+    query: &ConjunctiveQuery,
+) -> EngineResult<Vec<RelationId>> {
+    let equal = vec![0.0; query.relations.len()];
+    let order = join_order(catalog, query, &query.relations, &equal)?;
+    Ok(order.into_iter().map(|i| query.relations[i]).collect())
+}
+
 /// Builds the plan tree for a conjunctive query.
+///
+/// Joins follow [`join_order`] over the [`CardEstimator`]'s estimate of
+/// each filtered scan. The executor applies the same rule to the exact
+/// counts its scans produce, so the two join orders agree whenever the
+/// estimates rank the inputs as the data does; scans and block costs agree
+/// always.
 pub fn explain(
     catalog: &Catalog,
     stats: &DbStats,
@@ -106,7 +138,7 @@ pub fn explain(
     query.validate(catalog)?;
     let cost = CostModel::new(stats);
     let card = CardEstimator::new(stats);
-    let order = join_order(query)?;
+    let scans = scan_order(catalog, query)?;
 
     let scan_node = |rel: RelationId| -> PlanNode {
         let name = catalog
@@ -133,15 +165,19 @@ pub fn explain(
         };
         PlanNode::leaf(op, card.query_rows(&single), cost.relation_blocks(rel))
     };
+    let estimates: Vec<f64> = scans.iter().map(|&rel| scan_node(rel).est_rows).collect();
+    let order = join_order(catalog, query, &scans, &estimates)?;
 
-    let mut joined: Vec<RelationId> = vec![order[0]];
-    let mut node = scan_node(order[0]);
+    let first = scans[order[0]];
+    let mut joined: Vec<RelationId> = vec![first];
+    let mut node = scan_node(first);
     let mut partial = ConjunctiveQuery {
         projection: Vec::new(),
-        relations: vec![order[0]],
-        predicates: query.selections_on(order[0]).into_iter().cloned().collect(),
+        relations: vec![first],
+        predicates: query.selections_on(first).into_iter().cloned().collect(),
     };
-    for &rel in &order[1..] {
+    for &pos in &order[1..] {
+        let rel = scans[pos];
         let right = scan_node(rel);
         // All join predicates linking rel with the joined prefix.
         let mut conds: Vec<String> = Vec::new();
@@ -334,6 +370,49 @@ mod tests {
         assert!(plan.op.contains("count(*) = 2"));
         let model = CostModel::new(&stats);
         assert_eq!(plan.total_blocks(), model.personalized_blocks(&pq));
+    }
+
+    #[test]
+    fn joins_start_from_the_smallest_estimated_input() {
+        let db = db();
+        let stats = db.analyze();
+        let q = QueryBuilder::from(db.catalog(), "MOVIE")
+            .unwrap()
+            .select("MOVIE", "title")
+            .unwrap()
+            .join("MOVIE", "did", "DIRECTOR", "did")
+            .unwrap()
+            .filter("DIRECTOR", "name", crate::query::CmpOp::Eq, "d1")
+            .unwrap()
+            .build();
+        let plan = explain(db.catalog(), &stats, &q).unwrap();
+        // Project → HashJoin(DIRECTOR scan, MOVIE scan): 1 director < 12 movies.
+        let join = &plan.children[0];
+        assert!(join.children[0].op.starts_with("SeqScan(DIRECTOR"));
+        assert!(join.children[1].op.starts_with("SeqScan(MOVIE"));
+    }
+
+    #[test]
+    fn disconnected_relation_errors_name_the_relation() {
+        let db = db();
+        let stats = db.analyze();
+        let c = db.catalog();
+        let mut q = QueryBuilder::from(c, "MOVIE")
+            .unwrap()
+            .select("MOVIE", "title")
+            .unwrap()
+            .build();
+        q.add_relation(c.relation_id("DIRECTOR").unwrap());
+        // DIRECTOR (3 rows) is the smaller input, yet the error names it:
+        // the relation with no join path to the first FROM relation.
+        let want = EngineError::DisconnectedRelation {
+            relation: "DIRECTOR".into(),
+        };
+        assert_eq!(explain(c, &stats, &q).unwrap_err(), want);
+        let meter = IoMeter::new(1.0);
+        assert_eq!(crate::exec::execute(&db, &q, &meter).unwrap_err(), want);
+        // Rejected before any scan.
+        assert_eq!(meter.blocks_read(), 0);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! model (Koutrika & Ioannidis, ICDE 2004).
 
 use crate::error::EngineResult;
-use crate::exec::execute;
+use crate::exec::{execute, satisfying_rows};
 use crate::query::PersonalizedQuery;
+use cqp_obs::NoopRecorder;
 use cqp_storage::{Database, IoMeter, Tuple};
-use std::collections::{HashMap, HashSet};
 
 /// A result row with its degree of interest.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,23 +76,13 @@ pub fn execute_ranked(
             .collect());
     }
 
-    let mut satisfied: HashMap<Tuple, Vec<usize>> = HashMap::new();
-    for (i, sub) in pq.subqueries.iter().enumerate() {
-        let out = execute(db, sub, meter)?;
-        let distinct: HashSet<Tuple> = out.rows.into_iter().collect();
-        for row in distinct {
-            satisfied.entry(row).or_default().push(i);
-        }
-    }
-
-    let mut ranked: Vec<RankedRow> = satisfied
+    let mut ranked: Vec<RankedRow> = satisfying_rows(db, pq, min_count, meter, &NoopRecorder)?
         .into_iter()
-        .filter(|(_, prefs)| prefs.len() >= min_count)
         .map(|(row, prefs)| {
             // Noisy-or over the satisfied preferences' dois (Formula 10).
             let doi = 1.0 - prefs.iter().map(|&i| 1.0 - pref_dois[i]).product::<f64>();
             RankedRow {
-                row,
+                row: row.into_iter().cloned().collect(),
                 doi,
                 satisfied: prefs,
             }

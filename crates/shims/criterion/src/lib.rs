@@ -4,8 +4,9 @@
 //! ([`Criterion::benchmark_group`], [`BenchmarkGroup::bench_with_input`],
 //! [`BenchmarkId`], `criterion_group!` / `criterion_main!`, [`black_box`])
 //! with a plain timed-iteration runner: each benchmark runs a short warmup,
-//! then `sample_size` timed samples, and prints mean/min/max per iteration.
-//! No statistics engine, plotting, or HTML reports — just numbers on stdout,
+//! then `sample_size` timed samples, and prints the median and median
+//! absolute deviation (MAD) next to mean/min/max per iteration. No
+//! statistics engine, plotting, or HTML reports — just numbers on stdout,
 //! which is what an offline container can support.
 
 use std::fmt;
@@ -121,22 +122,59 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 
     fn report(&self, id: &str, samples: &[Duration]) {
-        if samples.is_empty() {
+        let Some(s) = Summary::of(samples) else {
             println!("{}/{id}: no samples", self.name);
             return;
-        }
-        let total: Duration = samples.iter().sum();
-        let mean = total / samples.len() as u32;
-        let min = samples.iter().min().unwrap();
-        let max = samples.iter().max().unwrap();
+        };
         println!(
-            "{}/{id}: mean {} [min {} .. max {}] ({} samples)",
+            "{}/{id}: median {} ± {} MAD, mean {} [min {} .. max {}] ({} samples)",
             self.name,
-            fmt_duration(mean),
-            fmt_duration(*min),
-            fmt_duration(*max),
+            fmt_duration(s.median),
+            fmt_duration(s.mad),
+            fmt_duration(s.mean),
+            fmt_duration(s.min),
+            fmt_duration(s.max),
             samples.len(),
         );
+    }
+}
+
+/// Per-iteration statistics of one benchmark's samples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Summary {
+    mean: Duration,
+    min: Duration,
+    max: Duration,
+    median: Duration,
+    /// Median absolute deviation from the median: a spread measure that,
+    /// unlike min/max, one preempted sample cannot move.
+    mad: Duration,
+}
+
+impl Summary {
+    fn of(samples: &[Duration]) -> Option<Summary> {
+        let mut sorted = samples.to_vec();
+        sorted.sort();
+        let median = median_of_sorted(&sorted)?;
+        let mut deviations: Vec<Duration> = sorted.iter().map(|d| d.abs_diff(median)).collect();
+        deviations.sort();
+        Some(Summary {
+            mean: sorted.iter().sum::<Duration>() / sorted.len() as u32,
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+            median,
+            mad: median_of_sorted(&deviations)?,
+        })
+    }
+}
+
+/// The middle sample, or the mean of the two middle samples.
+fn median_of_sorted(sorted: &[Duration]) -> Option<Duration> {
+    let n = sorted.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(sorted[n / 2]),
+        _ => Some((sorted[n / 2 - 1] + sorted[n / 2]) / 2),
     }
 }
 
@@ -213,6 +251,27 @@ mod tests {
         group.finish();
         // 1 warmup + 5 samples.
         assert_eq!(runs, 6);
+    }
+
+    #[test]
+    fn summary_reports_median_and_mad() {
+        let ms =
+            |v: &[u64]| -> Vec<Duration> { v.iter().map(|&m| Duration::from_millis(m)).collect() };
+        // Sorted: 1 2 3 4 100 → median 3; deviations 2 1 0 1 97 → MAD 1.
+        let s = Summary::of(&ms(&[4, 1, 100, 3, 2])).unwrap();
+        assert_eq!(s.median, Duration::from_millis(3));
+        assert_eq!(s.mad, Duration::from_millis(1));
+        assert_eq!(s.mean, Duration::from_millis(22));
+        assert_eq!(
+            (s.min, s.max),
+            (Duration::from_millis(1), Duration::from_millis(100))
+        );
+        // Even count: medians average the middle pair. Sorted 2 4 6 10 →
+        // median 5; deviations 3 1 1 5 → sorted 1 1 3 5 → MAD 2.
+        let s = Summary::of(&ms(&[10, 2, 6, 4])).unwrap();
+        assert_eq!(s.median, Duration::from_millis(5));
+        assert_eq!(s.mad, Duration::from_millis(2));
+        assert_eq!(Summary::of(&[]), None);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //! the paper's Figure 6 trace exactly.
 
 use super::find_max_doi::c_find_max_doi;
-use super::prune::Pruner;
+use super::prune::{Pruner, STATE_BYTES};
 use super::Solution;
 use crate::budget::CancelToken;
 use crate::cost_cache::{CacheHandle, SharedCostCache};
 use crate::instrument::Instrument;
 use crate::spaces::SpaceView;
 use crate::state::State;
-use crate::transitions::{horizontal, vertical};
+use crate::transitions::{horizontal, vertical_into, Neighbours};
 use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_prefs::ConjModel;
@@ -151,46 +151,42 @@ pub fn find_boundary_bounded(
     }
     let mut rq: VecDeque<State> = VecDeque::new();
     let mut pruner = Pruner::new();
+    let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);
-    // Queue bytes are tracked incrementally so the per-iteration memory
-    // observation (Figure 13) stays O(1).
-    let mut rq_bytes = start.heap_bytes();
     rq.push_back(start);
 
     while let Some(r) = rq.pop_front() {
         if token.should_stop() {
             break;
         }
-        rq_bytes -= r.heap_bytes();
         inst.states_examined += 1;
         let cost = cache.cost(view, &r);
         inst.param_evals += 1;
         if cost <= cmax {
             // A boundary: record it and move Horizontal (next group).
             pruner.add_boundary(&r);
-            boundaries.push(r.clone());
+            boundaries.push(r);
             if let Some(h) = horizontal(view, &r) {
                 inst.horizontal_moves += 1;
                 if pruner.mark_visited(&h) {
-                    rq_bytes += h.heap_bytes();
                     rq.push_back(h);
                 }
             }
         } else {
             // Push Vertical neighbors at the head; generation order is
             // decreasing cost, so the head ends up cheapest-first.
-            for n in vertical(view, &r) {
+            let admit = |n: &State| {
                 inst.vertical_moves += 1;
-                if !pruner.prune(&n) {
-                    pruner.mark_visited(&n);
-                    rq_bytes += n.heap_bytes();
-                    rq.push_front(n);
-                }
+                pruner.admit(n)
+            };
+            vertical_into(view, &r, admit, &mut neighbours);
+            for n in neighbours.iter() {
+                rq.push_front(n);
             }
         }
         // Boundary bytes are part of pruner.bytes().
-        inst.observe_bytes(rq_bytes + pruner.bytes() + cache.bytes());
+        inst.observe_bytes(rq.len() * STATE_BYTES + pruner.bytes() + cache.bytes());
     }
     cache.absorb_into(inst);
     boundaries

@@ -11,13 +11,13 @@
 //! still contain the seed. The second phase is `C_FINDMAXDOI`, unchanged.
 
 use super::find_max_doi::c_find_max_doi;
-use super::prune::Pruner;
+use super::prune::{Pruner, STATE_BYTES};
 use super::Solution;
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
 use crate::spaces::SpaceView;
 use crate::state::State;
-use crate::transitions::{horizontal2, vertical};
+use crate::transitions::{horizontal2, vertical_into, Neighbours};
 use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_prefs::ConjModel;
@@ -142,26 +142,25 @@ fn find_max_bound(
 ) {
     let mut rq: VecDeque<State> = VecDeque::new();
     let mut pruner = Pruner::new();
+    let mut neighbours = Neighbours::default();
     for b in max_bounds.iter() {
         pruner.add_boundary(b);
     }
     pruner.mark_visited(&seed);
-    let mut rq_bytes = seed.heap_bytes();
     rq.push_back(seed);
 
     while let Some(mut r) = rq.pop_front() {
         if token.should_stop() {
             break;
         }
-        rq_bytes -= r.heap_bytes();
         inst.states_examined += 1;
-        let r0 = r.clone();
+        let r0 = r;
         // Greedy growth: repeatedly take the first (most expensive)
         // Horizontal2 neighbor that satisfies the constraint.
         loop {
             let mut grew = false;
-            let candidates: Vec<State> = horizontal2(view, &r).map(|(_, s)| s).collect();
-            for n in candidates {
+            let base = r;
+            for (_, n) in horizontal2(view, &base) {
                 inst.horizontal_moves += 1;
                 inst.param_evals += 1;
                 if view.state_cost(&n) <= cmax {
@@ -182,23 +181,24 @@ fn find_max_bound(
                 .any(|b| b.is_superset_of(&r) || r.dominated_by(b));
             if !redundant {
                 pruner.add_boundary(&r);
-                max_bounds.push(r.clone());
+                max_bounds.push(r);
             }
         }
-        // Explore Vertical variants that still contain the seed.
-        for n in vertical(view, &r) {
+        // Explore Vertical variants that still contain the seed. Every
+        // neighbour is listed: the exit depends on where the one without
+        // the seed sorts among all of them.
+        vertical_into(view, &r, |_| true, &mut neighbours);
+        for n in neighbours.iter() {
             inst.vertical_moves += 1;
             if !n.contains(k) {
                 break; // paper: "If R' ∩ {k} = {} then exit for"
             }
-            if !pruner.prune(&n) {
-                pruner.mark_visited(&n);
-                rq_bytes += n.heap_bytes();
+            if pruner.admit(&n) {
                 rq.push_back(n);
             }
         }
         // Maximal-boundary bytes are part of pruner.bytes().
-        inst.observe_bytes(rq_bytes + pruner.bytes());
+        inst.observe_bytes(rq.len() * STATE_BYTES + pruner.bytes());
     }
 }
 

@@ -9,6 +9,7 @@
 //! `R'' ≠ R` guard).
 
 use super::d_singlemaxdoi::greedy_grow;
+use super::prune::STATE_BYTES;
 use super::Solution;
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
@@ -49,7 +50,7 @@ pub fn solve_budgeted(
         if view.state_cost(&seed) <= cmax_blocks {
             inst.states_examined += 1;
             let grown = greedy_grow(&view, seed, cmax_blocks, None, &mut inst);
-            inst.observe_bytes(grown.heap_bytes());
+            inst.observe_bytes(STATE_BYTES);
             let doi = view.state_doi(&grown);
             inst.param_evals += 1;
             if doi > max_doi {
@@ -60,12 +61,11 @@ pub fn solve_budgeted(
             // Heuristic improvement: drop the tail of the grown node one
             // slot at a time and regrow each prefix (Figure 11, step 2.5).
             let kr = grown.len();
-            for t in (1..kr).rev() {
-                let dropped = grown.indices()[t];
+            for (t, dropped) in (1..kr).rev().zip(grown.iter().rev()) {
                 let prefix = grown.prefix(t);
                 inst.states_examined += 1;
                 let regrown = greedy_grow(&view, prefix, cmax_blocks, Some(dropped), &mut inst);
-                inst.observe_bytes(regrown.heap_bytes());
+                inst.observe_bytes(STATE_BYTES);
                 let doi = view.state_doi(&regrown);
                 inst.param_evals += 1;
                 if doi > max_doi {

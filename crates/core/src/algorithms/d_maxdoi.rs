@@ -14,14 +14,14 @@
 //! neighbors are expanded (`R' = R`), otherwise chains that first become
 //! feasible after a swap would be unreachable and exactness would be lost.
 
-use super::prune::Pruner;
+use super::prune::{Pruner, STATE_BYTES};
 use super::Solution;
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
 use crate::params::ParamEval;
 use crate::spaces::SpaceView;
 use crate::state::State;
-use crate::transitions::{horizontal, vertical};
+use crate::transitions::{horizontal, vertical_into, Neighbours};
 use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_prefs::{ConjModel, Doi};
@@ -114,21 +114,18 @@ pub fn find_optimal_bounded(
     }
     let mut rq: VecDeque<State> = VecDeque::new();
     let mut pruner = Pruner::new();
+    let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);
-    // Queue bytes tracked incrementally: O(1) per memory observation.
-    let mut rq_bytes = start.heap_bytes();
     rq.push_back(start);
-    let mut solution_bytes = 0usize;
 
     while let Some(mut r) = rq.pop_front() {
         if token.should_stop() {
             break;
         }
-        rq_bytes -= r.heap_bytes();
         inst.states_examined += 1;
         inst.param_evals += 1;
-        let mut frontier = r.clone(); // R' in the paper: where Verticals expand
+        let mut frontier = r; // R' in the paper: where Verticals expand
         if view.state_cost(&r) <= cmax {
             // Climb while feasible.
             let mut successor: Option<State> = None;
@@ -142,26 +139,23 @@ pub fn find_optimal_bounded(
                     break;
                 }
             }
-            solution_bytes += r.heap_bytes();
-            solutions.push(r.clone());
+            solutions.push(r);
             match successor {
                 Some(s) => frontier = s,
                 None => {
                     // Climbed to the full set: nothing further to expand.
-                    inst.observe_bytes(rq_bytes + solution_bytes + pruner.bytes());
+                    inst.observe_bytes((rq.len() + solutions.len()) * STATE_BYTES + pruner.bytes());
                     continue;
                 }
             }
         }
-        for n in vertical(view, &frontier) {
+        let unvisited = |n: &State| {
             inst.vertical_moves += 1;
-            if !pruner.was_visited(&n) {
-                pruner.mark_visited(&n);
-                rq_bytes += n.heap_bytes();
-                rq.push_back(n);
-            }
-        }
-        inst.observe_bytes(rq_bytes + solution_bytes + pruner.bytes());
+            pruner.mark_visited(n)
+        };
+        vertical_into(view, &frontier, unvisited, &mut neighbours);
+        rq.extend(neighbours.iter());
+        inst.observe_bytes((rq.len() + solutions.len()) * STATE_BYTES + pruner.bytes());
     }
     solutions
 }

@@ -8,13 +8,13 @@
 //! `MaxDoi` exceeds `BestExpectedDoi`, the best degree any state drawn from
 //! the not-yet-seeded suffix of `P` could reach.
 
-use super::prune::Pruner;
+use super::prune::{Pruner, STATE_BYTES};
 use super::Solution;
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
 use crate::spaces::SpaceView;
 use crate::state::State;
-use crate::transitions::{horizontal2, vertical};
+use crate::transitions::{horizontal2, vertical_into, Neighbours};
 use cqp_prefs::{ConjModel, Doi};
 use cqp_prefspace::PreferenceSpace;
 use std::collections::VecDeque;
@@ -33,8 +33,8 @@ pub(crate) fn greedy_grow(
     let mut first = true;
     loop {
         let mut grew = false;
-        let candidates: Vec<(u16, State)> = horizontal2(view, &r).collect();
-        for (idx, n) in candidates {
+        let base = r;
+        for (idx, n) in horizontal2(view, &base) {
             if first && Some(idx) == banned_first {
                 continue;
             }
@@ -76,6 +76,7 @@ pub fn solve_budgeted(
     let mut best: Vec<usize> = Vec::new();
     let mut best_expected = eval.best_doi_for_group(k_total); // doi(P)
 
+    let mut neighbours = Neighbours::default();
     let mut k = 0usize;
     while k < k_total && max_doi <= best_expected {
         if token.should_stop() {
@@ -89,9 +90,7 @@ pub fn solve_budgeted(
         // Seeds that violate the constraint on their own can never be part
         // of a feasible state (cost is additive).
         inst.param_evals += 1;
-        let mut rq_bytes = 0usize;
         if view.state_cost(&seed) <= cmax_blocks {
-            rq_bytes += seed.heap_bytes();
             rq.push_back(seed);
         }
 
@@ -99,7 +98,6 @@ pub fn solve_budgeted(
             if token.should_stop() {
                 break;
             }
-            rq_bytes -= r.heap_bytes();
             inst.states_examined += 1;
             let grown = greedy_grow(&view, r, cmax_blocks, None, &mut inst);
             let doi = view.state_doi(&grown);
@@ -108,18 +106,19 @@ pub fn solve_budgeted(
                 max_doi = doi;
                 best = grown.to_pref_indices(view.order());
             }
-            for n in vertical(&view, &grown) {
+            // Every neighbour is listed: the exit below depends on where
+            // the one without `k` sorts among all of them.
+            vertical_into(&view, &grown, |_| true, &mut neighbours);
+            for n in neighbours.iter() {
                 inst.vertical_moves += 1;
                 if !n.contains(k as u16) {
                     break; // paper: "If R' ∩ {k} = {} then exit for"
                 }
-                if !pruner.was_visited(&n) {
-                    pruner.mark_visited(&n);
-                    rq_bytes += n.heap_bytes();
+                if pruner.mark_visited(&n) {
                     rq.push_back(n);
                 }
             }
-            inst.observe_bytes(rq_bytes + pruner.bytes());
+            inst.observe_bytes(rq.len() * STATE_BYTES + pruner.bytes());
         }
 
         // Future rounds seed from k+1 onward; bound what they can reach.

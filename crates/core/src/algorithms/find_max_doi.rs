@@ -73,8 +73,8 @@ pub fn refine_max_doi(view: &SpaceView<'_>, r: &State) -> Vec<usize> {
     let k_total = view.k();
     let mut used = vec![false; k_total];
     let mut px: Vec<usize> = Vec::with_capacity(r.len());
-    for i in (0..r.len()).rev() {
-        let slot = r.indices()[i] as usize;
+    for slot in r.iter().rev() {
+        let slot = slot as usize;
         let mut best_p = usize::MAX;
         for j in slot..k_total {
             let p = view.pref_at(j as u16);

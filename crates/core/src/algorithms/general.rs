@@ -29,14 +29,14 @@
 //! satisfies the cost constraint"). Problem 2 is exact (Theorem 2);
 //! Problem 4's shape is validated against branch-and-bound in the tests.
 
-use super::prune::Pruner;
+use super::prune::{Pruner, STATE_BYTES};
 use super::{c_boundaries, Solution};
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
 use crate::problem::{Constraints, Objective, ProblemKind, ProblemSpec};
 use crate::spaces::SpaceView;
 use crate::state::State;
-use crate::transitions::{horizontal, vertical};
+use crate::transitions::{horizontal, vertical_into, Neighbours};
 use cqp_prefs::ConjModel;
 use cqp_prefspace::PreferenceSpace;
 use std::collections::VecDeque;
@@ -207,40 +207,38 @@ pub fn find_band_boundaries_bounded(
     }
     let mut rq: VecDeque<State> = VecDeque::new();
     let mut pruner = Pruner::new();
+    let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);
-    let mut rq_bytes = start.heap_bytes();
     rq.push_back(start);
 
     while let Some(r) = rq.pop_front() {
         if token.should_stop() {
             break;
         }
-        rq_bytes -= r.heap_bytes();
         inst.states_examined += 1;
         let params = view.state_params(&r);
         inst.param_evals += 1;
         if constraints.down_closed_ok(&params) {
             pruner.add_boundary(&r);
-            boundaries.push(r.clone());
+            boundaries.push(r);
             if let Some(h) = horizontal(view, &r) {
                 inst.horizontal_moves += 1;
                 if pruner.mark_visited(&h) {
-                    rq_bytes += h.heap_bytes();
                     rq.push_back(h);
                 }
             }
         } else {
-            for n in vertical(view, &r) {
+            let admit = |n: &State| {
                 inst.vertical_moves += 1;
-                if !pruner.prune(&n) {
-                    pruner.mark_visited(&n);
-                    rq_bytes += n.heap_bytes();
-                    rq.push_front(n);
-                }
+                pruner.admit(n)
+            };
+            vertical_into(view, &r, admit, &mut neighbours);
+            for n in neighbours.iter() {
+                rq.push_front(n);
             }
         }
-        inst.observe_bytes(rq_bytes + pruner.bytes());
+        inst.observe_bytes(rq.len() * STATE_BYTES + pruner.bytes());
     }
     boundaries
 }
@@ -270,16 +268,15 @@ pub fn find_minimal_up_bounded(
     }
     let mut rq: VecDeque<State> = VecDeque::new();
     let mut pruner = Pruner::new();
+    let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);
-    let mut rq_bytes = start.heap_bytes();
     rq.push_back(start);
 
     while let Some(mut r) = rq.pop_front() {
         if token.should_stop() {
             break;
         }
-        rq_bytes -= r.heap_bytes();
         inst.states_examined += 1;
         // Climb until the up-closed constraints hold.
         let mut ok = {
@@ -298,17 +295,15 @@ pub fn find_minimal_up_bounded(
             }
         }
         if ok {
-            minimal.push(r.clone());
-            for n in vertical(view, &r) {
+            minimal.push(r);
+            let unvisited = |n: &State| {
                 inst.vertical_moves += 1;
-                if !pruner.was_visited(&n) {
-                    pruner.mark_visited(&n);
-                    rq_bytes += n.heap_bytes();
-                    rq.push_back(n);
-                }
-            }
+                pruner.mark_visited(n)
+            };
+            vertical_into(view, &r, unvisited, &mut neighbours);
+            rq.extend(neighbours.iter());
         }
-        inst.observe_bytes(rq_bytes + pruner.bytes());
+        inst.observe_bytes(rq.len() * STATE_BYTES + pruner.bytes());
     }
     minimal
 }
@@ -326,8 +321,8 @@ pub fn refine_suffix(
     let k_total = view.k();
     let mut used = vec![false; k_total];
     let mut out = Vec::with_capacity(r.len());
-    for i in (0..r.len()).rev() {
-        let slot = r.indices()[i] as usize;
+    for slot in r.iter().rev() {
+        let slot = slot as usize;
         let mut best_p: Option<usize> = None;
         for j in slot..k_total {
             let p = view.pref_at(j as u16);
@@ -368,8 +363,8 @@ pub fn refine_prefix(
 ) -> Vec<usize> {
     let mut used = vec![false; view.k()];
     let mut out = Vec::with_capacity(r.len());
-    for i in 0..r.len() {
-        let slot = r.indices()[i] as usize;
+    for slot in r.iter() {
+        let slot = slot as usize;
         let mut best_p: Option<usize> = None;
         for j in 0..=slot {
             let p = view.pref_at(j as u16);

@@ -1,9 +1,11 @@
 //! Simulated annealing baseline [Kirkpatrick et al., 1983].
 
-use super::{p2_energy, BestTracker, BitState};
+use super::{p2_energy, BestTracker};
+use crate::algorithms::prune::STATE_BYTES;
 use crate::algorithms::Solution;
 use crate::instrument::Instrument;
 use crate::params::ParamEval;
+use crate::state::State;
 use cqp_prefs::ConjModel;
 use cqp_prefspace::PreferenceSpace;
 use rand::rngs::StdRng;
@@ -54,7 +56,7 @@ pub fn solve_p2_with(
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = BitState::empty(k);
+    let mut state = State::empty();
     let mut energy = p2_energy(&eval, &state, cmax_blocks);
     let mut best = BestTracker::new();
     let mut temperature = config.t0;
@@ -62,22 +64,21 @@ pub fn solve_p2_with(
     for _ in 0..config.steps {
         inst.states_examined += 1;
         let i = rng.gen_range(0..k);
-        state.flip(i);
-        let candidate = p2_energy(&eval, &state, cmax_blocks);
+        let proposal = state.with_toggled(i as u16);
+        let candidate = p2_energy(&eval, &proposal, cmax_blocks);
         inst.param_evals += 1;
         let accept = candidate <= energy || {
             let delta = candidate - energy;
             rng.gen::<f64>() < (-delta / temperature.max(1e-9)).exp()
         };
         if accept {
+            state = proposal;
             energy = candidate;
             best.offer(&eval, &state, cmax_blocks, &mut inst);
-        } else {
-            state.flip(i); // revert
         }
         temperature *= config.cooling;
-        // Current bit vector + tracked best.
-        inst.observe_bytes(k + best.bytes());
+        // Current state + tracked best.
+        inst.observe_bytes(STATE_BYTES + best.bytes());
     }
 
     if best.prefs.is_empty() {

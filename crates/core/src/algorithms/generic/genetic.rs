@@ -1,9 +1,11 @@
 //! Genetic algorithm baseline [Goldberg, 1989].
 
-use super::{p2_energy, BestTracker, BitState};
+use super::{p2_energy, BestTracker};
+use crate::algorithms::prune::STATE_BYTES;
 use crate::algorithms::Solution;
 use crate::instrument::Instrument;
 use crate::params::ParamEval;
+use crate::state::State;
 use cqp_prefs::ConjModel;
 use cqp_prefspace::PreferenceSpace;
 use rand::rngs::StdRng;
@@ -61,16 +63,8 @@ pub fn solve_p2_with(
 
     // Initial population: sparse random subsets (dense ones are mostly
     // infeasible under tight budgets).
-    let mut population: Vec<BitState> = (0..config.population)
-        .map(|_| {
-            let mut s = BitState::empty(k);
-            for i in 0..k {
-                if rng.gen::<f64>() < 0.25 {
-                    s.flip(i);
-                }
-            }
-            s
-        })
+    let mut population: Vec<State> = (0..config.population)
+        .map(|_| (0..k as u16).filter(|_| rng.gen::<f64>() < 0.25).collect())
         .collect();
 
     for _ in 0..config.generations {
@@ -86,27 +80,26 @@ pub fn solve_p2_with(
         }
         inst.states_examined += population.len() as u64;
 
-        let mut next: Vec<BitState> = Vec::with_capacity(config.population);
+        let mut next: Vec<State> = Vec::with_capacity(config.population);
         while next.len() < config.population {
             let a = tournament(&mut rng, &fitness, config.tournament);
             let b = tournament(&mut rng, &fitness, config.tournament);
             // Uniform crossover.
-            let mut child = BitState::empty(k);
-            for i in 0..k {
-                let source = if rng.gen::<bool>() {
-                    &population[a]
-                } else {
-                    &population[b]
-                };
-                child.bits[i] = source.bits[i];
-                if rng.gen::<f64>() < config.mutation {
-                    child.bits[i] = !child.bits[i];
-                }
-            }
+            let child = (0..k as u16)
+                .filter(|&i| {
+                    let source = if rng.gen::<bool>() {
+                        &population[a]
+                    } else {
+                        &population[b]
+                    };
+                    let mutate = rng.gen::<f64>() < config.mutation;
+                    source.contains(i) != mutate
+                })
+                .collect();
             next.push(child);
         }
         // Peak: parents and offspring coexist until the swap below.
-        inst.observe_bytes((population.len() + next.len()) * k + best.bytes());
+        inst.observe_bytes((population.len() + next.len()) * STATE_BYTES + best.bytes());
         population = next;
     }
     for s in &population {

@@ -5,8 +5,8 @@
 //! simulated annealing, tabu search, etc. These are generic approaches,
 //! however, that do not take into account the problem's particularities or
 //! special properties." These implementations exist to *quantify* that
-//! claim in the ablation benchmarks: they treat a state as a plain bit
-//! vector over `P` and learn nothing from the syntax-based partial orders.
+//! claim in the ablation benchmarks: they treat a [`State`] as a plain set
+//! of P-indices and learn nothing from the syntax-based partial orders.
 //!
 //! All three are deterministic given a seed, penalize constraint violations
 //! (so they can traverse infeasible regions), and only ever *return*
@@ -18,44 +18,22 @@ pub mod tabu;
 
 use crate::instrument::Instrument;
 use crate::params::ParamEval;
+use crate::state::State;
 use cqp_prefs::Doi;
 
-/// A bit-vector state over `P` with cached parameters, shared by the
-/// generic searchers.
-#[derive(Debug, Clone)]
-pub(crate) struct BitState {
-    pub bits: Vec<bool>,
-}
-
-impl BitState {
-    pub fn empty(k: usize) -> Self {
-        BitState {
-            bits: vec![false; k],
-        }
-    }
-
-    pub fn prefs(&self) -> Vec<usize> {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(i))
-            .collect()
-    }
-
-    pub fn flip(&mut self, i: usize) {
-        self.bits[i] = !self.bits[i];
-    }
+/// The members of a generic-search state, read as P-indices.
+fn prefs_of(s: &State) -> impl Iterator<Item = usize> {
+    s.iter().map(usize::from)
 }
 
 /// Energy of a state for Problem 2: negative doi plus a steep penalty for
 /// exceeding the cost budget (lower is better).
-pub(crate) fn p2_energy(eval: &ParamEval<'_>, s: &BitState, cmax: u64) -> f64 {
-    let prefs = s.prefs();
-    if prefs.is_empty() {
+pub(crate) fn p2_energy(eval: &ParamEval<'_>, s: &State, cmax: u64) -> f64 {
+    if s.is_empty() {
         return 0.0; // doi 0, always feasible
     }
-    let doi = eval.doi_of(prefs.iter().copied()).value();
-    let cost = eval.cost_of(prefs.iter().copied());
+    let doi = eval.doi_of(prefs_of(s)).value();
+    let cost = eval.cost_of(prefs_of(s));
     let penalty = if cost > cmax {
         // Proportional overshoot keeps the landscape informative.
         1.0 + (cost - cmax) as f64 / cmax.max(1) as f64
@@ -66,9 +44,8 @@ pub(crate) fn p2_energy(eval: &ParamEval<'_>, s: &BitState, cmax: u64) -> f64 {
 }
 
 /// True when the state satisfies the Problem 2 constraint.
-pub(crate) fn p2_feasible(eval: &ParamEval<'_>, s: &BitState, cmax: u64) -> bool {
-    let prefs = s.prefs();
-    prefs.is_empty() || eval.cost_of(prefs.iter().copied()) <= cmax
+pub(crate) fn p2_feasible(eval: &ParamEval<'_>, s: &State, cmax: u64) -> bool {
+    s.is_empty() || eval.cost_of(prefs_of(s)) <= cmax
 }
 
 /// Tracks the best feasible state seen by a generic search.
@@ -86,21 +63,17 @@ impl BestTracker {
         }
     }
 
-    pub fn offer(&mut self, eval: &ParamEval<'_>, s: &BitState, cmax: u64, inst: &mut Instrument) {
+    pub fn offer(&mut self, eval: &ParamEval<'_>, s: &State, cmax: u64, inst: &mut Instrument) {
         // The feasibility check is a cost evaluation in its own right.
         inst.param_evals += 1;
-        if !p2_feasible(eval, s, cmax) {
-            return;
-        }
-        let prefs = s.prefs();
-        if prefs.is_empty() {
+        if !p2_feasible(eval, s, cmax) || s.is_empty() {
             return;
         }
         inst.param_evals += 1;
-        let doi = eval.doi_of(prefs.iter().copied());
+        let doi = eval.doi_of(prefs_of(s));
         if doi > self.doi {
             self.doi = doi;
-            self.prefs = prefs;
+            self.prefs = prefs_of(s).collect();
         }
     }
 
@@ -139,11 +112,11 @@ mod tests {
     fn energy_penalizes_violations() {
         let sp = space();
         let eval = ParamEval::new(&sp, ConjModel::NoisyOr);
-        let mut s = BitState::empty(2);
+        let mut s = State::empty();
         assert_eq!(p2_energy(&eval, &s, 40), 0.0);
-        s.flip(1); // cost 30 <= 40
+        s = s.with_toggled(1); // cost 30 <= 40
         assert!(p2_energy(&eval, &s, 40) < 0.0);
-        s.flip(0); // cost 80 > 40
+        s = s.with_toggled(0); // cost 80 > 40
         assert!(p2_energy(&eval, &s, 40) > 0.0);
         assert!(!p2_feasible(&eval, &s, 40));
     }
@@ -154,11 +127,10 @@ mod tests {
         let eval = ParamEval::new(&sp, ConjModel::NoisyOr);
         let mut t = BestTracker::new();
         let mut inst = Instrument::new();
-        let mut s = BitState::empty(2);
-        s.flip(0);
+        let mut s = State::singleton(0);
         t.offer(&eval, &s, 100, &mut inst);
         assert_eq!(t.prefs, vec![0]);
-        s.flip(1); // cost 80 > 60: infeasible under cmax 60
+        s = s.with_toggled(1); // cost 80 > 60: infeasible under cmax 60
         t.offer(&eval, &s, 60, &mut inst);
         assert_eq!(t.prefs, vec![0], "infeasible offers are ignored");
         t.offer(&eval, &s, 100, &mut inst);

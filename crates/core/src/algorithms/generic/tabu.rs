@@ -1,9 +1,11 @@
 //! Tabu search baseline [Glover, 1989].
 
-use super::{p2_energy, BestTracker, BitState};
+use super::{p2_energy, p2_feasible, BestTracker};
+use crate::algorithms::prune::STATE_BYTES;
 use crate::algorithms::Solution;
 use crate::instrument::Instrument;
 use crate::params::ParamEval;
+use crate::state::State;
 use cqp_prefs::ConjModel;
 use cqp_prefspace::PreferenceSpace;
 use rand::rngs::StdRng;
@@ -53,9 +55,9 @@ pub fn solve_p2_with(
 
     let mut rng = StdRng::seed_from_u64(seed);
     // Random restart-free single trajectory from a random feasible-ish point.
-    let mut state = BitState::empty(k);
+    let mut state = State::empty();
     if k > 1 {
-        state.flip(rng.gen_range(0..k));
+        state = state.with_toggled(rng.gen_range(0..k) as u16);
     }
     let mut best = BestTracker::new();
     best.offer(&eval, &state, cmax_blocks, &mut inst);
@@ -68,13 +70,14 @@ pub fn solve_p2_with(
         // global best energy seen so far).
         let mut best_move: Option<(usize, f64)> = None;
         for i in 0..k {
-            state.flip(i);
-            let e = p2_energy(&eval, &state, cmax_blocks);
+            let flipped = state.with_toggled(i as u16);
+            let e = p2_energy(&eval, &flipped, cmax_blocks);
             inst.param_evals += 1;
-            state.flip(i);
             let is_tabu = tabu.contains(&i);
-            let improves_best = -e > best.doi.value()
-                && p2_feasible_after_flip(&eval, &mut state, i, cmax_blocks, &mut inst);
+            let improves_best = -e > best.doi.value() && {
+                inst.param_evals += 1;
+                p2_feasible(&eval, &flipped, cmax_blocks)
+            };
             if is_tabu && !improves_best {
                 continue;
             }
@@ -83,13 +86,13 @@ pub fn solve_p2_with(
             }
         }
         let Some((i, _)) = best_move else { break };
-        state.flip(i);
+        state = state.with_toggled(i as u16);
         best.offer(&eval, &state, cmax_blocks, &mut inst);
         tabu.push_back(i);
         if tabu.len() > config.tenure {
             tabu.pop_front();
         }
-        inst.observe_bytes(k + (tabu.len() * std::mem::size_of::<usize>()) + best.bytes());
+        inst.observe_bytes(STATE_BYTES + tabu.len() * std::mem::size_of::<usize>() + best.bytes());
     }
 
     if best.prefs.is_empty() {
@@ -100,20 +103,6 @@ pub fn solve_p2_with(
     } else {
         Solution::from_prefs(&eval, best.prefs, inst)
     }
-}
-
-fn p2_feasible_after_flip(
-    eval: &ParamEval<'_>,
-    state: &mut BitState,
-    i: usize,
-    cmax: u64,
-    inst: &mut Instrument,
-) -> bool {
-    inst.param_evals += 1;
-    state.flip(i);
-    let ok = super::p2_feasible(eval, state, cmax);
-    state.flip(i);
-    ok
 }
 
 #[cfg(test)]

@@ -157,9 +157,6 @@ impl Algorithm {
         }
     }
 
-    /// Parses an algorithm name: the display form ([`Algorithm::name`])
-    /// or its lowercase token (`c_maxbounds`, `branch_bound`, …), case
-    /// insensitively. The single parser the shell and the HTTP API share.
     /// The canonical lowercase wire spelling, as accepted by
     /// [`by_name`](Self::by_name). Used wherever the algorithm becomes a
     /// machine-read label (metrics, trace metadata) rather than prose.
@@ -178,6 +175,9 @@ impl Algorithm {
         }
     }
 
+    /// Parses an algorithm name: the display form ([`Algorithm::name`])
+    /// or its lowercase token (`c_maxbounds`, `branch_bound`, …), case
+    /// insensitively. The single parser the shell and the HTTP API share.
     pub fn by_name(s: &str) -> Option<Algorithm> {
         match s.to_ascii_lowercase().as_str() {
             "exhaustive" => Some(Algorithm::Exhaustive),

@@ -12,15 +12,23 @@
 //!   satisfy the constraint trivially and would produce spurious boundaries
 //!   (the paper's `c2c3c5` example under Figure 6).
 
-use crate::state::{State, StateKey};
-use std::collections::{HashMap, HashSet};
+use crate::state::{State, MAX_K};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+/// Bytes charged per stored state by the Figure 13 accounting.
+pub(crate) const STATE_BYTES: usize = std::mem::size_of::<State>();
 
 /// Visited-set and boundary-dominance pruning.
 #[derive(Debug, Default)]
 pub struct Pruner {
-    visited: HashSet<StateKey>,
-    boundaries_by_size: HashMap<usize, Vec<State>>,
-    boundary_bytes: usize,
+    /// Keyed on the state itself with std's SipHash: states come from
+    /// client-supplied profiles, so the hasher must resist flooding. A map
+    /// rather than a set for its entry API (see [`Pruner::admit`]).
+    visited: HashMap<State, ()>,
+    /// Boundaries indexed by group size.
+    boundaries_by_size: Vec<Vec<State>>,
+    boundary_count: usize,
 }
 
 impl Pruner {
@@ -29,31 +37,31 @@ impl Pruner {
         Pruner::default()
     }
 
-    /// Marks a state visited; returns `true` if it was new.
+    /// Marks a state visited; returns `true` if it was new. One hash per
+    /// call, so "check, then mark" loops use this alone.
     pub fn mark_visited(&mut self, s: &State) -> bool {
-        self.visited.insert(s.bitkey())
+        self.visited.insert(*s, ()).is_none()
     }
 
     /// True if the state was already visited.
     pub fn was_visited(&self, s: &State) -> bool {
-        self.visited.contains(&s.bitkey())
+        self.visited.contains_key(s)
     }
 
     /// Registers a boundary for dominance pruning.
     pub fn add_boundary(&mut self, s: &State) {
-        self.boundary_bytes += s.heap_bytes();
-        self.boundaries_by_size
-            .entry(s.len())
-            .or_default()
-            .push(s.clone());
+        let n = s.len();
+        if self.boundaries_by_size.len() <= n {
+            self.boundaries_by_size.resize_with(n + 1, Vec::new);
+        }
+        self.boundaries_by_size[n].push(*s);
+        self.boundary_count += 1;
     }
 
     /// True if `s` lies below (is Vertical-reachable from) a registered
     /// boundary of the same group size.
     pub fn below_boundary(&self, s: &State) -> bool {
-        self.boundaries_by_size
-            .get(&s.len())
-            .is_some_and(|bs| bs.iter().any(|b| s.dominated_by(b)))
+        below(&self.boundaries_by_size, s)
     }
 
     /// The paper's `prune(R')`: visited or below a boundary.
@@ -61,12 +69,43 @@ impl Pruner {
         self.was_visited(s) || self.below_boundary(s)
     }
 
-    /// Approximate tracked bytes (visited keys + boundary states), for the
-    /// Figure 13 memory accounting. O(1): byte counts are maintained
-    /// incrementally so per-iteration memory observations stay cheap.
-    pub fn bytes(&self) -> usize {
-        self.visited.len() * std::mem::size_of::<StateKey>() + self.boundary_bytes
+    /// [`Pruner::prune`] that marks an unpruned state visited: `true` when
+    /// `s` is new and not below a boundary. One hash, and the dominance
+    /// scan only for unvisited states.
+    pub fn admit(&mut self, s: &State) -> bool {
+        match self.visited.entry(*s) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                let admitted = !below(&self.boundaries_by_size, s);
+                if admitted {
+                    slot.insert(());
+                }
+                admitted
+            }
+        }
     }
+
+    /// Tracked bytes (visited states + boundary states), for the Figure 13
+    /// memory accounting. O(1), so per-iteration memory observations stay
+    /// cheap.
+    pub fn bytes(&self) -> usize {
+        (self.visited.len() + self.boundary_count) * STATE_BYTES
+    }
+}
+
+/// True if `s` is dominated by a boundary of its own group size. `s`'s
+/// members are listed once, so each boundary costs one walk of its bits.
+fn below(boundaries_by_size: &[Vec<State>], s: &State) -> bool {
+    let n = s.len();
+    let Some(boundaries) = boundaries_by_size.get(n) else {
+        return false;
+    };
+    let mut members = [0u16; MAX_K];
+    for (slot, m) in members.iter_mut().zip(s.iter()) {
+        *slot = m;
+    }
+    let members = &members[..n];
+    boundaries.iter().any(|b| b.members_at_most(members))
 }
 
 #[cfg(test)]

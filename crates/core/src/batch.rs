@@ -574,7 +574,7 @@ impl BatchDriver {
         }
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _span = span_guard(recorder, "personalize");
-            let system = CqpSystem::from_parts(&self.db, (*self.stats).clone());
+            let system = CqpSystem::from_parts(&self.db, Arc::clone(&self.stats));
             let (space, seed) = match lookup {
                 Lookup::Warm { space, seed } => (space, seed),
                 Lookup::Repair { space, .. } => {
@@ -701,7 +701,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// caller stamps it (latency includes the catch_unwind wrapper).
 fn serve_one(
     db: &Database,
-    stats: &DbStats,
+    stats: &Arc<DbStats>,
     cache: &SharedCostCache,
     req: &BatchRequest,
     recorder: &dyn Recorder,
@@ -709,7 +709,7 @@ fn serve_one(
     batch_retries: &AtomicU64,
 ) -> Result<BatchItemResult, SolverError> {
     let _span = span_guard(recorder, "personalize");
-    let system = CqpSystem::from_parts(db, stats.clone());
+    let system = CqpSystem::from_parts(db, Arc::clone(stats));
     let space = {
         let _s = span_guard(recorder, "prefspace");
         system.preference_space(&req.query, &req.profile, &req.config)

@@ -12,7 +12,9 @@
 //! Figure 13 memory accounting like every other structure the algorithms
 //! keep.
 //!
-//! Two implementations share the key type ([`StateKey`]):
+//! Both implementations key on the [`State`] itself (a `Copy` 256-bit set)
+//! through std's keyed SipHash, so a client-supplied profile cannot steer
+//! entries into one bucket:
 //!
 //! * [`CostCache`] — the per-run, single-threaded memo with deterministic
 //!   eviction ([`EvictionPolicy`]: FIFO by default, LRU for serving);
@@ -22,13 +24,13 @@
 //!   evaluations.
 
 use crate::spaces::SpaceView;
-use crate::state::{State, StateKey};
+use crate::state::State;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Approximate per-entry heap footprint (key + value) in bytes.
-const ENTRY_BYTES: usize = std::mem::size_of::<StateKey>() + std::mem::size_of::<u64>();
+const ENTRY_BYTES: usize = std::mem::size_of::<State>() + std::mem::size_of::<u64>();
 
 /// Which resident entry a full cache evicts.
 ///
@@ -71,7 +73,7 @@ fn touch<K: PartialEq + Copy>(order: &mut VecDeque<K>, key: K) {
     }
 }
 
-/// A per-run memo of `state → cost` keyed by the state's bit key.
+/// A per-run memo of `state → cost`.
 ///
 /// Unbounded by default (per-run caches die with the search); a capacity
 /// can be set to bound the footprint, in which case a full cache evicts
@@ -79,10 +81,10 @@ fn touch<K: PartialEq + Copy>(order: &mut VecDeque<K>, key: K) {
 /// bounded runs are bit-for-bit reproducible.
 #[derive(Debug)]
 pub struct CostCache {
-    map: HashMap<StateKey, u64>,
+    map: HashMap<State, u64>,
     /// Eviction ring of resident keys; front = next victim. Insertion
     /// order under FIFO, recency order under LRU.
-    order: VecDeque<StateKey>,
+    order: VecDeque<State>,
     capacity: usize,
     policy: EvictionPolicy,
     hits: u64,
@@ -128,7 +130,7 @@ impl CostCache {
 
     /// The cost of `s` in `view`, computed at most once per resident state.
     pub fn cost(&mut self, view: &SpaceView<'_>, s: &State) -> u64 {
-        let key = s.bitkey();
+        let key = *s;
         match self.map.get(&key) {
             Some(&c) => {
                 self.hits += 1;
@@ -186,7 +188,7 @@ impl CostCache {
 
     /// Approximate heap footprint in bytes (map entries + order ring).
     pub fn bytes(&self) -> usize {
-        self.map.len() * ENTRY_BYTES + self.order.len() * std::mem::size_of::<StateKey>()
+        self.map.len() * ENTRY_BYTES + self.order.len() * std::mem::size_of::<State>()
     }
 }
 
@@ -216,13 +218,13 @@ pub fn cost_fingerprint(view: &SpaceView<'_>) -> u64 {
 /// a policy-ordered eviction ring.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<(u64, StateKey), u64>,
-    order: VecDeque<(u64, StateKey)>,
+    map: HashMap<(u64, State), u64>,
+    order: VecDeque<(u64, State)>,
 }
 
 /// An N-way sharded, `Mutex`-per-shard cost cache for concurrent solvers.
 ///
-/// Keys are `(cost_fingerprint(view), state bitkey)`, so requests over the
+/// Keys are `(cost_fingerprint(view), state)`, so requests over the
 /// same preference space share evaluations while different spaces never
 /// collide. Shard choice hashes the full key; counters are atomics.
 ///
@@ -285,7 +287,7 @@ impl SharedCostCache {
         self.policy
     }
 
-    fn shard_of(&self, key: &(u64, StateKey)) -> &Mutex<Shard> {
+    fn shard_of(&self, key: &(u64, State)) -> &Mutex<Shard> {
         let h = key.0 ^ key.1.digest();
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
@@ -294,7 +296,7 @@ impl SharedCostCache {
     /// cache. `fingerprint` must be `cost_fingerprint(view)` (hoisted by
     /// the caller so the per-state path does not rehash the space).
     pub fn cost(&self, fingerprint: u64, view: &SpaceView<'_>, s: &State) -> u64 {
-        let key = (fingerprint, s.bitkey());
+        let key = (fingerprint, *s);
         let shard = self.shard_of(&key);
         {
             let mut guard = shard.lock().unwrap_or_else(|p| p.into_inner());

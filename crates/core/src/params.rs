@@ -47,21 +47,18 @@ impl<'a> ParamEval<'a> {
         self.space.k()
     }
 
-    /// doi of a subset of P-indices.
+    /// doi of a subset of P-indices, folded in the order given.
     pub fn doi_of(&self, prefs: impl IntoIterator<Item = usize>) -> Doi {
-        let dois: Vec<Doi> = prefs.into_iter().map(|i| self.space.doi(i)).collect();
-        self.conj.conj(&dois)
+        self.conj
+            .conj_iter(prefs.into_iter().map(|i| self.space.doi(i)))
     }
 
     /// Cost (in blocks) of a subset of P-indices. The empty subset is the
     /// unpersonalized query and costs `base_cost_blocks`.
     pub fn cost_of(&self, prefs: impl IntoIterator<Item = usize>) -> u64 {
-        let mut sum = 0u64;
-        let mut any = false;
-        for i in prefs {
-            sum += self.space.cost_blocks(i);
-            any = true;
-        }
+        let (sum, any) = prefs.into_iter().fold((0u64, false), |(sum, _), i| {
+            (sum + self.space.cost_blocks(i), true)
+        });
         if any {
             sum
         } else {

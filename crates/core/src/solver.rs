@@ -122,7 +122,7 @@ pub struct PersonalizationOutcome {
 #[derive(Debug)]
 pub struct CqpSystem<'a> {
     db: &'a Database,
-    stats: DbStats,
+    stats: Arc<DbStats>,
 }
 
 impl<'a> CqpSystem<'a> {
@@ -136,15 +136,19 @@ impl<'a> CqpSystem<'a> {
     pub fn new_recorded(db: &'a Database, recorder: &dyn Recorder) -> Self {
         CqpSystem {
             db,
-            stats: db.analyze_recorded(recorder),
+            stats: Arc::new(db.analyze_recorded(recorder)),
         }
     }
 
     /// Builds the system from already-computed statistics, skipping the
-    /// analysis pass. The batch driver uses this so every concurrent
-    /// request shares one `DbStats` instead of re-analyzing per request.
-    pub fn from_parts(db: &'a Database, stats: DbStats) -> Self {
-        CqpSystem { db, stats }
+    /// analysis pass. The batch driver passes its `Arc` so every concurrent
+    /// request shares one `DbStats` instead of re-analyzing or copying it
+    /// per request.
+    pub fn from_parts(db: &'a Database, stats: impl Into<Arc<DbStats>>) -> Self {
+        CqpSystem {
+            db,
+            stats: stats.into(),
+        }
     }
 
     /// The underlying database.

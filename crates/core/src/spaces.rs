@@ -99,25 +99,36 @@ impl<'a> SpaceView<'a> {
         self.order[i as usize]
     }
 
+    /// The P-indices of a state's members, in ascending position: the
+    /// order every parameter fold below takes them in, so a state's doi
+    /// and size are the same `f64`s whichever search computes them.
+    fn prefs_of(&self, s: &State) -> impl Iterator<Item = usize> + 'a {
+        let order = self.order;
+        s.iter().map(move |i| order[i as usize])
+    }
+
     /// doi of a state in this view.
     pub fn state_doi(&self, s: &State) -> Doi {
-        self.eval.doi_of(s.iter().map(|i| self.pref_at(i)))
+        self.eval.doi_of(self.prefs_of(s))
     }
 
     /// Cost (blocks) of a state in this view.
     pub fn state_cost(&self, s: &State) -> u64 {
-        self.eval.cost_of(s.iter().map(|i| self.pref_at(i)))
+        self.eval.cost_of(self.prefs_of(s))
     }
 
     /// Estimated size (rows) of a state in this view.
     pub fn state_size(&self, s: &State) -> f64 {
-        self.eval.size_of(s.iter().map(|i| self.pref_at(i)))
+        self.eval.size_of(self.prefs_of(s))
     }
 
     /// All parameters of a state in this view.
     pub fn state_params(&self, s: &State) -> QueryParams {
-        let prefs = s.to_pref_indices(self.order);
-        self.eval.params_of(&prefs)
+        QueryParams {
+            doi: self.state_doi(s),
+            cost_blocks: self.state_cost(s),
+            size_rows: self.state_size(s),
+        }
     }
 
     /// The *primary* value of a state: the parameter the order vector sorts

@@ -6,48 +6,183 @@
 //! directly; they work with **ordered sets of indices `R` into a rank
 //! vector** (`C`, `D`, or `S`) — paper Observation 1 — which is exactly
 //! what [`State`] stores.
+//!
+//! A state is a 256-bit set: bit `i` is position `i` of the view's rank
+//! vector. It is `Copy`, so the searches move states through queues,
+//! visited sets and cost caches without allocating, and every transition
+//! is a bit operation. Members are always visited in ascending position,
+//! the order the paper writes them in (`c1c3c4`).
 
 use std::fmt;
 
 /// Maximum number of preferences a state space can index.
 ///
-/// The bit-key used for visited-set and cost-cache hashing packs indices
-/// into a 256-bit set ([`StateKey`]); the paper's experiments use `K ≤ 40`,
-/// so 256 is generous. Indices at or beyond this bound **hard-error** (see
-/// [`State::bitkey`]) instead of silently aliasing.
+/// The paper's experiments use `K ≤ 40`, so 256 is generous. Indices at or
+/// beyond this bound **hard-error** instead of silently aliasing.
 pub const MAX_K: usize = 256;
 
-/// A 256-bit set key identifying a [`State`] exactly (one bit per index).
+const WORDS: usize = MAX_K / 64;
+
+/// An ordered index set: indices (0-based) into a rank vector. The paper
+/// writes these as e.g. `c1c3c4` (1-based).
 ///
-/// Replaces the earlier `u128` key, whose `1 << (i % 128)` construction
-/// silently collided for indices ≥ 128 and corrupted visited sets and cost
-/// caches on large profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct StateKey([u64; 4]);
+/// `Ord` compares the bit words: a total order for sorting and
+/// deduplicating, not the order of the member lists.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct State {
+    words: [u64; WORDS],
+}
 
-impl StateKey {
-    /// The key of the empty state.
-    pub const EMPTY: StateKey = StateKey([0; 4]);
+impl std::hash::Hash for State {
+    /// Feeds the words up to the highest non-zero one: a K ≤ 64 state is
+    /// one `u64` to the (keyed) hasher instead of 32 bytes and a length.
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        for &w in &self.words[..self.used_words()] {
+            h.write_u64(w);
+        }
+    }
+}
 
-    /// Sets the bit for index `i`.
-    ///
-    /// # Panics
-    /// Panics (in all builds) if `i ≥ MAX_K`: aliasing two states onto one
-    /// key is silent state-space corruption, never acceptable.
-    fn set(&mut self, i: u16) {
-        assert!(
-            (i as usize) < MAX_K,
-            "preference index {i} out of range: StateKey holds at most {MAX_K} \
-             preferences; raise MAX_K (and widen StateKey) for larger profiles"
-        );
-        self.0[(i / 64) as usize] |= 1u64 << (i % 64);
+/// The word and bit of index `i`.
+///
+/// # Panics
+/// Panics (in all builds) if `i ≥ MAX_K`: aliasing two states onto one is
+/// silent state-space corruption, never acceptable.
+fn slot(i: u16) -> (usize, u64) {
+    assert!(
+        (i as usize) < MAX_K,
+        "preference index {i} out of range: a State holds at most {MAX_K} \
+         preferences; raise MAX_K for larger profiles"
+    );
+    ((i / 64) as usize, 1u64 << (i % 64))
+}
+
+impl State {
+    /// The empty state (no preferences integrated).
+    pub fn empty() -> Self {
+        State::default()
     }
 
-    /// A well-mixed 64-bit digest of the key, for shard selection.
+    /// A single-preference state `{k}`.
+    pub fn singleton(k: u16) -> Self {
+        State::empty().with_inserted(k)
+    }
+
+    /// Builds a state from indices in any order; duplicates collapse.
+    pub fn from_indices(indices: Vec<u16>) -> Self {
+        indices.into_iter().collect()
+    }
+
+    /// Number of preferences — the paper's *group size* (Definition 1).
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True if the state holds no preferences.
+    pub fn is_empty(&self) -> bool {
+        self.words == [0; WORDS]
+    }
+
+    /// Membership test.
+    pub fn contains(&self, k: u16) -> bool {
+        (k as usize) < MAX_K && self.words[(k / 64) as usize] & (1u64 << (k % 64)) != 0
+    }
+
+    /// The largest index, if any.
+    pub fn max_index(&self) -> Option<u16> {
+        self.iter().next_back()
+    }
+
+    /// Returns a new state with `k` inserted.
+    pub fn with_inserted(&self, k: u16) -> State {
+        debug_assert!(!self.contains(k), "inserting an index already present");
+        self.with_toggled(k)
+    }
+
+    /// Returns a new state with the member `old` replaced by `new`.
+    pub fn with_replaced(&self, old: u16, new: u16) -> State {
+        debug_assert!(self.contains(old) && !self.contains(new));
+        self.with_toggled(old).with_toggled(new)
+    }
+
+    /// Returns a new state with `k`'s membership flipped (the generic
+    /// searchers' move).
+    pub fn with_toggled(&self, k: u16) -> State {
+        let (w, bit) = slot(k);
+        let mut s = *self;
+        s.words[w] ^= bit;
+        s
+    }
+
+    /// Returns the prefix state keeping the first `n` members (used by the
+    /// D-HEURDOI regrow heuristic, paper Figure 11 step 2.5.1).
+    pub fn prefix(&self, n: usize) -> State {
+        self.iter().take(n).collect()
+    }
+
+    /// True if `self` is componentwise ≥ `other` (same size): i.e. `self`
+    /// is reachable from `other` through Vertical transitions, which means
+    /// `self` lies *below* `other` in the paper's diagrams.
+    pub fn dominated_by(&self, other: &State) -> bool {
+        self.len() == other.len() && self.iter().zip(other.iter()).all(|(s, o)| s >= o)
+    }
+
+    /// True if the state that `members` lists (ascending, the same size as
+    /// `self`) is [`State::dominated_by`] `self`: `self`'s `i`-th member is
+    /// at most `members[i]` for every `i`. The boundary-dominance scan
+    /// lists a state once and walks many boundaries against it.
+    pub(crate) fn members_at_most(&self, members: &[u16]) -> bool {
+        let mut rank = 0;
+        for (w, &word) in self.words.iter().enumerate() {
+            let base = (w * 64) as u16;
+            let mut bits = word;
+            while bits != 0 {
+                if base + bits.trailing_zeros() as u16 > members[rank] {
+                    return false;
+                }
+                rank += 1;
+                bits &= bits - 1;
+            }
+        }
+        true
+    }
+
+    /// True if `other`'s members are a subset of `self`'s.
+    pub fn is_superset_of(&self, other: &State) -> bool {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(s, o)| o & !s == 0)
+    }
+
+    /// Iterates over the members in ascending order.
+    pub fn iter(&self) -> Members {
+        Members {
+            words: self.words,
+            lo: 0,
+            hi: self.used_words(),
+        }
+    }
+
+    /// Number of words up to and including the highest non-zero one.
+    fn used_words(&self) -> usize {
+        self.words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |w| w + 1)
+    }
+
+    /// Maps the state's rank-vector indices to P-indices through `order`
+    /// (the paper's `C[k]` dereference).
+    pub fn to_pref_indices(&self, order: &[usize]) -> Vec<usize> {
+        self.iter().map(|i| order[i as usize]).collect()
+    }
+
+    /// A well-mixed 64-bit digest of the set, for shard selection.
     pub fn digest(&self) -> u64 {
         // FNV-1a over the four words, then a final avalanche multiply.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in self.0 {
+        for w in self.words {
             h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
         }
         h ^= h >> 33;
@@ -55,165 +190,111 @@ impl StateKey {
     }
 }
 
-/// An ordered index set: indices (0-based) into a rank vector, sorted
-/// ascending. The paper writes these as e.g. `c1c3c4` (1-based).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct State {
-    indices: Vec<u16>,
+/// The members of a [`State`], ascending from the front and descending
+/// from the back.
+#[derive(Debug, Clone)]
+pub struct Members {
+    /// The members not yet yielded.
+    words: [u64; WORDS],
+    /// Words below `lo` and from `hi` on are exhausted.
+    lo: usize,
+    hi: usize,
 }
 
-impl State {
-    /// The empty state (no preferences integrated).
-    pub fn empty() -> Self {
-        State {
-            indices: Vec::new(),
+impl Iterator for Members {
+    type Item = u16;
+
+    fn next(&mut self) -> Option<u16> {
+        while self.lo < self.hi {
+            let word = self.words[self.lo];
+            if word != 0 {
+                self.words[self.lo] = word & (word - 1);
+                return Some((self.lo * 64) as u16 + word.trailing_zeros() as u16);
+            }
+            self.lo += 1;
         }
+        None
     }
 
-    /// A single-preference state `{k}`.
-    pub fn singleton(k: u16) -> Self {
-        State { indices: vec![k] }
-    }
-
-    /// Builds a state from indices; sorts and deduplicates.
-    pub fn from_indices(mut indices: Vec<u16>) -> Self {
-        indices.sort_unstable();
-        indices.dedup();
-        State { indices }
-    }
-
-    /// Number of preferences — the paper's *group size* (Definition 1).
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// True if the state holds no preferences.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// The sorted indices.
-    pub fn indices(&self) -> &[u16] {
-        &self.indices
-    }
-
-    /// Membership test.
-    pub fn contains(&self, k: u16) -> bool {
-        self.indices.binary_search(&k).is_ok()
-    }
-
-    /// The largest index, if any.
-    pub fn max_index(&self) -> Option<u16> {
-        self.indices.last().copied()
-    }
-
-    /// Returns a new state with `k` inserted.
-    pub fn with_inserted(&self, k: u16) -> State {
-        debug_assert!(!self.contains(k), "inserting an index already present");
-        let mut indices = Vec::with_capacity(self.indices.len() + 1);
-        let pos = self.indices.partition_point(|&i| i < k);
-        indices.extend_from_slice(&self.indices[..pos]);
-        indices.push(k);
-        indices.extend_from_slice(&self.indices[pos..]);
-        State { indices }
-    }
-
-    /// Returns a new state with the member `old` replaced by `new`.
-    pub fn with_replaced(&self, old: u16, new: u16) -> State {
-        debug_assert!(self.contains(old) && !self.contains(new));
-        let mut indices: Vec<u16> = self.indices.iter().copied().filter(|&i| i != old).collect();
-        let pos = indices.partition_point(|&i| i < new);
-        indices.insert(pos, new);
-        State { indices }
-    }
-
-    /// Returns the prefix state keeping the first `n` members (used by the
-    /// D-HEURDOI regrow heuristic, paper Figure 11 step 2.5.1).
-    pub fn prefix(&self, n: usize) -> State {
-        State {
-            indices: self.indices[..n.min(self.indices.len())].to_vec(),
+    /// Internal iteration, word by word: the parameter folds of
+    /// `SpaceView` (`sum`, `product`, `fold`) run through this tight loop.
+    fn fold<B, F: FnMut(B, u16) -> B>(self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        for (w, &word) in self.words[self.lo..self.hi].iter().enumerate() {
+            let base = ((self.lo + w) * 64) as u16;
+            let mut bits = word;
+            while bits != 0 {
+                acc = f(acc, base + bits.trailing_zeros() as u16);
+                bits &= bits - 1;
+            }
         }
+        acc
     }
+}
 
-    /// True if `self` is componentwise ≥ `other` (same size): i.e. `self`
-    /// is reachable from `other` through Vertical transitions, which means
-    /// `self` lies *below* `other` in the paper's diagrams.
-    pub fn dominated_by(&self, other: &State) -> bool {
-        self.len() == other.len()
-            && self
-                .indices
-                .iter()
-                .zip(other.indices.iter())
-                .all(|(s, o)| s >= o)
-    }
-
-    /// True if `other`'s members are a subset of `self`'s.
-    pub fn is_superset_of(&self, other: &State) -> bool {
-        other.indices.iter().all(|i| self.contains(*i))
-    }
-
-    /// The exact 256-bit set key for visited/cost-cache hashing.
-    ///
-    /// # Panics
-    /// Panics (in all builds) if an index reaches [`MAX_K`] — a clear error
-    /// beats the silent key aliasing a modulo would cause.
-    pub fn bitkey(&self) -> StateKey {
-        let mut key = StateKey::EMPTY;
-        for &i in &self.indices {
-            key.set(i);
+impl DoubleEndedIterator for Members {
+    fn next_back(&mut self) -> Option<u16> {
+        while self.lo < self.hi {
+            let w = self.hi - 1;
+            let word = self.words[w];
+            if word != 0 {
+                let bit = 63 - word.leading_zeros();
+                self.words[w] = word & !(1u64 << bit);
+                return Some((w * 64) as u16 + bit as u16);
+            }
+            self.hi = w;
         }
-        key
-    }
-
-    /// Approximate heap footprint in bytes — the unit the Figure 13 memory
-    /// experiment accumulates.
-    pub fn heap_bytes(&self) -> usize {
-        self.indices.capacity() * std::mem::size_of::<u16>()
-    }
-
-    /// Iterates over the members.
-    pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
-        self.indices.iter().copied()
-    }
-
-    /// Maps the state's rank-vector indices to P-indices through `order`
-    /// (the paper's `C[k]` dereference).
-    pub fn to_pref_indices(&self, order: &[usize]) -> Vec<usize> {
-        self.indices.iter().map(|&i| order[i as usize]).collect()
+        None
     }
 }
 
 impl fmt::Display for State {
     /// Paper-style rendering, 1-based: `c1c3c4`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.indices.is_empty() {
+        if self.is_empty() {
             return write!(f, "∅");
         }
-        for i in &self.indices {
+        for i in self.iter() {
             write!(f, "c{}", i + 1)?;
         }
         Ok(())
     }
 }
 
+impl fmt::Debug for State {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 impl FromIterator<u16> for State {
     fn from_iter<T: IntoIterator<Item = u16>>(iter: T) -> Self {
-        State::from_indices(iter.into_iter().collect())
+        let mut s = State::empty();
+        for i in iter {
+            let (w, bit) = slot(i);
+            s.words[w] |= bit;
+        }
+        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s(v: &[u16]) -> State {
         State::from_indices(v.to_vec())
     }
 
+    fn members(st: &State) -> Vec<u16> {
+        st.iter().collect()
+    }
+
     #[test]
     fn construction_sorts_and_dedups() {
         let st = s(&[3, 1, 3, 0]);
-        assert_eq!(st.indices(), &[0, 1, 3]);
+        assert_eq!(members(&st), [0, 1, 3]);
         assert_eq!(st.len(), 3);
         assert!(st.contains(1));
         assert!(!st.contains(2));
@@ -223,10 +304,10 @@ mod tests {
     #[test]
     fn insertion_and_replacement_keep_order() {
         let st = s(&[0, 2]);
-        assert_eq!(st.with_inserted(1).indices(), &[0, 1, 2]);
-        assert_eq!(st.with_inserted(5).indices(), &[0, 2, 5]);
-        assert_eq!(st.with_replaced(2, 3).indices(), &[0, 3]);
-        assert_eq!(st.with_replaced(0, 1).indices(), &[1, 2]);
+        assert_eq!(members(&st.with_inserted(1)), [0, 1, 2]);
+        assert_eq!(members(&st.with_inserted(5)), [0, 2, 5]);
+        assert_eq!(members(&st.with_replaced(2, 3)), [0, 3]);
+        assert_eq!(members(&st.with_replaced(0, 1)), [1, 2]);
     }
 
     #[test]
@@ -251,38 +332,38 @@ mod tests {
 
     #[test]
     fn bitkeys_distinguish_states() {
-        assert_ne!(s(&[0, 1]).bitkey(), s(&[0, 2]).bitkey());
-        assert_eq!(s(&[1, 0]).bitkey(), s(&[0, 1]).bitkey());
-        assert_eq!(State::empty().bitkey(), StateKey::EMPTY);
+        assert_ne!(s(&[0, 1]), s(&[0, 2]));
+        assert_eq!(s(&[1, 0]), s(&[0, 1]));
+        assert_eq!(s(&[]), State::empty());
     }
 
     #[test]
     fn bitkeys_do_not_alias_across_the_128_boundary() {
-        // Regression: the old u128 key computed `1 << (i % 128)`, so index
+        // Regression: an old u128 key computed `1 << (i % 128)`, so index
         // 128 aliased index 0 and 129 aliased 1.
-        assert_ne!(s(&[0]).bitkey(), s(&[128]).bitkey());
-        assert_ne!(s(&[1]).bitkey(), s(&[129]).bitkey());
-        assert_ne!(s(&[128]).bitkey(), s(&[129]).bitkey());
-        assert_ne!(s(&[0, 128]).bitkey(), s(&[0]).bitkey());
-        // Word boundaries inside the key.
-        assert_ne!(s(&[63]).bitkey(), s(&[64]).bitkey());
-        assert_ne!(s(&[191]).bitkey(), s(&[192]).bitkey());
-        assert_ne!(s(&[255]).bitkey(), s(&[0]).bitkey());
+        assert_ne!(s(&[0]), s(&[128]));
+        assert_ne!(s(&[1]), s(&[129]));
+        assert_ne!(s(&[128]), s(&[129]));
+        assert_ne!(s(&[0, 128]), s(&[0]));
+        // Word boundaries inside the set.
+        assert_ne!(s(&[63]), s(&[64]));
+        assert_ne!(s(&[191]), s(&[192]));
+        assert_ne!(s(&[255]), s(&[0]));
         // Digests spread too (not a correctness requirement, but the shard
         // selector depends on them not being degenerate).
-        assert_ne!(s(&[0]).bitkey().digest(), s(&[128]).bitkey().digest());
+        assert_ne!(s(&[0]).digest(), s(&[128]).digest());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bitkey_hard_errors_beyond_max_k() {
-        let _ = s(&[MAX_K as u16]).bitkey();
+        let _ = s(&[MAX_K as u16]);
     }
 
     #[test]
     fn prefix_truncates() {
         let st = s(&[0, 2, 5]);
-        assert_eq!(st.prefix(2).indices(), &[0, 2]);
+        assert_eq!(members(&st.prefix(2)), [0, 2]);
         assert_eq!(st.prefix(0), State::empty());
         assert_eq!(st.prefix(9), st);
     }
@@ -291,6 +372,7 @@ mod tests {
     fn display_is_paper_style() {
         assert_eq!(s(&[0, 2, 3]).to_string(), "c1c3c4");
         assert_eq!(State::empty().to_string(), "∅");
+        assert_eq!(format!("{:?}", s(&[2, 0])), "{0, 2}");
     }
 
     #[test]
@@ -303,6 +385,119 @@ mod tests {
     #[test]
     fn from_iterator() {
         let st: State = vec![4u16, 1, 4].into_iter().collect();
-        assert_eq!(st.indices(), &[1, 4]);
+        assert_eq!(members(&st), [1, 4]);
+    }
+
+    #[test]
+    fn members_iterate_from_both_ends() {
+        let st = s(&[200, 3, 64, 63, 255]);
+        assert_eq!(st.iter().rev().collect::<Vec<_>>(), [255, 200, 64, 63, 3]);
+        let mut it = st.iter();
+        assert_eq!((it.next(), it.next_back()), (Some(3), Some(255)));
+        assert_eq!(it.collect::<Vec<_>>(), [63, 64, 200]);
+    }
+
+    /// Indices on both sides of every word boundary.
+    const EDGES: [u16; 16] = [
+        0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 193, 254, 255,
+    ];
+
+    /// A set of indices as its sorted list: the representation `State`
+    /// replaced, used as the reference model.
+    fn arb_members() -> impl Strategy<Value = Vec<u16>> {
+        prop::collection::vec((any::<bool>(), 0u16..MAX_K as u16, 0..EDGES.len()), 0..=12).prop_map(
+            |picks| {
+                let set: std::collections::BTreeSet<u16> = picks
+                    .into_iter()
+                    .map(|(edge, any, e)| if edge { EDGES[e] } else { any })
+                    .collect();
+                set.into_iter().collect()
+            },
+        )
+    }
+
+    fn model_dominated(a: &[u16], b: &[u16]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x >= y)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every `State` operation agrees with the sorted-`Vec<u16>` model.
+        #[test]
+        fn state_matches_sorted_vec_model(
+            a in arb_members(),
+            b in arb_members(),
+            k in 0u16..MAX_K as u16,
+            e in 0..EDGES.len(),
+            n in 0usize..14,
+            shifts in prop::collection::vec(0u16..3, 12),
+        ) {
+            let sa = State::from_indices(a.iter().rev().copied().collect());
+            let sb = State::from_indices(b.clone());
+            prop_assert_eq!(members(&sa), a.clone());
+            prop_assert_eq!(sa.iter().rev().collect::<Vec<_>>(), a.iter().rev().copied().collect::<Vec<_>>());
+            prop_assert_eq!(sa.len(), a.len());
+            prop_assert_eq!(sa.is_empty(), a.is_empty());
+            prop_assert_eq!(sa.max_index(), a.last().copied());
+            for i in 0..MAX_K as u16 {
+                prop_assert_eq!(sa.contains(i), a.binary_search(&i).is_ok(), "contains({})", i);
+            }
+            prop_assert!(!sa.contains(MAX_K as u16));
+            let rendered: String = a.iter().map(|i| format!("c{}", i + 1)).collect();
+            prop_assert_eq!(sa.to_string(), if a.is_empty() { "∅".to_string() } else { rendered });
+            prop_assert_eq!(members(&sa.prefix(n)), a[..n.min(a.len())].to_vec());
+            prop_assert_eq!(sa == sb, a == b);
+            prop_assert_eq!(sa.dominated_by(&sb), model_dominated(&a, &b));
+            let subset = b.iter().all(|i| a.binary_search(i).is_ok());
+            prop_assert_eq!(sa.is_superset_of(&sb), subset);
+            let order: Vec<usize> = (0..MAX_K).rev().collect();
+            prop_assert_eq!(
+                sa.to_pref_indices(&order),
+                a.iter().map(|&i| MAX_K - 1 - i as usize).collect::<Vec<_>>()
+            );
+
+            // Insert, replace and toggle, at a random index and at a word edge.
+            for x in [k, EDGES[e]] {
+                let mut model = a.clone();
+                match model.binary_search(&x) {
+                    Ok(pos) => {
+                        model.remove(pos);
+                        prop_assert_eq!(members(&sa.with_toggled(x)), model.clone());
+                    }
+                    Err(pos) => {
+                        model.insert(pos, x);
+                        prop_assert_eq!(members(&sa.with_inserted(x)), model.clone());
+                        prop_assert_eq!(sa.with_toggled(x), sa.with_inserted(x));
+                        if let Some(&old) = a.first() {
+                            let mut replaced: Vec<u16> =
+                                a.iter().copied().filter(|&i| i != old).collect();
+                            let pos = replaced.partition_point(|&i| i < x);
+                            replaced.insert(pos, x);
+                            prop_assert_eq!(members(&sa.with_replaced(old, x)), replaced);
+                        }
+                    }
+                }
+            }
+
+            // A state componentwise above `a` (a chain of Vertical moves)
+            // is dominated by it; `a` is dominated by it only if equal.
+            let mut above = Vec::with_capacity(a.len());
+            for (&m, &d) in a.iter().zip(&shifts) {
+                let next = (m + d).max(above.last().map_or(0, |&p: &u16| p + 1));
+                above.push(next);
+            }
+            if above.last().is_none_or(|&m| (m as usize) < MAX_K) {
+                let sabove = State::from_indices(above.clone());
+                prop_assert!(sabove.dominated_by(&sa));
+                prop_assert_eq!(sa.dominated_by(&sabove), above == a);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn insert_beyond_max_k_hard_errors() {
+        let _ = State::singleton(3).with_inserted(MAX_K as u16);
     }
 }

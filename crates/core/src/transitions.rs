@@ -41,17 +41,50 @@ pub fn horizontal(view: &SpaceView<'_>, s: &State) -> Option<State> {
 /// resulting state (paper: "Vertical neighbors are ordered in decreasing
 /// cost"), with ties broken by the replaced index for determinism.
 pub fn vertical(view: &SpaceView<'_>, s: &State) -> Vec<State> {
+    let mut out = Neighbours::default();
+    vertical_into(view, s, |_| true, &mut out);
+    out.iter().collect()
+}
+
+/// A reusable buffer of Vertical neighbours, filled by [`vertical_into`].
+#[derive(Debug, Default)]
+pub struct Neighbours {
+    /// `(primary, replaced index, neighbour)`.
+    items: Vec<(f64, u16, State)>,
+}
+
+impl Neighbours {
+    /// The neighbours in [`vertical`]'s order.
+    pub fn iter(&self) -> impl Iterator<Item = State> + '_ {
+        self.items.iter().map(|&(_, _, n)| n)
+    }
+}
+
+/// [`vertical`] into a reused buffer, keeping only the neighbours `keep`
+/// accepts. `keep` sees every neighbour once, in ascending replaced index,
+/// before any primary value is computed, so a search can drop visited
+/// states without evaluating them; the kept ones come out in [`vertical`]'s
+/// order.
+pub fn vertical_into(
+    view: &SpaceView<'_>,
+    s: &State,
+    mut keep: impl FnMut(&State) -> bool,
+    out: &mut Neighbours,
+) {
     let k = view.k() as u16;
-    let mut out: Vec<(f64, u16, State)> = Vec::new();
-    for i in s.iter() {
+    out.items.clear();
+    // `for_each` rather than `for`: it runs on the members' word walk.
+    s.iter().for_each(|i| {
         let next = i + 1;
         if next < k && !s.contains(next) {
             let n = s.with_replaced(i, next);
-            out.push((view.primary(&n), i, n));
+            if keep(&n) {
+                out.items.push((view.primary(&n), i, n));
+            }
         }
-    }
-    out.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    out.into_iter().map(|(_, _, n)| n).collect()
+    });
+    out.items
+        .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
 }
 
 /// The Horizontal2 transitions (paper Section 5.2.1, C-MAXBOUNDS): every
@@ -66,8 +99,9 @@ pub fn horizontal2<'a>(
     s: &'a State,
 ) -> impl Iterator<Item = (u16, State)> + 'a {
     let k = view.k() as u16;
+    let s = *s;
     (0..k)
-        .filter(|i| !s.contains(*i))
+        .filter(move |&i| !s.contains(i))
         .map(move |i| (i, s.with_inserted(i)))
 }
 

@@ -129,82 +129,21 @@ impl ConjModel {
     /// Composes the dois of a conjunction of preferences. The empty
     /// conjunction has doi 0 (no preference satisfied).
     pub fn conj(self, dois: &[Doi]) -> Doi {
+        self.conj_iter(dois.iter().copied())
+    }
+
+    /// [`ConjModel::conj`] over any sequence of dois, folded in the order
+    /// given (the product and the sum are not associative in `f64`, so the
+    /// order fixes the bits of the result).
+    pub fn conj_iter(self, dois: impl IntoIterator<Item = Doi>) -> Doi {
+        let dois = dois.into_iter();
         match self {
-            ConjModel::NoisyOr => {
-                Doi::clamped(1.0 - dois.iter().map(|d| 1.0 - d.0).product::<f64>())
-            }
-            ConjModel::Max => dois.iter().copied().max().unwrap_or(Doi::ZERO),
+            ConjModel::NoisyOr => Doi::clamped(1.0 - dois.map(|d| 1.0 - d.0).product::<f64>()),
+            ConjModel::Max => dois.max().unwrap_or(Doi::ZERO),
             ConjModel::Quadrature => {
-                let sumsq: f64 = dois.iter().map(|d| d.0 * d.0).sum();
+                let sumsq: f64 = dois.map(|d| d.0 * d.0).sum();
                 Doi::clamped(sumsq.sqrt())
             }
-        }
-    }
-}
-
-/// Incremental accumulator for the conjunction doi, so that state-space
-/// transitions can update doi in O(1) ("incremental computation of query
-/// parameters is possible", paper Section 4.3).
-///
-/// Only [`ConjModel::NoisyOr`] supports O(1) removal; the accumulator keeps
-/// the running `Π(1−di)` for it. The other models re-derive on demand from a
-/// kept multiset, which is still cheap for the small states CQP builds.
-#[derive(Debug, Clone)]
-pub struct ConjAccumulator {
-    model: ConjModel,
-    /// Running complement product for NoisyOr.
-    complement: f64,
-    /// All member dois (needed by non-NoisyOr models and for removal).
-    members: Vec<Doi>,
-}
-
-impl ConjAccumulator {
-    /// Starts an empty conjunction.
-    pub fn new(model: ConjModel) -> Self {
-        ConjAccumulator {
-            model,
-            complement: 1.0,
-            members: Vec::new(),
-        }
-    }
-
-    /// Adds a preference's doi.
-    pub fn add(&mut self, d: Doi) {
-        self.complement *= 1.0 - d.0;
-        self.members.push(d);
-    }
-
-    /// Removes one occurrence of a doi previously added.
-    ///
-    /// # Panics
-    /// Panics if `d` was not present.
-    pub fn remove(&mut self, d: Doi) {
-        let pos = self
-            .members
-            .iter()
-            .position(|m| m == &d)
-            .expect("removed doi must have been added");
-        self.members.swap_remove(pos);
-        // Recompute the complement rather than dividing: division by a
-        // (1-d) that is ~0 would destroy precision.
-        self.complement = self.members.iter().map(|m| 1.0 - m.0).product();
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True if no members were added.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Current conjunction doi.
-    pub fn doi(&self) -> Doi {
-        match self.model {
-            ConjModel::NoisyOr => Doi::clamped(1.0 - self.complement),
-            other => other.conj(&self.members),
         }
     }
 }
@@ -269,35 +208,6 @@ mod tests {
             let large = model.conj(&[Doi::new(0.3), Doi::new(0.6), Doi::new(0.2)]);
             assert!(large >= small, "{model:?} violated Formula 4");
         }
-    }
-
-    #[test]
-    fn accumulator_tracks_noisy_or() {
-        let mut acc = ConjAccumulator::new(ConjModel::NoisyOr);
-        assert!(acc.is_empty());
-        acc.add(Doi::new(0.5));
-        acc.add(Doi::new(0.8));
-        assert_eq!(acc.len(), 2);
-        assert!((acc.doi().value() - 0.9).abs() < 1e-12);
-        acc.remove(Doi::new(0.8));
-        assert!((acc.doi().value() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulator_other_models() {
-        let mut acc = ConjAccumulator::new(ConjModel::Max);
-        acc.add(Doi::new(0.2));
-        acc.add(Doi::new(0.7));
-        assert!((acc.doi().value() - 0.7).abs() < 1e-12);
-        acc.remove(Doi::new(0.7));
-        assert!((acc.doi().value() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "must have been added")]
-    fn accumulator_remove_missing_panics() {
-        let mut acc = ConjAccumulator::new(ConjModel::NoisyOr);
-        acc.remove(Doi::new(0.3));
     }
 
     #[test]

@@ -132,8 +132,7 @@ proptest! {
             prop_assert!(n.is_superset_of(&s));
         }
         // No duplicates.
-        let mut keys: Vec<cqp_core::state::StateKey> =
-            neighbors.iter().map(State::bitkey).collect();
+        let mut keys: Vec<State> = neighbors.clone();
         keys.sort_unstable();
         keys.dedup();
         prop_assert_eq!(keys.len(), neighbors.len());

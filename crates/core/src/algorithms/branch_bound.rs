@@ -1,31 +1,66 @@
-//! Exact branch-and-bound over the additive reformulation — the
-//! "knapsack-style" baseline of the Related Work discussion, and the exact
-//! reference solver for the *general* problems of Table 1.
+//! Exact branch-and-bound for every problem of Table 1 — the
+//! "knapsack-style" baseline of the Related Work discussion (Section 2), and
+//! the exact reference solver for the *general* problems.
 //!
-//! With the experimental choices of the paper (Formulas 9/10), every CQP
-//! parameter is additive in a transformed domain:
+//! A depth-first search decides items `0..K` in order, include branch first.
+//! A node carries its cost, its size and the [`ConjFold`] of its members, so
+//! its doi is bit-equal to `conj` of its members, and it allocates only to
+//! copy the members when it becomes the incumbent. A subtree is cut when a
+//! bound proves that no completion can satisfy the constraints or
+//! *strictly* beat the incumbent; strict, so every tie candidate of the
+//! optimum is still reached in include-first preorder.
 //!
-//! * `doi = 1 − Π(1−di)` — maximizing doi ⇔ maximizing `Σ −ln(1−di)`;
-//! * `cost = Σ ci` — already additive;
-//! * `size = base × Π fi` — multiplicative, monotone non-increasing.
+//! Two doi bounds, chosen by the problem and the conjunction model:
 //!
-//! The paper argues (Section 2) that knapsack algorithms are *not
-//! appropriate in general* because CQP may involve different, even
-//! nonlinear functions; this module exists precisely to quantify that
-//! comparison (ablation bench) and to provide an exact oracle at `K` values
-//! where `O(2^K)` enumeration is impossible. For conjunction models other
-//! than noisy-or the additive bound is replaced by a conservative one
-//! (doi of all remaining preferences), keeping the search exact.
+//! * **All remaining** (every model): the fold continued over every item
+//!   `i..K` — the largest doi any completion can reach (Formula 4).
+//! * **Knapsack** (noisy-or with a cost bound, i.e. P2 and P3): Formulas
+//!   9/10 make doi additive, `doi = 1 − exp(−Σ wi)` with `wi = −ln(1−di)`,
+//!   so the best completion is a 0/1 knapsack over the budget left, and its
+//!   LP relaxation (Dantzig) bounds it: items taken greedily by descending
+//!   `w/c`, the last one fractionally. The bound is converted back to a
+//!   product lower bound with [`SLACK`] for rounding, and used wherever it
+//!   is below the all-remaining bound.
+//!
+//! Bounds are compared in the doi domain, never in the log domain: every
+//! completion whose product falls below 2⁻⁵³ has doi exactly 1.0, so it can
+//! tie a saturated incumbent on doi and still win on cost.
+//!
+//! The paper's point that knapsack algorithms are *not appropriate in
+//! general* (CQP may compose doi by other, even nonlinear functions) still
+//! holds for `max` and quadrature: neither is additive in any domain, so
+//! only the all-remaining bound applies to them.
 
 use super::Solution;
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
-use crate::params::ParamEval;
+use crate::params::{ParamEval, QueryParams};
 use crate::problem::{Objective, ProblemSpec};
 use cqp_par::ThreadPool;
-use cqp_prefs::{ConjModel, Doi};
+use cqp_prefs::{ConjFold, ConjModel, Doi};
 use cqp_prefspace::PreferenceSpace;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Relative slack between the knapsack bound's product and the smallest
+/// product the fold can compute for a completion.
+///
+/// With `u = 2⁻⁵³`, for a completion `S` of `n ≤ K` more items:
+/// * the fold computes `P_S ≥ P·Π(1−dj)·(1−u)^{2n}` from the node's product
+///   `P` (one rounding for `1−dj`, one per multiply);
+/// * `Π(1−dj) = exp(−Σ wj) ≥ exp(−L)` for the exact LP optimum `L`;
+/// * the computed `L̂` misses `L` by at most `γL` with `γ ≤ (K+6)u`: `ln_1p`
+///   and the ratio are within `3u`, so ties misordered by rounding cost at
+///   most that, and the sum of `≤ K` non-negative terms plus the fractional
+///   one loses at most `(K+2)u`;
+/// * `exp` and the two multiplies of `P·exp(−L̂)·(1−SLACK)` add at most
+///   `5u`.
+///
+/// So the bound is sound when `SLACK ≥ γL + (2K+5)u`. Only a product of at
+/// least 2⁻⁵⁴ gives a bound below 1 (`1 − p` rounds to 1.0 for smaller
+/// `p`), so the binding case has `L ≤ 54·ln 2 < 37.5`, where a completion's
+/// product is far from the subnormal range. At `K = MAX_K = 256` the error
+/// is below 1.2e-12, and 1e-9 covers it up to `K ≈ 2·10⁵`.
+const SLACK: f64 = 1e-9;
 
 /// Exact branch-and-bound for any CQP problem of Table 1.
 pub fn solve(space: &PreferenceSpace, conj: ConjModel, problem: &ProblemSpec) -> Solution {
@@ -65,7 +100,7 @@ pub fn solve_bounded_warm(
     conj: ConjModel,
     problem: &ProblemSpec,
     token: &CancelToken,
-    warm: Option<crate::params::QueryParams>,
+    warm: Option<QueryParams>,
 ) -> Solution {
     let eval = ParamEval::new(space, conj);
     let k = space.k();
@@ -77,10 +112,12 @@ pub fn solve_bounded_warm(
         };
     }
 
+    let knapsack = Knapsack::new(&eval, problem);
     let mut search = Search {
         eval: &eval,
         problem,
         k,
+        knapsack: knapsack.as_ref(),
         best: None,
         inst: &mut inst,
         chosen: Vec::new(),
@@ -88,7 +125,7 @@ pub fn solve_bounded_warm(
         warm,
         token,
     };
-    search.recurse(0, 0, Vec::new(), space.base_rows);
+    search.recurse(0, 0, ConjFold::new(conj), space.base_rows);
     let best = search.best.take();
 
     match best {
@@ -108,11 +145,17 @@ pub fn solve_bounded_warm(
 /// [`Search`] seeded with its prefix. Workers publish their incumbents to a
 /// shared monotone bound ([`SharedBest`]); because the objective prunes are
 /// *strict*, a cross-worker bound can never cut a subtree holding an
-/// eventual winner or tie-candidate, so the answer stays exact. Per-task
-/// optima are merged in the sequential DFS's include-first preorder under
-/// the same strict `better` predicate, making the returned solution
-/// deterministic at any worker count (work *counters* may vary run to run —
-/// the racy bound changes how much gets pruned, never what is returned).
+/// eventual winner or tie-candidate, so the answer stays exact.
+///
+/// The sequential DFS first evaluates a member set where its last member is
+/// included, so its preorder visits sets in lexicographic order of their
+/// sorted members, and the strict `better` keeps the first of tied optima.
+/// Per-task optima are merged by the same rule — `better`, then the
+/// lexicographically smaller member list — which makes the returned
+/// solution the sequential one at any worker count. (Task order alone is
+/// not enough: the set of a depth-`t < d` node is a task root that comes
+/// after the tasks extending it.) Work *counters* may vary run to run — the
+/// racy bound changes how much gets pruned, never what is returned.
 pub fn solve_partitioned(
     space: &PreferenceSpace,
     conj: ConjModel,
@@ -139,32 +182,33 @@ pub fn solve_partitioned_bounded(
         return solve_bounded(space, conj, problem, token);
     }
     let eval = ParamEval::new(space, conj);
+    let knapsack = Knapsack::new(&eval, problem);
     let mut d = 0usize;
     while (1usize << d) < pool.threads() * 4 && d < k {
         d += 1;
     }
     let shared = SharedBest::new();
-    // Prefix id bit `j` set means item `j` is EXCLUDED, so ascending ids
-    // enumerate depth-`d` prefixes in the include-first DFS preorder.
+    // Prefix id bit `j` set means item `j` is excluded.
     let prefixes: Vec<u32> = (0..(1u32 << d)).collect();
     let per_prefix = pool.map(prefixes, |_, p| {
         let mut inst = Instrument::new();
         let mut chosen = Vec::new();
         let mut cost = 0u64;
-        let mut dois = Vec::new();
+        let mut fold = ConjFold::new(conj);
         let mut size = space.base_rows;
         for j in 0..d {
             if p & (1 << j) == 0 {
                 chosen.push(j);
-                cost += eval.space().cost_blocks(j);
-                dois.push(eval.space().doi(j));
-                size *= eval.space().size_factor(j);
+                cost += space.cost_blocks(j);
+                fold.push(space.doi(j));
+                size *= space.size_factor(j);
             }
         }
         let mut search = Search {
             eval: &eval,
             problem,
             k,
+            knapsack: knapsack.as_ref(),
             best: None,
             inst: &mut inst,
             chosen,
@@ -172,18 +216,20 @@ pub fn solve_partitioned_bounded(
             warm: None,
             token,
         };
-        search.recurse(d, cost, dois, size);
+        search.recurse(d, cost, fold, size);
         (search.best.take(), inst)
     });
 
     let mut inst = Instrument::new();
-    let mut best: Option<(Vec<usize>, crate::params::QueryParams)> = None;
+    let mut best: Option<(Vec<usize>, QueryParams)> = None;
     for (cand, task_inst) in per_prefix {
         inst.merge(&task_inst);
         if let Some((prefs, params)) = cand {
             let replace = match &best {
                 None => true,
-                Some((_, bp)) => problem.better(&params, bp),
+                Some((bprefs, bp)) => {
+                    problem.better(&params, bp) || (!problem.better(bp, &params) && prefs < *bprefs)
+                }
             };
             if replace {
                 best = Some((prefs, params));
@@ -216,7 +262,7 @@ impl SharedBest {
         }
     }
 
-    fn publish(&self, p: &crate::params::QueryParams) {
+    fn publish(&self, p: &QueryParams) {
         self.doi_bits
             .fetch_max(p.doi.value().to_bits(), Ordering::Relaxed);
         self.cost.fetch_min(p.cost_blocks, Ordering::Relaxed);
@@ -231,33 +277,101 @@ impl SharedBest {
     }
 }
 
+/// The knapsack bound's items — every preference with its additive weight
+/// `w = −ln(1−d)` and cost — in the greedy order: descending `w/c`, zero
+/// cost counting as an infinite ratio, ties to the cheaper and then the
+/// lower index. Built once per solve.
+struct Knapsack {
+    cmax: u64,
+    /// `(index, w, cost)`.
+    items: Vec<(usize, f64, u64)>,
+}
+
+impl Knapsack {
+    /// The bound for `problem`, or `None` when it does not apply: the model
+    /// is not noisy-or (no additive form) or there is no cost bound.
+    fn new(eval: &ParamEval<'_>, problem: &ProblemSpec) -> Option<Self> {
+        let cmax = problem.constraints.cost_max_blocks?;
+        if eval.conj_model() != ConjModel::NoisyOr {
+            return None;
+        }
+        let space = eval.space();
+        // `d = 1` gives `w = ∞`, never NaN: `ln_1p(−1) = −∞`.
+        let mut items: Vec<(usize, f64, u64)> = (0..space.k())
+            .map(|j| (j, -(-space.doi(j).value()).ln_1p(), space.cost_blocks(j)))
+            .collect();
+        let ratio = |&(_, w, c): &(usize, f64, u64)| {
+            if c == 0 {
+                f64::INFINITY
+            } else {
+                w / c as f64
+            }
+        };
+        items.sort_by(|a, b| {
+            ratio(b)
+                .total_cmp(&ratio(a))
+                .then(a.2.cmp(&b.2))
+                .then(a.0.cmp(&b.0))
+        });
+        Some(Knapsack { cmax, items })
+    }
+
+    /// Upper bound on the doi of every completion, over items `i..K`, of a
+    /// node with fold product `product` and cost `cost ≤ cmax`.
+    fn doi_bound(&self, i: usize, cost: u64, product: f64) -> Doi {
+        let room = self.cmax - cost;
+        let mut left = room;
+        let mut lp = 0.0;
+        for &(j, w, c) in &self.items {
+            // An item that alone busts the budget is in no completion.
+            if j < i || c > room {
+                continue;
+            }
+            if c <= left {
+                lp += w;
+                left -= c;
+            } else {
+                // Skipped at `left = 0`, where `w = ∞` would make ∞·0 = NaN.
+                if left > 0 {
+                    lp += w * (left as f64 / c as f64);
+                }
+                break;
+            }
+        }
+        Doi::clamped(1.0 - product * (-lp).exp() * (1.0 - SLACK))
+    }
+}
+
 struct Search<'a, 'b> {
     eval: &'a ParamEval<'a>,
     problem: &'a ProblemSpec,
     k: usize,
-    best: Option<(Vec<usize>, crate::params::QueryParams)>,
+    /// The knapsack bound, when it applies to this problem and model.
+    knapsack: Option<&'a Knapsack>,
+    best: Option<(Vec<usize>, QueryParams)>,
     inst: &'b mut Instrument,
     chosen: Vec<usize>,
     /// Cross-worker bound in partitioned mode; `None` when sequential.
     shared: Option<&'a SharedBest>,
     /// Warm-start bound from a cached feasible solution; pruned against
     /// strictly, exactly like `shared`, so it never changes the answer.
-    warm: Option<crate::params::QueryParams>,
+    warm: Option<QueryParams>,
     /// Cooperative cancellation, polled once per DFS node.
     token: &'a CancelToken,
 }
 
 impl Search<'_, '_> {
-    /// DFS over items `i..K` with the current (cost, members, size) state.
-    fn recurse(&mut self, i: usize, cost: u64, dois_members: Vec<Doi>, size: f64) {
+    /// DFS over items `i..K` from a node with the given cost, members' fold
+    /// and size; `self.chosen` holds the members.
+    fn recurse(&mut self, i: usize, cost: u64, fold: ConjFold, size: f64) {
         if self.token.should_stop() {
             return;
         }
         self.inst.states_examined += 1;
         // Evaluate the current node as a candidate.
         if !self.chosen.is_empty() {
-            let params = crate::params::QueryParams {
-                doi: self.eval.conj_model().conj(&dois_members),
+            let params = QueryParams {
+                doi: fold.finish(),
                 cost_blocks: cost,
                 size_rows: size,
             };
@@ -280,6 +394,7 @@ impl Search<'_, '_> {
         }
 
         // --- Pruning ---------------------------------------------------
+        let space = self.eval.space();
         let c = &self.problem.constraints;
 
         // Cost only grows: if the node already busts cmax, every extension
@@ -297,94 +412,80 @@ impl Search<'_, '_> {
         // preference gives the smallest size; if that still exceeds smax,
         // the subtree is infeasible.
         if let Some(smax) = c.size_max {
-            let min_size = (i..self.k).fold(size, |s, j| s * self.eval.space().size_factor(j));
+            let min_size = (i..self.k).fold(size, |s, j| s * space.size_factor(j));
             if min_size > smax {
                 return;
             }
         }
-        // Upper-bound the achievable doi (conjunction of members plus all
-        // remaining preferences — monotone by Formula 4).
-        let doi_bound = {
-            let mut all = dois_members.clone();
-            all.extend((i..self.k).map(|j| self.eval.space().doi(j)));
-            self.eval.conj_model().conj(&all)
+        // Objective bounds against the incumbent, the cross-worker bound and
+        // the warm seed. Every cut is strict: an equal-doi descendant can
+        // still win the lower-cost tie-break (MaxDoi), an equal-cost one the
+        // higher-doi tie-break (MinCost), so no bound — local, published
+        // elsewhere or seeded — cuts a tie candidate of the optimum. For
+        // MinCost, cost only grows along include branches, so every
+        // descendant costs at least the node.
+        let best = self.best.as_ref().map(|(_, bp)| bp);
+        let doi_floor = match self.problem.objective {
+            Objective::MaxDoi => [
+                c.doi_min,
+                self.shared.map(SharedBest::best_doi),
+                self.warm.map(|w| w.doi),
+                best.map(|bp| bp.doi),
+            ]
+            .into_iter()
+            .flatten()
+            .max(),
+            Objective::MinCost => {
+                let cost_ceiling = [
+                    self.shared.map(SharedBest::best_cost),
+                    self.warm.map(|w| w.cost_blocks),
+                    best.map(|bp| bp.cost_blocks),
+                ]
+                .into_iter()
+                .flatten()
+                .min();
+                if cost_ceiling.is_some_and(|ceiling| cost > ceiling) {
+                    return;
+                }
+                c.doi_min
+            }
         };
-        if let Some(dmin) = c.doi_min {
-            if doi_bound < dmin {
+        if let Some(floor) = doi_floor {
+            if self.doi_bound(i, cost, fold) < floor {
                 return;
-            }
-        }
-        // Objective bounds against the cross-worker incumbent (strict, like
-        // the local ones below — a bound published elsewhere can only cut
-        // strictly-worse subtrees).
-        if let Some(sh) = self.shared {
-            match self.problem.objective {
-                Objective::MaxDoi => {
-                    if doi_bound < sh.best_doi() {
-                        return;
-                    }
-                }
-                Objective::MinCost => {
-                    if cost > sh.best_cost() {
-                        return;
-                    }
-                }
-            }
-        }
-        // Warm-start bound: a cached solution known feasible under this
-        // problem bounds the optimum from the first node, before any local
-        // incumbent exists. Strict cuts only, for the same reason as above.
-        if let Some(w) = &self.warm {
-            match self.problem.objective {
-                Objective::MaxDoi => {
-                    if doi_bound < w.doi {
-                        return;
-                    }
-                }
-                Objective::MinCost => {
-                    if cost > w.cost_blocks {
-                        return;
-                    }
-                }
-            }
-        }
-        // Objective bounds against the incumbent.
-        if let Some((_, bp)) = &self.best {
-            match self.problem.objective {
-                Objective::MaxDoi => {
-                    // Strict: an equal-doi descendant can still win the
-                    // lower-cost tie-break.
-                    if doi_bound < bp.doi {
-                        return;
-                    }
-                }
-                Objective::MinCost => {
-                    // Cost only grows along the include-branch; the
-                    // exclude-branches keep the current cost; any
-                    // descendant costs ≥ the current node. Strict: an
-                    // equal-cost descendant can still win the higher-doi
-                    // tie-break.
-                    if cost > bp.cost_blocks {
-                        return;
-                    }
-                }
             }
         }
 
         // --- Branch ------------------------------------------------------
         // Include item i.
         self.chosen.push(i);
-        let mut with = dois_members.clone();
-        with.push(self.eval.space().doi(i));
+        let mut with = fold;
+        with.push(space.doi(i));
         self.recurse(
             i + 1,
-            cost + self.eval.space().cost_blocks(i),
+            cost + space.cost_blocks(i),
             with,
-            size * self.eval.space().size_factor(i),
+            size * space.size_factor(i),
         );
         self.chosen.pop();
         // Exclude item i.
-        self.recurse(i + 1, cost, dois_members, size);
+        self.recurse(i + 1, cost, fold, size);
+    }
+
+    /// Upper bound on the doi of every completion over items `i..K`: the
+    /// members' fold continued over all of them, lowered by the knapsack
+    /// bound where that applies and is tighter.
+    fn doi_bound(&self, i: usize, cost: u64, fold: ConjFold) -> Doi {
+        let space = self.eval.space();
+        let mut all = fold;
+        for j in i..self.k {
+            all.push(space.doi(j));
+        }
+        let all = all.finish();
+        match (self.knapsack, fold.noisy_or_product()) {
+            (Some(kn), Some(product)) => all.min(kn.doi_bound(i, cost, product)),
+            _ => all,
+        }
     }
 }
 
@@ -605,6 +706,54 @@ mod tests {
         // over-budget subtrees from the very first expansion — so here the
         // seed strictly shrinks the search.
         assert!(warm.instrument.states_examined < cold.instrument.states_examined);
+    }
+
+    #[test]
+    fn knapsack_bound_covers_every_completion() {
+        // `d = 1` items (`w = ∞`) costing 2, 2 and 3 blocks, so the budget
+        // can run out exactly before one of them; `d = 0` and zero-cost
+        // items; every budget down to a zero remainder.
+        let space = space_with(
+            &[2, 0, 2, 3, 0, 4, 1],
+            &[1.0, 0.3, 1.0, 1.0, 0.0, 0.6, 0.95],
+            &[1.0; 7],
+        );
+        let k = space.k();
+        let eval = ParamEval::new(&space, ConjModel::NoisyOr);
+        // The fold and cost of the items of `set` within `range`.
+        let extend =
+            |mut fold: ConjFold, mut cost: u64, range: std::ops::Range<usize>, set: u32| {
+                for j in range.clone() {
+                    if set & (1 << (j - range.start)) != 0 {
+                        fold.push(space.doi(j));
+                        cost += space.cost_blocks(j);
+                    }
+                }
+                (fold, cost)
+            };
+        for cmax in 0..=15 {
+            let kn = Knapsack::new(&eval, &ProblemSpec::p2(cmax)).expect("noisy-or with cmax");
+            for i in 0..=k {
+                for members in 0..1u32 << i {
+                    let (fold, cost) = extend(ConjFold::new(ConjModel::NoisyOr), 0, 0..i, members);
+                    if cost > cmax {
+                        continue;
+                    }
+                    let product = fold.noisy_or_product().expect("noisy-or");
+                    let bound = kn.doi_bound(i, cost, product);
+                    for rest in 0..1u32 << (k - i) {
+                        let (done, total) = extend(fold, cost, i..k, rest);
+                        if total <= cmax {
+                            assert!(
+                                done.finish() <= bound,
+                                "cmax {cmax} i {i} members {members:b} rest {rest:b}: {} > {bound}",
+                                done.finish()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -136,15 +136,70 @@ impl ConjModel {
     /// given (the product and the sum are not associative in `f64`, so the
     /// order fixes the bits of the result).
     pub fn conj_iter(self, dois: impl IntoIterator<Item = Doi>) -> Doi {
-        let dois = dois.into_iter();
-        match self {
-            ConjModel::NoisyOr => Doi::clamped(1.0 - dois.map(|d| 1.0 - d.0).product::<f64>()),
-            ConjModel::Max => dois.max().unwrap_or(Doi::ZERO),
-            ConjModel::Quadrature => {
-                let sumsq: f64 = dois.map(|d| d.0 * d.0).sum();
-                Doi::clamped(sumsq.sqrt())
-            }
+        let mut fold = ConjFold::new(self);
+        for d in dois {
+            fold.push(d);
         }
+        fold.finish()
+    }
+}
+
+/// The one fold behind [`ConjModel::conj`]: start with [`ConjFold::new`],
+/// [`push`](ConjFold::push) dois in order, [`finish`](ConjFold::finish).
+///
+/// It is `Copy` and extend-only, so a depth-first search can keep one per
+/// node and extend a copy per branch: the doi of every prefix is then
+/// bit-equal to `conj` of that prefix. There is no removal — undoing a push
+/// by division does not restore the bits.
+#[derive(Debug, Clone, Copy)]
+pub struct ConjFold {
+    model: ConjModel,
+    /// `Π(1−di)` from 1.0 (NoisyOr), `max(di)` from 0.0 (Max), or `Σ di²`
+    /// from −0.0, the neutral element std's `f64` `Sum` starts from
+    /// (Quadrature).
+    acc: f64,
+}
+
+impl ConjFold {
+    /// The empty conjunction under `model`.
+    pub fn new(model: ConjModel) -> Self {
+        let acc = match model {
+            ConjModel::NoisyOr => 1.0,
+            ConjModel::Max => 0.0,
+            ConjModel::Quadrature => -0.0,
+        };
+        ConjFold { model, acc }
+    }
+
+    /// Adds one more member.
+    pub fn push(&mut self, d: Doi) {
+        match self.model {
+            ConjModel::NoisyOr => self.acc *= 1.0 - d.0,
+            // `>=`: a later equal member replaces an earlier one, as in
+            // `Iterator::max`.
+            ConjModel::Max => {
+                if d.0 >= self.acc {
+                    self.acc = d.0;
+                }
+            }
+            ConjModel::Quadrature => self.acc += d.0 * d.0,
+        }
+    }
+
+    /// The doi of the members pushed so far.
+    pub fn finish(self) -> Doi {
+        match self.model {
+            ConjModel::NoisyOr => Doi::clamped(1.0 - self.acc),
+            ConjModel::Max => Doi(self.acc),
+            ConjModel::Quadrature => Doi::clamped(self.acc.sqrt()),
+        }
+    }
+
+    /// The running product `Π(1−di)` under [`ConjModel::NoisyOr`] — the
+    /// additive form's `exp(−Σ wi)` with `wi = −ln(1−di)` — and `None`
+    /// under the other models.
+    pub fn noisy_or_product(self) -> Option<f64> {
+        (self.model == ConjModel::NoisyOr).then_some(self.acc)
     }
 }
 
@@ -216,6 +271,59 @@ mod tests {
         assert_eq!(ConjModel::NoisyOr.conj(&[]), Doi::ZERO);
         assert_eq!(ConjModel::Max.conj(&[]), Doi::ZERO);
         assert_eq!(ConjModel::Quadrature.conj(&[]), Doi::ZERO);
+    }
+
+    /// The std-iterator formulas `conj` was written with before it became
+    /// a [`ConjFold`].
+    fn reference_conj(model: ConjModel, dois: &[Doi]) -> Doi {
+        let dois = dois.iter().copied();
+        match model {
+            ConjModel::NoisyOr => Doi::clamped(1.0 - dois.map(|d| 1.0 - d.0).product::<f64>()),
+            ConjModel::Max => dois.max().unwrap_or(Doi::ZERO),
+            ConjModel::Quadrature => Doi::clamped(dois.map(|d| d.0 * d.0).sum::<f64>().sqrt()),
+        }
+    }
+
+    #[test]
+    fn fold_is_bit_equal_to_conj_on_every_prefix() {
+        // splitmix64, so the sequences repeat without a dev-dependency.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for case in 0..200 {
+            let len = (next() % 24) as usize;
+            let dois: Vec<Doi> = (0..len)
+                .map(|_| match next() % 8 {
+                    0 => Doi::ZERO,
+                    1 => Doi::ONE,
+                    // −0.0 ties 0.0 but not in bits: `Max` must keep the
+                    // later of equal members, as `Iterator::max` does.
+                    2 => Doi::new(-0.0),
+                    3 | 4 => Doi::new((next() % 21) as f64 * 0.05),
+                    _ => Doi::new((next() >> 11) as f64 / (1u64 << 53) as f64),
+                })
+                .collect();
+            for model in [ConjModel::NoisyOr, ConjModel::Max, ConjModel::Quadrature] {
+                let mut fold = ConjFold::new(model);
+                for n in 0..=dois.len() {
+                    let want = reference_conj(model, &dois[..n]).value().to_bits();
+                    assert_eq!(
+                        fold.finish().value().to_bits(),
+                        want,
+                        "{model:?} case {case} n {n}"
+                    );
+                    assert_eq!(model.conj(&dois[..n]).value().to_bits(), want);
+                    if n < dois.len() {
+                        fold.push(dois[n]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

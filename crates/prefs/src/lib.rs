@@ -52,7 +52,7 @@ pub mod preference;
 pub mod profile;
 pub mod related;
 
-pub use doi::{ConjModel, Doi, PathCompose};
+pub use doi::{ConjFold, ConjModel, Doi, PathCompose};
 pub use graph::{JoinEdge, PersonalizationGraph, SelectionEdge};
 pub use io::{from_text, to_text, ProfileParseError};
 pub use preference::{Condition, Preference};

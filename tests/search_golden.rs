@@ -10,6 +10,12 @@
 //! state more, evaluates in a different order or folds a doi in a different
 //! order fails here.
 //!
+//! One exception was re-captured on purpose: the `inst=` counters of the
+//! `branch_bound p2` and `branch_bound p3` lines, when branch-and-bound
+//! gained the knapsack bound for noisy-or with a cost bound. That bound cuts
+//! subtrees the all-remaining bound kept, so 35 of those lines visit fewer
+//! states; every answer field of every line is unchanged.
+//!
 //! Covered:
 //! * preference spaces from the benchmark's data (`MovieDbConfig::default()`
 //!   at 256 tuples per block, the benchmark's profile generator, K ∈

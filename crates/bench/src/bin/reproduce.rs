@@ -1267,7 +1267,7 @@ fn cache_leg(
 /// closed-loop load, once against a cache-off server and once against a
 /// cache-on server. The skew makes templates repeat (exact tier), the two
 /// `p2` budgets exercise the warm tier within a family, and the live
-/// profile mutations exercise invalidation + delta-repair; the staleness
+/// profile mutations exercise invalidation + the repair tier; the staleness
 /// audit inside the load generator must stay at zero in both legs.
 /// Written as `BENCH_cache.json` in `out` and at the repo root.
 fn cache_experiment(w: &Workload, threads: usize, out: &Path) {

@@ -7,7 +7,7 @@
 //! problem variant, constraint values)` instance therefore bounds nearby
 //! instances, in the spirit of Chomicki's semantic optimization of
 //! preference queries. This module caches solved instances and classifies
-//! each lookup into one of three reuse tiers:
+//! each lookup into one of three tiers, or a miss:
 //!
 //! * **exact** — identical key: the stored [`Solution`] (plus constructed
 //!   query and SQL) is returned with zero search work, bit-identical to a
@@ -18,10 +18,11 @@
 //!   new constraints seeds a *strict pruning bound*
 //!   ([`crate::algorithms::branch_bound::solve_bounded_warm`]). The answer
 //!   never changes — only the states visited;
-//! * **repair** — the profile version moved: the cached space is repaired
-//!   incrementally (`cqp_prefspace::extract_delta` re-ranks the D/C/S
-//!   vectors instead of rebuilding) and a fresh search runs on the repaired
-//!   space.
+//! * **repair** — the profile version moved: nothing cached is reusable,
+//!   so the request runs the cold pipeline (a fresh Figure 3 extraction,
+//!   then a fresh search) and its result replaces the family. The tier is
+//!   counted apart from misses because it measures how often profile
+//!   writes cost a cached family.
 //!
 //! Staleness safety is structural: the profile version is part of the
 //! lookup, so an entry recorded under version `v` can never satisfy an
@@ -201,12 +202,11 @@ pub enum Lookup {
         /// Strongest feasible warm-start bound among cached variants.
         seed: Option<QueryParams>,
     },
-    /// The profile moved past the cached version: repair the space
-    /// incrementally, then search fresh.
+    /// The profile moved past the cached version: nothing cached is
+    /// reusable, so the request runs the cold pipeline and its result
+    /// replaces the family.
     Repair {
-        /// The preference space cached at the older profile version.
-        space: PreferenceSpace,
-        /// The version the cached space was built at.
+        /// The version the cached family was built at.
         old_version: u64,
     },
     /// Nothing cached for this family.
@@ -232,7 +232,8 @@ pub struct CacheCounters {
     pub hits_exact: u64,
     /// Warm-tier hits (space reused; branch-and-bound also seeded).
     pub hits_warm: u64,
-    /// Repair-tier hits (space delta-repaired, fresh search).
+    /// Repair-tier lookups (family cached at an older profile version;
+    /// served cold).
     pub hits_repair: u64,
     /// Lookups that found nothing reusable.
     pub misses: u64,
@@ -315,7 +316,6 @@ impl AnswerCache {
             Some(family) if family.version < version => {
                 family.last_used = stamp;
                 Lookup::Repair {
-                    space: family.space.clone(),
                     old_version: family.version,
                 }
             }
@@ -385,8 +385,8 @@ impl AnswerCache {
     /// `profile_key` at a version older than `new_version`. Scoped keys
     /// (`base␁scope`, see [`PROFILE_SCOPE_SEP`]) match on their base, so
     /// one write drops every personalization depth of the profile. The
-    /// spaces are kept so the next request can take the repair tier
-    /// instead of a cold rebuild. Version keying already guarantees stale
+    /// families stay, so the next request for one reports the repair tier
+    /// rather than a miss. Version keying already guarantees stale
     /// variants can never satisfy a lookup; this keeps memory and the
     /// entries gauge honest.
     pub fn invalidate_profile(&self, profile_key: &str, new_version: u64) {
@@ -562,9 +562,9 @@ mod tests {
             other => panic!("expected warm, got {other:?}"),
         }
 
-        // Version moved: repair, carrying the old space.
+        // Version moved: repair, naming the cached version.
         match cache.lookup(&k, 2, &v_200, &p_200) {
-            Lookup::Repair { old_version, .. } => assert_eq!(old_version, 1),
+            Lookup::Repair { old_version } => assert_eq!(old_version, 1),
             other => panic!("expected repair, got {other:?}"),
         }
 
@@ -576,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_drops_variants_keeps_space_for_repair() {
+    fn invalidation_drops_variants_and_next_lookup_repairs() {
         let cache = AnswerCache::new();
         let sp = space();
         let config = SolverConfig {
@@ -591,11 +591,11 @@ mod tests {
         cache.invalidate_profile("user1", 2);
         assert_eq!(cache.entries(), 0);
         assert_eq!(cache.counters().invalidations, 1);
-        // The family survives at the old version so the next request can
-        // take the repair tier.
+        // The family survives at the old version, so the next request
+        // reports the repair tier.
         assert!(matches!(
             cache.lookup(&k, 2, &VariantKey::of(&p), &p),
-            Lookup::Repair { .. }
+            Lookup::Repair { old_version: 1 }
         ));
         // Other profiles are untouched.
         cache.invalidate_profile("someone-else", 99);

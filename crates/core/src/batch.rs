@@ -28,6 +28,7 @@ use crate::budget::CancelToken;
 use crate::construct::construct;
 use crate::cost_cache::{EvictionPolicy, SharedCostCache};
 use crate::error::CqpError;
+use crate::params::QueryParams;
 use crate::problem::{ProblemKind, ProblemSpec};
 use crate::solver::{CqpSystem, SolverConfig, SolverError};
 use cqp_engine::{execute_personalized, ConjunctiveQuery};
@@ -36,6 +37,7 @@ use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_par::ThreadPool;
 use cqp_prefs::Profile;
+use cqp_prefspace::PreferenceSpace;
 use cqp_storage::{Database, DbStats, FaultPlan, IoMeter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -204,7 +206,8 @@ pub enum CacheTier {
     /// Cached preference space reused; branch-and-bound seeded with a
     /// feasible cached bound where one existed.
     Warm,
-    /// Profile version moved: the space was delta-repaired, then searched.
+    /// Profile version moved past the cached family: the space was
+    /// re-extracted and searched cold, as on a miss.
     Repair,
     /// Nothing cached; full pipeline (and the result was recorded).
     Miss,
@@ -343,8 +346,6 @@ impl BatchDriver {
         let n = requests.len();
         let pool = ThreadPool::new(self.threads);
         let cache = SharedCostCache::new(self.cache_shards);
-        let db = &self.db;
-        let stats = &self.stats;
         let retries = AtomicU64::new(0);
         let panics = AtomicU64::new(0);
 
@@ -358,7 +359,8 @@ impl BatchDriver {
             // cost cache recovers poisoned shards itself), so resuming is
             // sound.
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                serve_one(db, stats, &cache, &req, recorder, self, &retries)
+                self.serve_one(&cache, &retries, &req, recorder, None)
+                    .map(|(item, _)| item)
             }))
             .unwrap_or_else(|payload| {
                 panics.fetch_add(1, Ordering::Relaxed);
@@ -444,6 +446,117 @@ impl BatchDriver {
         // so a per-request trace can separate "time inside the driver" from
         // the serving tier's own queueing and session work.
         let _dispatch = span_guard(recorder, "dispatch");
+        self.guard(Instant::now(), recorder, || {
+            self.serve_one(
+                &self.submit_cache,
+                &self.submit_retries,
+                &req,
+                recorder,
+                None,
+            )
+            .map(|(item, _)| item)
+        })
+    }
+
+    /// [`BatchDriver::submit_recorded`] through the cross-request answer
+    /// cache, returning which reuse tier served the request.
+    ///
+    /// * **exact** — the stored answer is returned before the breaker gate
+    ///   (it touches neither the search machinery nor the database, which
+    ///   is what the breaker protects) with zero pipeline work;
+    /// * **warm** — the cached preference space skips extraction, and a
+    ///   cached solution still feasible under the new constraints bounds
+    ///   the branch-and-bound search (strictly — the answer cannot change);
+    /// * **repair** — the profile version moved past the cached family: the
+    ///   request runs the cold pipeline, like a miss, and its result
+    ///   replaces the family;
+    /// * **miss** — full cold pipeline; the result seeds the cache.
+    ///
+    /// Falls back to the plain path (tier `off`) when no cache is installed
+    /// or when execution is enabled — cached answers stop at construction,
+    /// so a driver that must execute queries cannot serve them.
+    pub fn submit_cached_recorded(
+        &self,
+        req: BatchRequest,
+        cache_req: &CacheRequest,
+        recorder: &dyn Recorder,
+    ) -> Result<(BatchItemResult, CacheTier), SolverError> {
+        let cache = match &self.answer_cache {
+            Some(cache) if self.execution_ms_per_block.is_none() => cache,
+            _ => {
+                return self
+                    .submit_recorded(req, recorder)
+                    .map(|item| (item, CacheTier::Off));
+            }
+        };
+        let _dispatch = span_guard(recorder, "dispatch");
+        let key = FamilyKey::new(cache_req.template_hash, &cache_req.profile_key, &req.config);
+        let variant = VariantKey::of(&req.problem);
+        let t = Instant::now();
+        let lookup = cache.lookup(&key, cache_req.profile_version, &variant, &req.problem);
+        if recorder.is_enabled() {
+            recorder.event(&format!("answer cache: {}", lookup.tier()));
+        }
+        let (tier, warm) = match lookup {
+            Lookup::Exact(hit) => {
+                let latency_us = t.elapsed().as_micros() as u64;
+                recorder.observe("batch.latency_us", latency_us);
+                return Ok((
+                    BatchItemResult {
+                        solution: hit.solution,
+                        query: hit.query,
+                        sql: hit.sql,
+                        space_k: hit.space_k,
+                        pref_dois: hit.pref_dois,
+                        latency_us,
+                        exec_rows: None,
+                        exec_retries: 0,
+                    },
+                    CacheTier::Exact,
+                ));
+            }
+            Lookup::Warm { space, seed } => (CacheTier::Warm, Some((space, seed))),
+            Lookup::Repair { .. } => (CacheTier::Repair, None),
+            Lookup::Miss => (CacheTier::Miss, None),
+        };
+        self.guard(t, recorder, || {
+            let (item, space) = self.serve_one(
+                &self.submit_cache,
+                &self.submit_retries,
+                &req,
+                recorder,
+                warm,
+            )?;
+            // Seed the cache (degraded solutions are rejected inside).
+            cache.insert(
+                &key,
+                cache_req.profile_version,
+                variant,
+                &space,
+                CachedAnswer {
+                    solution: item.solution.clone(),
+                    query: item.query.clone(),
+                    sql: item.sql.clone(),
+                    pref_dois: item.pref_dois.clone(),
+                    space_k: item.space_k,
+                },
+            );
+            Ok(item)
+        })
+        .map(|item| (item, tier))
+    }
+
+    /// The `submit` paths' guard around one pipeline run: sheds the request
+    /// while the breaker is open, converts a panic to
+    /// [`CqpError::Internal`], records `batch.latency_us` (measured from
+    /// `started`) and `batch.errors`, feeds the breaker, and reports a
+    /// degraded answer.
+    fn guard(
+        &self,
+        started: Instant,
+        recorder: &dyn Recorder,
+        serve: impl FnOnce() -> Result<BatchItemResult, SolverError>,
+    ) -> Result<BatchItemResult, SolverError> {
         if let Some(breaker) = &self.breaker {
             if let Err(retry_after_ms) = breaker.try_acquire() {
                 recorder.add("batch.breaker_shed", 1);
@@ -455,24 +568,14 @@ impl BatchDriver {
                 return Err(CqpError::CircuitOpen { retry_after_ms });
             }
         }
-        let t = Instant::now();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_one(
-                &self.db,
-                &self.stats,
-                &self.submit_cache,
-                &req,
-                recorder,
-                self,
-                &self.submit_retries,
-            )
-        }))
-        .unwrap_or_else(|payload| {
-            self.submit_panics.fetch_add(1, Ordering::Relaxed);
-            recorder.add("batch.panics_caught", 1);
-            Err(CqpError::Internal(panic_message(payload.as_ref())))
-        });
-        let latency_us = t.elapsed().as_micros() as u64;
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(serve)).unwrap_or_else(
+            |payload| {
+                self.submit_panics.fetch_add(1, Ordering::Relaxed);
+                recorder.add("batch.panics_caught", 1);
+                Err(CqpError::Internal(panic_message(payload.as_ref())))
+            },
+        );
+        let latency_us = started.elapsed().as_micros() as u64;
         recorder.observe("batch.latency_us", latency_us);
         if r.is_err() {
             recorder.add("batch.errors", 1);
@@ -497,168 +600,6 @@ impl BatchDriver {
                 }
             }
             item
-        })
-    }
-
-    /// [`BatchDriver::submit_recorded`] through the cross-request answer
-    /// cache, returning which reuse tier served the request.
-    ///
-    /// * **exact** — the stored answer is returned before the breaker gate
-    ///   (it touches neither the search machinery nor the database, which
-    ///   is what the breaker protects) with zero pipeline work;
-    /// * **warm** — the cached preference space skips extraction, and a
-    ///   cached solution still feasible under the new constraints bounds
-    ///   the branch-and-bound search (strictly — the answer cannot change);
-    /// * **repair** — the profile version moved: the space is delta-repaired
-    ///   (cost/size estimates reused, rank vectors merged) and searched
-    ///   fresh;
-    /// * **miss** — full cold pipeline; the result seeds the cache.
-    ///
-    /// Falls back to the plain path (tier `off`) when no cache is installed
-    /// or when execution is enabled — cached answers stop at construction,
-    /// so a driver that must execute queries cannot serve them.
-    pub fn submit_cached_recorded(
-        &self,
-        req: BatchRequest,
-        cache_req: &CacheRequest,
-        recorder: &dyn Recorder,
-    ) -> Result<(BatchItemResult, CacheTier), SolverError> {
-        let cache = match &self.answer_cache {
-            Some(cache) if self.execution_ms_per_block.is_none() => Arc::clone(cache),
-            _ => {
-                return self
-                    .submit_recorded(req, recorder)
-                    .map(|item| (item, CacheTier::Off));
-            }
-        };
-        let _dispatch = span_guard(recorder, "dispatch");
-        let key = FamilyKey::new(cache_req.template_hash, &cache_req.profile_key, &req.config);
-        let variant = VariantKey::of(&req.problem);
-        let t = Instant::now();
-        let lookup = cache.lookup(&key, cache_req.profile_version, &variant, &req.problem);
-        if recorder.is_enabled() {
-            recorder.event(&format!("answer cache: {}", lookup.tier()));
-        }
-        if let Lookup::Exact(hit) = lookup {
-            let latency_us = t.elapsed().as_micros() as u64;
-            recorder.observe("batch.latency_us", latency_us);
-            return Ok((
-                BatchItemResult {
-                    solution: hit.solution,
-                    query: hit.query,
-                    sql: hit.sql,
-                    space_k: hit.space_k,
-                    pref_dois: hit.pref_dois,
-                    latency_us,
-                    exec_rows: None,
-                    exec_retries: 0,
-                },
-                CacheTier::Exact,
-            ));
-        }
-        let tier = match &lookup {
-            Lookup::Warm { .. } => CacheTier::Warm,
-            Lookup::Repair { .. } => CacheTier::Repair,
-            _ => CacheTier::Miss,
-        };
-        if let Some(breaker) = &self.breaker {
-            if let Err(retry_after_ms) = breaker.try_acquire() {
-                recorder.add("batch.breaker_shed", 1);
-                if recorder.is_enabled() {
-                    recorder.event(&format!(
-                        "breaker open: shed before dispatch (retry after {retry_after_ms} ms)"
-                    ));
-                }
-                return Err(CqpError::CircuitOpen { retry_after_ms });
-            }
-        }
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _span = span_guard(recorder, "personalize");
-            let system = CqpSystem::from_parts(&self.db, Arc::clone(&self.stats));
-            let (space, seed) = match lookup {
-                Lookup::Warm { space, seed } => (space, seed),
-                Lookup::Repair { space, .. } => {
-                    let _s = span_guard(recorder, "prefspace");
-                    let delta = system.preference_space_delta(
-                        &req.query,
-                        &req.profile,
-                        &req.config,
-                        &space,
-                    );
-                    if recorder.is_enabled() {
-                        recorder.event(&format!(
-                            "delta repair: {} params reused, {} estimated, +{} -{} prefs",
-                            delta.params_reused,
-                            delta.params_estimated,
-                            delta.prefs_added,
-                            delta.prefs_removed
-                        ));
-                    }
-                    (delta.space, None)
-                }
-                _ => {
-                    let _s = span_guard(recorder, "prefspace");
-                    (
-                        system.preference_space(&req.query, &req.profile, &req.config),
-                        None,
-                    )
-                }
-            };
-            let item = finish_on_space(
-                &self.db,
-                &self.submit_cache,
-                &req,
-                recorder,
-                self,
-                &self.submit_retries,
-                &system,
-                &space,
-                seed,
-            )?;
-            // Seed the cache (degraded solutions are rejected inside).
-            cache.insert(
-                &key,
-                cache_req.profile_version,
-                variant,
-                &space,
-                CachedAnswer {
-                    solution: item.solution.clone(),
-                    query: item.query.clone(),
-                    sql: item.sql.clone(),
-                    pref_dois: item.pref_dois.clone(),
-                    space_k: item.space_k,
-                },
-            );
-            Ok(item)
-        }))
-        .unwrap_or_else(|payload| {
-            self.submit_panics.fetch_add(1, Ordering::Relaxed);
-            recorder.add("batch.panics_caught", 1);
-            Err(CqpError::Internal(panic_message(payload.as_ref())))
-        });
-        let latency_us = t.elapsed().as_micros() as u64;
-        recorder.observe("batch.latency_us", latency_us);
-        if r.is_err() {
-            recorder.add("batch.errors", 1);
-        }
-        if let Some(breaker) = &self.breaker {
-            let failed_transiently = matches!(&r, Err(e) if e.is_transient());
-            breaker.record(!failed_transiently, recorder);
-        }
-        r.map(|mut item| {
-            item.latency_us = latency_us;
-            if let Some(d) = &item.solution.degraded {
-                recorder.add("batch.degraded", 1);
-                if recorder.is_enabled() {
-                    recorder.event(&format!(
-                        "degraded: {} after {} states in {:?}",
-                        d.reason.name(),
-                        d.states_visited,
-                        d.elapsed
-                    ));
-                }
-            }
-            (item, tier)
         })
     }
 
@@ -694,144 +635,128 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One request's pipeline: preference space → search (through the shared
-/// cost cache where the algorithm supports it, under the request's budget)
-/// → query construction → optional metered execution with
-/// retry-on-transient-failure. The returned item's `latency_us` is 0; the
-/// caller stamps it (latency includes the catch_unwind wrapper).
-fn serve_one(
-    db: &Database,
-    stats: &Arc<DbStats>,
-    cache: &SharedCostCache,
-    req: &BatchRequest,
-    recorder: &dyn Recorder,
-    driver: &BatchDriver,
-    batch_retries: &AtomicU64,
-) -> Result<BatchItemResult, SolverError> {
-    let _span = span_guard(recorder, "personalize");
-    let system = CqpSystem::from_parts(db, Arc::clone(stats));
-    let space = {
-        let _s = span_guard(recorder, "prefspace");
-        system.preference_space(&req.query, &req.profile, &req.config)
-    };
-    finish_on_space(
-        db,
-        cache,
-        req,
-        recorder,
-        driver,
-        batch_retries,
-        &system,
-        &space,
-        None,
-    )
-}
-
-/// The pipeline tail shared by cold serving and the cache tiers: search
-/// over an already-built preference space (optionally warm-started) →
-/// construction → SQL → optional metered execution. `warm` is a strict
-/// pruning bound — it can only shrink the branch-and-bound search, never
-/// change its answer.
-#[allow(clippy::too_many_arguments)]
-fn finish_on_space(
-    db: &Database,
-    cache: &SharedCostCache,
-    req: &BatchRequest,
-    recorder: &dyn Recorder,
-    driver: &BatchDriver,
-    batch_retries: &AtomicU64,
-    system: &CqpSystem<'_>,
-    space: &cqp_prefspace::PreferenceSpace,
-    warm: Option<crate::params::QueryParams>,
-) -> Result<BatchItemResult, SolverError> {
-    if req.config.algorithm == Algorithm::Exhaustive && space.k() > exhaustive::MAX_EXHAUSTIVE_K {
-        return Err(CqpError::SpaceTooLarge {
-            k: space.k(),
-            max: exhaustive::MAX_EXHAUSTIVE_K,
-        });
-    }
-    let solution = {
-        let _s = span_guard(recorder, "search");
-        // P2 through the cache-aware dispatcher: C-BOUNDARIES shares cost
-        // evaluations batch-wide, everything else is unchanged. A P2-shaped
-        // spec missing its cost bound takes the facade path like any other
-        // problem.
-        let cached_p2 = (req.problem.kind() == Some(ProblemKind::P2)
-            && req.config.algorithm != Algorithm::BranchBound)
-            .then_some(req.problem.constraints.cost_max_blocks)
-            .flatten();
-        match cached_p2 {
-            Some(cmax) => {
-                let token = CancelToken::for_budget(&req.config.budget);
-                solve_p2_budgeted(
-                    space,
-                    req.config.conj,
-                    cmax,
-                    req.config.algorithm,
-                    recorder,
-                    Some(cache),
-                    &token,
+impl BatchDriver {
+    /// One request's pipeline: preference space → search (through `cache`
+    /// where the algorithm supports it, under the request's budget) →
+    /// query construction → optional metered execution with
+    /// retry-on-transient-failure. `warm` supplies a cached space (skipping
+    /// extraction) and optionally a warm-start bound, which is strict: it
+    /// can only shrink the branch-and-bound search, never change its
+    /// answer. Returns the item and the space it was solved on; the item's
+    /// `latency_us` is 0, and the caller stamps it (latency includes the
+    /// catch_unwind wrapper).
+    fn serve_one(
+        &self,
+        cache: &SharedCostCache,
+        batch_retries: &AtomicU64,
+        req: &BatchRequest,
+        recorder: &dyn Recorder,
+        warm: Option<(PreferenceSpace, Option<QueryParams>)>,
+    ) -> Result<(BatchItemResult, PreferenceSpace), SolverError> {
+        let _span = span_guard(recorder, "personalize");
+        let system = CqpSystem::from_parts(&self.db, Arc::clone(&self.stats));
+        let (space, seed) = match warm {
+            Some(warm) => warm,
+            None => {
+                let _s = span_guard(recorder, "prefspace");
+                (
+                    system.preference_space(&req.query, &req.profile, &req.config),
+                    None,
                 )
             }
-            None => system.search_warm_recorded(space, &req.problem, &req.config, warm, recorder),
+        };
+        if req.config.algorithm == Algorithm::Exhaustive && space.k() > exhaustive::MAX_EXHAUSTIVE_K
+        {
+            return Err(CqpError::SpaceTooLarge {
+                k: space.k(),
+                max: exhaustive::MAX_EXHAUSTIVE_K,
+            });
         }
-    };
-    let pq = {
-        let _s = span_guard(recorder, "construct");
-        construct(&req.query, space, &solution.prefs)?
-    };
-    let sql = cqp_engine::sql::personalized_sql(db.catalog(), &pq);
+        let solution = {
+            let _s = span_guard(recorder, "search");
+            // P2 through the cache-aware dispatcher: C-BOUNDARIES shares cost
+            // evaluations batch-wide, everything else is unchanged. A
+            // P2-shaped spec missing its cost bound takes the facade path
+            // like any other problem.
+            let cached_p2 = (req.problem.kind() == Some(ProblemKind::P2)
+                && req.config.algorithm != Algorithm::BranchBound)
+                .then_some(req.problem.constraints.cost_max_blocks)
+                .flatten();
+            match cached_p2 {
+                Some(cmax) => {
+                    let token = CancelToken::for_budget(&req.config.budget);
+                    solve_p2_budgeted(
+                        &space,
+                        req.config.conj,
+                        cmax,
+                        req.config.algorithm,
+                        recorder,
+                        Some(cache),
+                        &token,
+                    )
+                }
+                None => {
+                    system.search_warm_recorded(&space, &req.problem, &req.config, seed, recorder)
+                }
+            }
+        };
+        let pq = {
+            let _s = span_guard(recorder, "construct");
+            construct(&req.query, &space, &solution.prefs)?
+        };
+        let sql = cqp_engine::sql::personalized_sql(self.db.catalog(), &pq);
 
-    let mut exec_rows = None;
-    let mut exec_retries = 0u32;
-    if let Some(ms_per_block) = driver.execution_ms_per_block {
-        let _s = span_guard(recorder, "execute");
-        loop {
-            let mut meter = IoMeter::new(ms_per_block);
-            if let Some(plan) = &driver.fault_plan {
-                meter = meter.with_fault_plan(Arc::clone(plan));
-            }
-            match execute_personalized(db, &pq, &meter) {
-                Ok(out) => {
-                    exec_rows = Some(out.len());
-                    break;
+        let mut exec_rows = None;
+        let mut exec_retries = 0u32;
+        if let Some(ms_per_block) = self.execution_ms_per_block {
+            let _s = span_guard(recorder, "execute");
+            loop {
+                let mut meter = IoMeter::new(ms_per_block);
+                if let Some(plan) = &self.fault_plan {
+                    meter = meter.with_fault_plan(Arc::clone(plan));
                 }
-                Err(e) => {
-                    let e = CqpError::from(e);
-                    if e.is_transient() {
-                        recorder.add(cqp_storage::FAULTS_INJECTED_COUNTER, 1);
+                match execute_personalized(&self.db, &pq, &meter) {
+                    Ok(out) => {
+                        exec_rows = Some(out.len());
+                        break;
                     }
-                    if e.is_transient() && exec_retries < driver.retry.max_retries {
-                        recorder.add("batch.retries", 1);
-                        batch_retries.fetch_add(1, Ordering::Relaxed);
-                        let backoff = driver.retry.backoff * 2u32.saturating_pow(exec_retries);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
+                    Err(e) => {
+                        let e = CqpError::from(e);
+                        if e.is_transient() {
+                            recorder.add(cqp_storage::FAULTS_INJECTED_COUNTER, 1);
                         }
-                        exec_retries += 1;
-                        continue;
+                        if e.is_transient() && exec_retries < self.retry.max_retries {
+                            recorder.add("batch.retries", 1);
+                            batch_retries.fetch_add(1, Ordering::Relaxed);
+                            let backoff = self.retry.backoff * 2u32.saturating_pow(exec_retries);
+                            if !backoff.is_zero() {
+                                std::thread::sleep(backoff);
+                            }
+                            exec_retries += 1;
+                            continue;
+                        }
+                        return Err(e);
                     }
-                    return Err(e);
                 }
             }
         }
+        let pref_dois = solution
+            .prefs
+            .iter()
+            .map(|&i| space.doi(i).value())
+            .collect();
+        let item = BatchItemResult {
+            solution,
+            query: pq,
+            sql,
+            space_k: space.k(),
+            pref_dois,
+            latency_us: 0,
+            exec_rows,
+            exec_retries,
+        };
+        Ok((item, space))
     }
-    let pref_dois = solution
-        .prefs
-        .iter()
-        .map(|&i| space.doi(i).value())
-        .collect();
-    let space_k = space.k();
-    Ok(BatchItemResult {
-        solution,
-        query: pq,
-        sql,
-        space_k,
-        pref_dois,
-        latency_us: 0,
-        exec_rows,
-        exec_retries,
-    })
 }
 
 #[cfg(test)]
@@ -1028,6 +953,7 @@ mod tests {
     #[test]
     fn submit_cached_walks_exact_warm_repair_tiers_bit_identically() {
         use crate::answer_cache::AnswerCache;
+        use cqp_prefs::Doi;
         let db = Arc::new(movie_db());
         let cold_driver = BatchDriver::new(Arc::clone(&db), 1);
         let driver =
@@ -1094,10 +1020,37 @@ mod tests {
             .unwrap();
         assert_eq!(t5, CacheTier::Exact);
 
+        // Version 3 changes the profile: the musical selection is lost and
+        // a drama selection gained. Repair answers on the new profile,
+        // identical to a cold solve of it.
+        let mut changed = Profile::new("figure-1-changed");
+        for j in profile.graph().joins() {
+            changed.graph_mut().add_join(j.clone());
+        }
+        for sel in profile.graph().selections() {
+            if sel.value != Value::str("musical") {
+                changed.graph_mut().add_selection(sel.clone());
+            }
+        }
+        changed
+            .add_selection(db.catalog(), "GENRE", "genre", "drama", Doi::new(0.6))
+            .unwrap();
+        let changed_req = || BatchRequest {
+            profile: changed.clone(),
+            ..req(100)
+        };
+        let (repair3, t6) = driver
+            .submit_cached_recorded(changed_req(), &cache_req(3), &NoopRecorder)
+            .unwrap();
+        assert_eq!(t6, CacheTier::Repair);
+        let changed_cold = cold_driver.submit(changed_req()).unwrap();
+        assert_same(&repair3, &changed_cold);
+        assert_ne!(changed_cold.sql, cold.sql, "the profile change must matter");
+
         let c = driver.answer_cache().unwrap().counters();
         assert_eq!(c.hits_exact, 2);
         assert_eq!(c.hits_warm, 1);
-        assert_eq!(c.hits_repair, 1);
+        assert_eq!(c.hits_repair, 2);
         assert_eq!(c.misses, 1);
     }
 

@@ -176,24 +176,6 @@ impl<'a> CqpSystem<'a> {
         extract(query, profile, &self.stats, &extract_cfg).space
     }
 
-    /// [`CqpSystem::preference_space`] repaired incrementally from a cached
-    /// space built for the same base query at an older profile version:
-    /// surviving preferences reuse their cost/size estimates and the rank
-    /// vectors are merged, not re-sorted. Bit-identical to a fresh build
-    /// (`cqp_prefspace::extract_delta`).
-    pub fn preference_space_delta(
-        &self,
-        query: &ConjunctiveQuery,
-        profile: &Profile,
-        config: &SolverConfig,
-        cached: &PreferenceSpace,
-    ) -> cqp_prefspace::DeltaExtraction {
-        let mut extract_cfg = config.extract.clone();
-        extract_cfg.with_cost_vectors =
-            extract_cfg.with_cost_vectors || config.algorithm.needs_cost_vectors();
-        cqp_prefspace::extract_delta(query, profile, &self.stats, &extract_cfg, cached)
-    }
-
     /// Runs the full pipeline for one CQP problem.
     pub fn personalize(
         &self,

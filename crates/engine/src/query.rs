@@ -51,7 +51,7 @@ impl CmpOp {
 
 /// A predicate of a conjunctive query: an atomic selection or join condition,
 /// matching the paper's atomic query elements (Section 3).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// `attr op value`, e.g. `GENRE.genre = 'musical'`.
     Selection {

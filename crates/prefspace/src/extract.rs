@@ -17,21 +17,20 @@
 //!   members' costs, Formula 6), and
 //! * a path doi below `min_doi` can never recover (Formula 2).
 
-use crate::space::{pref_key, PrefParams, PreferenceSpace};
-use cqp_engine::{CardEstimator, ConjunctiveQuery, CostModel};
+use crate::space::{PrefParams, PreferenceSpace};
+use cqp_engine::{CardEstimator, ConjunctiveQuery, CostModel, Predicate};
 use cqp_prefs::{Doi, JoinEdge, PathCompose, Preference, Profile, SelectionEdge};
 use cqp_storage::{DbStats, RelationId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 /// Configuration for preference extraction.
 #[derive(Debug, Clone)]
 pub struct ExtractConfig {
     /// Maximum number of preferences to extract (`K` in the experiments).
     pub max_k: usize,
-    /// Candidates with doi below this are discarded (and, thanks to the
-    /// best-first order, extraction stops once the head drops below it).
+    /// Candidates with doi below this are never queued: by Formula 2 no
+    /// extension of such a path can recover.
     pub min_doi: f64,
     /// Prune preferences whose own sub-query already exceeds this cost.
     pub cost_max_blocks: Option<u64>,
@@ -70,13 +69,13 @@ pub struct Extraction {
 /// terminal selection edge.
 #[derive(Debug, Clone)]
 struct Candidate {
+    /// Each join starts at the previous one's right relation, so the
+    /// chain's relations are exactly its joins' endpoints.
     joins: Vec<JoinEdge>,
     selection: Option<SelectionEdge>,
     doi: Doi,
     /// Relation at the end of the join chain (where expansion continues).
     tip: RelationId,
-    /// Relations already visited (for the acyclicity check).
-    visited: Vec<RelationId>,
     /// Insertion sequence number for deterministic tie-breaking.
     seq: usize,
 }
@@ -84,6 +83,13 @@ struct Candidate {
 impl Candidate {
     fn len(&self) -> usize {
         self.joins.len() + usize::from(self.selection.is_some())
+    }
+
+    /// Whether the join chain already passes through `relation`.
+    fn visits(&self, relation: RelationId) -> bool {
+        self.joins
+            .iter()
+            .any(|j| j.left.relation == relation || j.right.relation == relation)
     }
 }
 
@@ -107,26 +113,6 @@ impl Ord for Candidate {
     }
 }
 
-/// The result of a delta extraction: the repaired space plus how much
-/// work the cached space saved.
-#[derive(Debug, Clone)]
-pub struct DeltaExtraction {
-    /// The repaired preference space (bit-identical to a fresh
-    /// [`extract`] over the same inputs).
-    pub space: PreferenceSpace,
-    /// Candidates popped from the queue.
-    pub candidates_examined: usize,
-    /// Preferences whose cost/size parameters were reused from the cached
-    /// space (the expensive estimator calls skipped).
-    pub params_reused: usize,
-    /// Preferences whose parameters had to be estimated fresh.
-    pub params_estimated: usize,
-    /// Preferences present now but absent from the cached space.
-    pub prefs_added: usize,
-    /// Cached preferences no longer extracted.
-    pub prefs_removed: usize,
-}
-
 /// Runs the Figure 3 extraction for `query` against `profile`.
 pub fn extract(
     query: &ConjunctiveQuery,
@@ -134,9 +120,121 @@ pub fn extract(
     stats: &DbStats,
     config: &ExtractConfig,
 ) -> Extraction {
-    let (prefs, params, examined, _, _) = extract_core(query, profile, stats, config, None);
     let cost_model = CostModel::new(stats);
     let card = CardEstimator::new(stats);
+    let graph = profile.graph();
+
+    let mut qp: BinaryHeap<Candidate> = BinaryHeap::new();
+    let mut seq = 0usize;
+    // Formula 2: a path below `min_doi` can never recover, so it is never
+    // queued, and the queue head never falls below the threshold.
+    let mut push = |qp: &mut BinaryHeap<Candidate>,
+                    joins: Vec<JoinEdge>,
+                    selection: Option<SelectionEdge>,
+                    doi: Doi,
+                    tip: RelationId| {
+        if doi.value() >= config.min_doi {
+            qp.push(Candidate {
+                joins,
+                selection,
+                doi,
+                tip,
+                seq,
+            });
+        }
+        seq += 1;
+    };
+
+    // Step 2: atomic preferences syntactically related to Q.
+    for &rel in &query.relations {
+        for sel in graph.selections_on(rel) {
+            push(&mut qp, Vec::new(), Some(sel.clone()), sel.doi, rel);
+        }
+        for join in graph.joins_from(rel) {
+            if join.right.relation == rel {
+                continue; // self-loop would cycle immediately
+            }
+            let tip = join.right.relation;
+            push(&mut qp, vec![join.clone()], None, join.doi, tip);
+        }
+    }
+
+    let mut prefs: Vec<Preference> = Vec::new();
+    let mut params: Vec<PrefParams> = Vec::new();
+    let mut seen: HashSet<Vec<Predicate>> = HashSet::new();
+    let mut examined = 0usize;
+
+    // Step 3: best-first expansion.
+    while let Some(cand) = qp.pop() {
+        examined += 1;
+        if prefs.len() >= config.max_k {
+            break;
+        }
+
+        // Cost prune applies to partial paths too: extending a path only
+        // adds relations, so cost(Q ∧ extension) ≥ cost(Q ∧ path).
+        if let Some(cmax) = config.cost_max_blocks {
+            let preds = cand
+                .joins
+                .iter()
+                .map(|j| j.predicate())
+                .chain(cand.selection.iter().map(|s| s.predicate()));
+            if cost_model.query_blocks(&query.with_predicates(preds)) > cmax {
+                continue;
+            }
+        }
+
+        match cand.selection {
+            Some(sel) => {
+                // A complete selection preference.
+                let pref = if cand.joins.is_empty() {
+                    Preference::atomic(sel)
+                } else {
+                    Preference::implicit(cand.joins, sel, config.compose)
+                };
+                let predicates = pref.predicates();
+                if seen.contains(&predicates) {
+                    continue; // reachable via a second path; keep the best-doi one
+                }
+                params.push(PrefParams {
+                    doi: pref.doi,
+                    cost_blocks: cost_model
+                        .query_blocks(&query.with_predicates(predicates.iter().cloned())),
+                    size_factor: card.preference_factor(query, &predicates),
+                });
+                seen.insert(predicates);
+                prefs.push(pref);
+            }
+            None => {
+                // A join-terminated path: extend with adjacent atomic
+                // preferences at the tip (Figure 3, step 3.2.2).
+                if cand.len() >= config.max_path_len {
+                    continue;
+                }
+                for sel in graph.selections_on(cand.tip) {
+                    let doi = config.compose.extend(cand.doi, sel.doi);
+                    push(
+                        &mut qp,
+                        cand.joins.clone(),
+                        Some(sel.clone()),
+                        doi,
+                        cand.tip,
+                    );
+                }
+                for join in graph.joins_from(cand.tip) {
+                    let next = join.right.relation;
+                    if cand.visits(next) {
+                        continue; // acyclic paths only
+                    }
+                    let doi = config.compose.extend(cand.doi, join.doi);
+                    let mut joins = cand.joins.clone();
+                    joins.push(join.clone());
+                    push(&mut qp, joins, None, doi, next);
+                }
+            }
+        }
+    }
+
     let mut space = PreferenceSpace {
         prefs,
         params,
@@ -151,229 +249,6 @@ pub fn extract(
         space,
         candidates_examined: examined,
     }
-}
-
-/// [`extract`] against a *cached* space built for the same base query at an
-/// older profile version: the traversal re-runs (the profile changed, so
-/// dois and the membership of `P` may differ), but the per-preference cost
-/// and size estimates — the expensive part, one cost-model and one
-/// cardinality call per preference — are reused for every preference whose
-/// predicate key survives, and the rank vectors are repaired by
-/// [`PreferenceSpace::delta_rerank`] instead of re-sorted. The resulting
-/// space is bit-identical to a fresh extraction.
-///
-/// `cached` must come from the same base query and statistics; parameters
-/// are keyed by predicate list, which is query- and stats-independent only
-/// within that scope.
-pub fn extract_delta(
-    query: &ConjunctiveQuery,
-    profile: &Profile,
-    stats: &DbStats,
-    config: &ExtractConfig,
-    cached: &PreferenceSpace,
-) -> DeltaExtraction {
-    let reuse: HashMap<String, (u64, f64)> = cached
-        .prefs
-        .iter()
-        .zip(&cached.params)
-        .map(|(p, params)| (pref_key(p), (params.cost_blocks, params.size_factor)))
-        .collect();
-    let (prefs, params, examined, reused, estimated) =
-        extract_core(query, profile, stats, config, Some(&reuse));
-    let new_keys: HashSet<String> = prefs.iter().map(pref_key).collect();
-    let prefs_added = prefs.len() - reused;
-    let prefs_removed = reuse.keys().filter(|k| !new_keys.contains(*k)).count();
-    let cost_model = CostModel::new(stats);
-    let card = CardEstimator::new(stats);
-    let space = PreferenceSpace::delta_rerank(
-        cached,
-        prefs,
-        params,
-        card.query_rows(query),
-        cost_model.query_blocks(query),
-        config.with_cost_vectors,
-    );
-    DeltaExtraction {
-        space,
-        candidates_examined: examined,
-        params_reused: reused,
-        params_estimated: estimated,
-        prefs_added,
-        prefs_removed,
-    }
-}
-
-/// The shared Figure 3 traversal: returns `(prefs, params, examined,
-/// params_reused, params_estimated)`. With `reuse` set, cost/size estimates
-/// are looked up by predicate key before falling back to the estimators.
-fn extract_core(
-    query: &ConjunctiveQuery,
-    profile: &Profile,
-    stats: &DbStats,
-    config: &ExtractConfig,
-    reuse: Option<&HashMap<String, (u64, f64)>>,
-) -> (Vec<Preference>, Vec<PrefParams>, usize, usize, usize) {
-    let cost_model = CostModel::new(stats);
-    let card = CardEstimator::new(stats);
-    let graph = profile.graph();
-
-    let mut qp: BinaryHeap<Candidate> = BinaryHeap::new();
-    let mut seq = 0usize;
-    let push = |qp: &mut BinaryHeap<Candidate>, c: Candidate| {
-        if c.doi.value() >= c_min_doi(config) {
-            qp.push(c);
-        }
-    };
-
-    // Step 2: atomic preferences syntactically related to Q.
-    for &rel in &query.relations {
-        for sel in graph.selections_on(rel) {
-            let c = Candidate {
-                joins: Vec::new(),
-                selection: Some(sel.clone()),
-                doi: sel.doi,
-                tip: rel,
-                visited: vec![rel],
-                seq,
-            };
-            seq += 1;
-            push(&mut qp, c);
-        }
-        for join in graph.joins_from(rel) {
-            if join.right.relation == rel {
-                continue; // self-loop would cycle immediately
-            }
-            let c = Candidate {
-                joins: vec![join.clone()],
-                selection: None,
-                doi: join.doi,
-                tip: join.right.relation,
-                visited: vec![rel, join.right.relation],
-                seq,
-            };
-            seq += 1;
-            push(&mut qp, c);
-        }
-    }
-
-    let mut prefs: Vec<Preference> = Vec::new();
-    let mut params: Vec<PrefParams> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut examined = 0usize;
-    let mut reused = 0usize;
-    let mut estimated = 0usize;
-
-    // Step 3: best-first expansion.
-    while let Some(cand) = qp.pop() {
-        examined += 1;
-        // Best-first + Formula 2: nothing below the threshold can recover.
-        if cand.doi.value() < config.min_doi {
-            break;
-        }
-        if prefs.len() >= config.max_k {
-            break;
-        }
-
-        // Cost prune applies to partial paths too: extending a path only
-        // adds relations, so cost(Q ∧ extension) ≥ cost(Q ∧ path).
-        if let Some(cmax) = config.cost_max_blocks {
-            let preds: Vec<_> = cand
-                .joins
-                .iter()
-                .map(|j| j.predicate())
-                .chain(cand.selection.iter().map(|s| s.predicate()))
-                .collect();
-            let q = query.with_predicates(preds);
-            if cost_model.query_blocks(&q) > cmax {
-                continue;
-            }
-        }
-
-        match &cand.selection {
-            Some(sel) => {
-                // A complete selection preference.
-                let pref = if cand.joins.is_empty() {
-                    Preference::atomic(sel.clone())
-                } else {
-                    Preference::implicit(cand.joins.clone(), sel.clone(), config.compose)
-                };
-                let key = pref_key(&pref);
-                if !seen.insert(key.clone()) {
-                    continue; // reachable via a second path; keep the best-doi one
-                }
-                // Cost and size depend only on the predicates (not on the
-                // profile's dois), so a cached estimate for this key is
-                // exact — the whole point of the repair tier.
-                let (cost_blocks, size_factor) = match reuse.and_then(|m| m.get(&key)) {
-                    Some(&(cost_blocks, size_factor)) => {
-                        reused += 1;
-                        (cost_blocks, size_factor)
-                    }
-                    None => {
-                        estimated += 1;
-                        let q = query.with_predicates(pref.predicates());
-                        (
-                            cost_model.query_blocks(&q),
-                            card.preference_factor(query, &pref.predicates()),
-                        )
-                    }
-                };
-                params.push(PrefParams {
-                    doi: pref.doi,
-                    cost_blocks,
-                    size_factor,
-                });
-                prefs.push(pref);
-            }
-            None => {
-                // A join-terminated path: extend with adjacent atomic
-                // preferences at the tip (Figure 3, step 3.2.2).
-                if cand.len() >= config.max_path_len {
-                    continue;
-                }
-                for sel in graph.selections_on(cand.tip) {
-                    let doi = config.compose.extend(cand.doi, sel.doi);
-                    let c = Candidate {
-                        joins: cand.joins.clone(),
-                        selection: Some(sel.clone()),
-                        doi,
-                        tip: cand.tip,
-                        visited: cand.visited.clone(),
-                        seq,
-                    };
-                    seq += 1;
-                    push(&mut qp, c);
-                }
-                for join in graph.joins_from(cand.tip) {
-                    let next = join.right.relation;
-                    if cand.visited.contains(&next) {
-                        continue; // acyclic paths only
-                    }
-                    let doi = config.compose.extend(cand.doi, join.doi);
-                    let mut joins = cand.joins.clone();
-                    joins.push(join.clone());
-                    let mut visited = cand.visited.clone();
-                    visited.push(next);
-                    let c = Candidate {
-                        joins,
-                        selection: None,
-                        doi,
-                        tip: next,
-                        visited,
-                        seq,
-                    };
-                    seq += 1;
-                    push(&mut qp, c);
-                }
-            }
-        }
-    }
-
-    (prefs, params, examined, reused, estimated)
-}
-
-fn c_min_doi(config: &ExtractConfig) -> f64 {
-    config.min_doi
 }
 
 #[cfg(test)]
@@ -603,67 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_extraction_is_bit_identical_and_reuses_params() {
-        let db = movie_db();
-        let stats = db.analyze();
-        let q = base_query(&db);
-        let profile = figure1_profile(&db);
-        let cfg = ExtractConfig::default();
-        let cached = extract(&q, &profile, &stats, &cfg).space;
-
-        // Mutate the profile: add a selection (gaining a preference) — the
-        // repaired space must equal a cold rebuild bit for bit, with the
-        // surviving preferences' estimator calls skipped.
-        let mut gained = profile.clone();
-        gained
-            .add_selection(db.catalog(), "GENRE", "genre", "drama", Doi::new(0.6))
-            .unwrap();
-        let fresh = extract(&q, &gained, &stats, &cfg);
-        let delta = extract_delta(&q, &gained, &stats, &cfg, &cached);
-        assert_eq!(delta.space.prefs, fresh.space.prefs);
-        assert_eq!(delta.space.params, fresh.space.params);
-        assert_eq!(delta.space.c, fresh.space.c);
-        assert_eq!(delta.space.s, fresh.space.s);
-        assert_eq!(delta.space.d, fresh.space.d);
-        assert!((delta.space.base_rows - fresh.space.base_rows).abs() < 1e-12);
-        assert_eq!(delta.space.base_cost_blocks, fresh.space.base_cost_blocks);
-        delta.space.check_invariants().unwrap();
-        assert_eq!(delta.params_reused, cached.k());
-        assert_eq!(delta.prefs_added, 1);
-        assert_eq!(delta.prefs_removed, 0);
-        assert_eq!(delta.params_estimated, 1);
-
-        // Now lose a preference: repair from the *gained* space back under
-        // the original profile.
-        let fresh_back = extract(&q, &profile, &stats, &cfg);
-        let delta_back = extract_delta(&q, &profile, &stats, &cfg, &delta.space);
-        assert_eq!(delta_back.space.prefs, fresh_back.space.prefs);
-        assert_eq!(delta_back.space.params, fresh_back.space.params);
-        assert_eq!(delta_back.space.c, fresh_back.space.c);
-        assert_eq!(delta_back.space.s, fresh_back.space.s);
-        assert_eq!(delta_back.prefs_removed, 1);
-        assert_eq!(delta_back.prefs_added, 0);
-        assert_eq!(delta_back.params_estimated, 0);
-    }
-
-    #[test]
-    fn delta_extraction_against_empty_cache_equals_cold() {
-        let db = movie_db();
-        let stats = db.analyze();
-        let q = base_query(&db);
-        let profile = figure1_profile(&db);
-        let cfg = ExtractConfig::default();
-        let empty = PreferenceSpace::synthetic(Vec::new(), 0.0, 0);
-        let fresh = extract(&q, &profile, &stats, &cfg);
-        let delta = extract_delta(&q, &profile, &stats, &cfg, &empty);
-        assert_eq!(delta.space.prefs, fresh.space.prefs);
-        assert_eq!(delta.space.c, fresh.space.c);
-        assert_eq!(delta.space.s, fresh.space.s);
-        assert_eq!(delta.params_reused, 0);
-        assert_eq!(delta.params_estimated, fresh.space.k());
-    }
-
-    #[test]
     fn duplicate_paths_are_deduplicated() {
         let db = movie_db();
         let stats = db.analyze();
@@ -685,5 +499,42 @@ mod tests {
         let ex = extract(&q, &profile, &stats, &ExtractConfig::default());
         assert_eq!(ex.space.k(), 1);
         assert!((ex.space.doi(0).value() - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn join_paths_never_revisit_a_relation() {
+        let db = movie_db();
+        let stats = db.analyze();
+        let c = db.catalog();
+        let mut profile = Profile::new("cycle");
+        // MOVIE ⇄ DIRECTOR plus a self-loop on DIRECTOR: a chain's back
+        // edge leads to the relation it started from, and the self-loop to
+        // its tip. Following either would reach a selection a second time
+        // through a longer path.
+        profile
+            .add_join(c, "MOVIE", "did", "DIRECTOR", "did", Doi::new(0.9))
+            .unwrap();
+        profile
+            .add_join(c, "DIRECTOR", "did", "MOVIE", "did", Doi::new(0.9))
+            .unwrap();
+        profile
+            .add_join(c, "DIRECTOR", "did", "DIRECTOR", "did", Doi::new(0.9))
+            .unwrap();
+        profile
+            .add_selection(c, "MOVIE", "year", 1990i64, Doi::new(0.8))
+            .unwrap();
+        profile
+            .add_selection(c, "DIRECTOR", "name", "dir1", Doi::new(0.7))
+            .unwrap();
+        let director = QueryBuilder::from(c, "DIRECTOR")
+            .unwrap()
+            .select("DIRECTOR", "name")
+            .unwrap()
+            .build();
+        for q in [base_query(&db), director] {
+            let ex = extract(&q, &profile, &stats, &ExtractConfig::default());
+            assert_eq!(ex.space.k(), 2);
+            assert!(ex.space.prefs.iter().all(|p| p.len() <= 2));
+        }
     }
 }

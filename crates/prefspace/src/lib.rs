@@ -52,5 +52,5 @@
 pub mod extract;
 pub mod space;
 
-pub use extract::{extract, extract_delta, DeltaExtraction, ExtractConfig, Extraction};
-pub use space::{pref_key, PrefParams, PreferenceSpace};
+pub use extract::{extract, ExtractConfig, Extraction};
+pub use space::{PrefParams, PreferenceSpace};

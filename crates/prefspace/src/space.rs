@@ -1,15 +1,6 @@
 //! The preference space `P` with its parameter table and rank vectors.
 
 use cqp_prefs::{Doi, Preference};
-use std::collections::HashMap;
-
-/// The identity key of a preference: its predicate list, rendered. Two
-/// preferences with the same key personalize a query identically, whatever
-/// their dois — this is the dedup key of extraction and the match key of
-/// delta re-ranking.
-pub fn pref_key(pref: &Preference) -> String {
-    format!("{:?}", pref.predicates())
-}
 
 /// Per-preference parameters of the personalized sub-query `Q ∧ p`
 /// (paper Section 4.3: doi, cost, and size are "collectively referred to as
@@ -131,89 +122,6 @@ impl PreferenceSpace {
         }
     }
 
-    /// Builds a space over `prefs`/`params` by *re-ranking* `old`'s `C` and
-    /// `S` vectors incrementally instead of re-sorting from scratch:
-    /// preferences surviving from `old` (matched by [`pref_key`], with
-    /// unchanged cost and size) keep their relative order from the old
-    /// vectors, added preferences are sorted among themselves and merged
-    /// in, and ties are normalized to ascending-index runs. The result is
-    /// **identical** to [`PreferenceSpace::build_vectors`] — both realize
-    /// the total orders (cost desc, index asc) and (size asc, index asc) —
-    /// so a search over a delta-repaired space is bit-identical to one over
-    /// a fresh rebuild; only the sorting work changes, from `O(K log K)` to
-    /// `O(K + A log A)` for `A` additions.
-    pub fn delta_rerank(
-        old: &PreferenceSpace,
-        prefs: Vec<Preference>,
-        params: Vec<PrefParams>,
-        base_rows: f64,
-        base_cost_blocks: u64,
-        with_cost_vectors: bool,
-    ) -> PreferenceSpace {
-        let k = params.len();
-        let mut space = PreferenceSpace {
-            prefs,
-            params,
-            base_rows,
-            base_cost_blocks,
-            d: (0..k).collect(),
-            c: Vec::new(),
-            s: Vec::new(),
-        };
-        if !with_cost_vectors {
-            return space;
-        }
-        // Match survivors by identity key; a survivor whose cost or size
-        // changed (stale statistics) is demoted to an addition so the merge
-        // invariant (survivor runs already ordered) holds unconditionally.
-        let new_idx: HashMap<String, usize> = space
-            .prefs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (pref_key(p), i))
-            .collect();
-        let mut survivor = vec![false; k];
-        let remap = |old_i: usize| -> Option<usize> {
-            let p = old.prefs.get(old_i)?;
-            let &ni = new_idx.get(&pref_key(p))?;
-            let (a, b) = (&space.params[ni], &old.params[old_i]);
-            (a.cost_blocks == b.cost_blocks && a.size_factor == b.size_factor).then_some(ni)
-        };
-        let c_survivors: Vec<usize> = old.c.iter().filter_map(|&i| remap(i)).collect();
-        let s_survivors: Vec<usize> = old.s.iter().filter_map(|&i| remap(i)).collect();
-        for &i in &c_survivors {
-            survivor[i] = true;
-        }
-        let mut added: Vec<usize> = (0..k).filter(|&i| !survivor[i]).collect();
-
-        added.sort_unstable_by(|&a, &b| {
-            space.params[b]
-                .cost_blocks
-                .cmp(&space.params[a].cost_blocks)
-                .then_with(|| a.cmp(&b))
-        });
-        space.c = merge_ranked(&c_survivors, &added, |a, b| {
-            space.params[b]
-                .cost_blocks
-                .cmp(&space.params[a].cost_blocks)
-        });
-
-        added.sort_unstable_by(|&a, &b| {
-            space.params[a]
-                .size_factor
-                .partial_cmp(&space.params[b].size_factor)
-                .expect("size factors are finite")
-                .then_with(|| a.cmp(&b))
-        });
-        space.s = merge_ranked(&s_survivors, &added, |a, b| {
-            space.params[a]
-                .size_factor
-                .partial_cmp(&space.params[b].size_factor)
-                .expect("size factors are finite")
-        });
-        space
-    }
-
     /// Checks the invariants the CQP algorithms rely on; used by tests.
     ///
     /// * `P` is sorted by decreasing doi (so `D` is the identity);
@@ -259,40 +167,6 @@ impl PreferenceSpace {
         }
         Ok(())
     }
-}
-
-/// Merges two index lists already sorted under `before` (`Less` = left
-/// argument ranks first), then normalizes every run of equal-ranking
-/// indices to ascending order — yielding the same total order a full sort
-/// with an ascending-index tie-break would produce.
-fn merge_ranked(
-    survivors: &[usize],
-    added: &[usize],
-    before: impl Fn(usize, usize) -> std::cmp::Ordering,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(survivors.len() + added.len());
-    let (mut i, mut j) = (0, 0);
-    while i < survivors.len() && j < added.len() {
-        if before(survivors[i], added[j]) != std::cmp::Ordering::Greater {
-            out.push(survivors[i]);
-            i += 1;
-        } else {
-            out.push(added[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&survivors[i..]);
-    out.extend_from_slice(&added[j..]);
-    let mut start = 0;
-    while start < out.len() {
-        let mut end = start + 1;
-        while end < out.len() && before(out[start], out[end]) == std::cmp::Ordering::Equal {
-            end += 1;
-        }
-        out[start..end].sort_unstable();
-        start = end;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -358,132 +232,6 @@ mod tests {
         );
         assert_eq!(space.c, vec![0, 1, 2]);
         assert_eq!(space.s, vec![0, 1, 2]);
-    }
-
-    /// Distinct atomic preferences (distinct selection values) for keying.
-    fn pref(value: i64) -> Preference {
-        use cqp_storage::{AttrId, QualifiedAttr, RelationId, Value};
-        Preference::atomic(cqp_prefs::SelectionEdge {
-            attr: QualifiedAttr {
-                relation: RelationId(0),
-                attr: AttrId(0),
-            },
-            op: cqp_engine::CmpOp::Eq,
-            value: Value::Int(value),
-            doi: Doi::new(0.5),
-        })
-    }
-
-    fn space_of(entries: &[(i64, f64, u64, f64)]) -> PreferenceSpace {
-        // Entries must already be doi-descending (P's invariant).
-        let mut space = PreferenceSpace {
-            prefs: entries.iter().map(|&(v, _, _, _)| pref(v)).collect(),
-            params: entries
-                .iter()
-                .map(|&(_, doi, cost, factor)| p(doi, cost, factor))
-                .collect(),
-            base_rows: 100.0,
-            base_cost_blocks: 2,
-            d: Vec::new(),
-            c: Vec::new(),
-            s: Vec::new(),
-        };
-        space.build_vectors(true);
-        space
-    }
-
-    #[test]
-    fn delta_rerank_matches_full_rebuild() {
-        let old = space_of(&[
-            (1, 0.9, 7, 0.5),
-            (2, 0.8, 3, 0.2),
-            (3, 0.7, 7, 0.9),
-            (4, 0.6, 1, 0.5),
-        ]);
-        // Pref 2 removed, pref 5 and 6 added, dois re-weighted (which
-        // permutes P), costs/sizes of survivors unchanged.
-        let entries = [
-            (5, 0.95, 7, 0.5),
-            (3, 0.85, 7, 0.9),
-            (1, 0.75, 7, 0.5),
-            (6, 0.65, 2, 0.1),
-            (4, 0.55, 1, 0.5),
-        ];
-        let fresh = space_of(&entries);
-        let delta = PreferenceSpace::delta_rerank(
-            &old,
-            entries.iter().map(|&(v, _, _, _)| pref(v)).collect(),
-            entries
-                .iter()
-                .map(|&(_, doi, cost, factor)| p(doi, cost, factor))
-                .collect(),
-            100.0,
-            2,
-            true,
-        );
-        delta.check_invariants().unwrap();
-        assert_eq!(delta.c, fresh.c);
-        assert_eq!(delta.s, fresh.s);
-        assert_eq!(delta.d, fresh.d);
-    }
-
-    #[test]
-    fn delta_rerank_randomized_equivalence() {
-        // Deterministic LCG over heavily tied costs/sizes: the re-rank must
-        // realize exactly build_vectors' total order in every case.
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        for _round in 0..60 {
-            let k_old = next() % 10 + 1;
-            let old_entries: Vec<(i64, f64, u64, f64)> = (0..k_old)
-                .map(|i| {
-                    (
-                        i as i64,
-                        1.0 - i as f64 * 0.01,
-                        (next() % 4) as u64,
-                        [0.2, 0.5, 0.8][next() % 3],
-                    )
-                })
-                .collect();
-            let old = space_of(&old_entries);
-            // Survivors keep cost/size; dois shuffle; additions interleave.
-            let mut new_entries: Vec<(i64, f64, u64, f64)> = old_entries
-                .iter()
-                .filter(|_| next() % 4 != 0)
-                .copied()
-                .collect();
-            for a in 0..next() % 5 {
-                new_entries.push((
-                    100 + a as i64,
-                    0.5,
-                    (next() % 4) as u64,
-                    [0.2, 0.5, 0.8][next() % 3],
-                ));
-            }
-            for (i, e) in new_entries.iter_mut().enumerate() {
-                e.1 = 1.0 - i as f64 * 0.005; // fresh doi order
-            }
-            let fresh = space_of(&new_entries);
-            let delta = PreferenceSpace::delta_rerank(
-                &old,
-                new_entries.iter().map(|&(v, _, _, _)| pref(v)).collect(),
-                new_entries
-                    .iter()
-                    .map(|&(_, doi, cost, factor)| p(doi, cost, factor))
-                    .collect(),
-                100.0,
-                2,
-                true,
-            );
-            delta.check_invariants().unwrap();
-            assert_eq!(delta.c, fresh.c, "C diverged");
-            assert_eq!(delta.s, fresh.s, "S diverged");
-        }
     }
 
     #[test]

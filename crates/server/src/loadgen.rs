@@ -125,7 +125,8 @@ pub struct LoadReport {
     pub cache_exact: u64,
     /// 200s served via the warm tier (space reuse + pruning seed).
     pub cache_warm: u64,
-    /// 200s served via the repair tier (delta-repaired space).
+    /// 200s served via the repair tier (cached family at an older profile
+    /// version; solved cold).
     pub cache_repair: u64,
     /// 200s that missed the answer cache.
     pub cache_miss: u64,

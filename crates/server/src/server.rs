@@ -131,7 +131,7 @@ pub struct ServerConfig {
     pub cache_policy: EvictionPolicy,
     /// Cost-cache total capacity (entries).
     pub cache_capacity: usize,
-    /// Whether the cross-request answer cache (exact/warm/repair reuse
+    /// Whether the cross-request answer cache (exact, warm and repair
     /// tiers) is enabled on the dispatch path.
     pub answer_cache: bool,
     /// Answer-cache capacity, in families (template × profile × config).

@@ -2,7 +2,7 @@
 //!
 //! The load-bearing claim: the cache changes *latency*, never *answers*.
 //! Every response served from any cache tier — exact, warm-started, or
-//! delta-repaired — must be bit-identical to what a cache-off server (or an
+//! repair — must be bit-identical to what a cache-off server (or an
 //! in-process cold solve) produces from the same database, profile version,
 //! and problem. And a profile write must never leave a stale answer
 //! reachable, including across a WAL crash-recovery cycle.

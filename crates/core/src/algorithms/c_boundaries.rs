@@ -150,7 +150,7 @@ pub fn find_boundary_bounded(
         return boundaries;
     }
     let mut rq: VecDeque<State> = VecDeque::new();
-    let mut pruner = Pruner::new();
+    let mut pruner = Pruner::new(view.k());
     let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);

@@ -115,14 +115,22 @@ pub fn find_all_max_bounds_bounded(
     let k_total = view.k();
     let mut max_bounds: Vec<State> = Vec::new();
     let mut last_solution_size = 0usize;
+    let mut pruner = Pruner::new(k_total);
     let mut k = 0usize;
     // Paper (1-based): while k + LastSolutionSize <= K.
     while k < k_total && (k + 1) + last_solution_size <= k_total {
         if token.should_stop() {
             break;
         }
-        let seed = State::singleton(k as u16);
-        find_max_bound(view, k as u16, seed, cmax, &mut max_bounds, inst, token);
+        find_max_bound(
+            view,
+            k as u16,
+            cmax,
+            &mut max_bounds,
+            &mut pruner,
+            inst,
+            token,
+        );
         last_solution_size = max_bounds.last().map_or(0, State::len);
         k += 1;
     }
@@ -130,19 +138,20 @@ pub fn find_all_max_bounds_bounded(
 }
 
 /// `FINDMAXBOUND` (Figure 7): grow maximal boundaries containing seed `k`.
-#[allow(clippy::too_many_arguments)]
+/// `pruner` is the solve's, cleared here and seeded with `max_bounds`.
 fn find_max_bound(
     view: &SpaceView<'_>,
     k: u16,
-    seed: State,
     cmax: u64,
     max_bounds: &mut Vec<State>,
+    pruner: &mut Pruner,
     inst: &mut Instrument,
     token: &CancelToken,
 ) {
     let mut rq: VecDeque<State> = VecDeque::new();
-    let mut pruner = Pruner::new();
     let mut neighbours = Neighbours::default();
+    let seed = State::singleton(k);
+    pruner.clear();
     for b in max_bounds.iter() {
         pruner.add_boundary(b);
     }

@@ -113,7 +113,7 @@ pub fn find_optimal_bounded(
         return solutions;
     }
     let mut rq: VecDeque<State> = VecDeque::new();
-    let mut pruner = Pruner::new();
+    let mut pruner = Pruner::new(view.k());
     let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);

@@ -77,13 +77,14 @@ pub fn solve_budgeted(
     let mut best_expected = eval.best_doi_for_group(k_total); // doi(P)
 
     let mut neighbours = Neighbours::default();
+    let mut pruner = Pruner::new(k_total);
     let mut k = 0usize;
     while k < k_total && max_doi <= best_expected {
         if token.should_stop() {
             break;
         }
         let seed = State::singleton(k as u16);
-        let mut pruner = Pruner::new();
+        pruner.clear();
         pruner.mark_visited(&seed);
         let mut rq: VecDeque<State> = VecDeque::new();
 

@@ -206,7 +206,7 @@ pub fn find_band_boundaries_bounded(
         return boundaries;
     }
     let mut rq: VecDeque<State> = VecDeque::new();
-    let mut pruner = Pruner::new();
+    let mut pruner = Pruner::new(view.k());
     let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);
@@ -267,7 +267,7 @@ pub fn find_minimal_up_bounded(
         return minimal;
     }
     let mut rq: VecDeque<State> = VecDeque::new();
-    let mut pruner = Pruner::new();
+    let mut pruner = Pruner::new(view.k());
     let mut neighbours = Neighbours::default();
     let start = State::singleton(0);
     pruner.mark_visited(&start);

@@ -10,8 +10,10 @@
 //! A state is a 256-bit set: bit `i` is position `i` of the view's rank
 //! vector. It is `Copy`, so the searches move states through queues,
 //! visited sets and cost caches without allocating, and every transition
-//! is a bit operation. Members are always visited in ascending position,
-//! the order the paper writes them in (`c1c3c4`).
+//! is a bit operation. In a space of at most 64 preferences a state is
+//! also one integer ([`State::as_word`]), which the visited bitmap of a
+//! small search uses as the state's address. Members are always visited
+//! in ascending position, the order the paper writes them in (`c1c3c4`).
 
 use std::fmt;
 
@@ -127,32 +129,23 @@ impl State {
         self.len() == other.len() && self.iter().zip(other.iter()).all(|(s, o)| s >= o)
     }
 
-    /// True if the state that `members` lists (ascending, the same size as
-    /// `self`) is [`State::dominated_by`] `self`: `self`'s `i`-th member is
-    /// at most `members[i]` for every `i`. The boundary-dominance scan
-    /// lists a state once and walks many boundaries against it.
-    pub(crate) fn members_at_most(&self, members: &[u16]) -> bool {
-        let mut rank = 0;
-        for (w, &word) in self.words.iter().enumerate() {
-            let base = (w * 64) as u16;
-            let mut bits = word;
-            while bits != 0 {
-                if base + bits.trailing_zeros() as u16 > members[rank] {
-                    return false;
-                }
-                rank += 1;
-                bits &= bits - 1;
-            }
-        }
-        true
-    }
-
     /// True if `other`'s members are a subset of `self`'s.
     pub fn is_superset_of(&self, other: &State) -> bool {
         self.words
             .iter()
             .zip(&other.words)
             .all(|(s, o)| o & !s == 0)
+    }
+
+    /// The state as one integer, bit `i` set for member `i`: the direct
+    /// address of a bitmap over the states of a K ≤ 64 space. A state with
+    /// a member at or above 64 has no such integer.
+    pub(crate) fn as_word(&self) -> u64 {
+        debug_assert!(
+            self.words[1..] == [0; WORDS - 1],
+            "a state with a member ≥ 64 is not one word"
+        );
+        self.words[0]
     }
 
     /// Iterates over the members in ascending order.

@@ -27,7 +27,12 @@
 //! * seeded synthetic spaces with K above 64, 128 and 192 (indices in every
 //!   word of the 256-bit state), for the algorithms that finish there in
 //!   milliseconds, and small synthetic spaces under the three conjunction
-//!   models.
+//!   models;
+//! * four benchmark spaces at K = 17, the smallest K whose searches keep
+//!   their visited states in a hash map rather than a bitmap: the five
+//!   paper algorithms and C-BOUNDARIES through the shared cache at cmax
+//!   200, and `general` on P1–P6. These lines were appended later and
+//!   captured from the code before the bitmap existed.
 
 use cqp_core::algorithms::{branch_bound, general, generic};
 use cqp_core::prelude::*;
@@ -102,9 +107,9 @@ fn digest(label: &str, sol: &Solution) -> String {
     )
 }
 
-/// Preference spaces at the benchmark's scale: 10 users × 3 templates, K
-/// rotating through 8, 12 and 16.
-fn benchmark_spaces() -> Vec<(String, PreferenceSpace)> {
+/// Preference spaces at the benchmark's scale, one per `(user, template,
+/// max_k)` pick.
+fn benchmark_spaces(picks: &[(usize, usize, usize)]) -> Vec<(String, PreferenceSpace)> {
     let defaults = MovieDbConfig::default();
     let db = generate_movie_db(&MovieDbConfig {
         block_capacity: 256,
@@ -112,7 +117,7 @@ fn benchmark_spaces() -> Vec<(String, PreferenceSpace)> {
     });
     let stats = db.analyze();
     let mut out = Vec::new();
-    for user in 0..10usize {
+    for &(user, t, max_k) in picks {
         let profile = generate_movie_profile(
             db.catalog(),
             &ProfileGenConfig {
@@ -124,24 +129,32 @@ fn benchmark_spaces() -> Vec<(String, PreferenceSpace)> {
                 ..ProfileGenConfig::default()
             },
         );
-        for j in 0..3usize {
-            let t = (user * 3 + j) % TEMPLATES.len();
-            let max_k = [8, 12, 16][(user + j) % 3];
-            let base = parse_query(TEMPLATES[t], db.catalog()).unwrap();
-            let space = extract(
-                &base,
-                &profile,
-                &stats,
-                &ExtractConfig {
-                    max_k,
-                    ..ExtractConfig::default()
-                },
-            )
-            .space;
-            out.push((format!("u{user}/t{t}/k{}", space.k()), space));
-        }
+        let base = parse_query(TEMPLATES[t], db.catalog()).unwrap();
+        let space = extract(
+            &base,
+            &profile,
+            &stats,
+            &ExtractConfig {
+                max_k,
+                ..ExtractConfig::default()
+            },
+        )
+        .space;
+        out.push((format!("u{user}/t{t}/k{}", space.k()), space));
     }
     out
+}
+
+/// 10 users × 3 templates, K rotating through 8, 12 and 16.
+fn rotating_picks() -> Vec<(usize, usize, usize)> {
+    (0..10usize)
+        .flat_map(|user| {
+            (0..3usize).map(move |j| {
+                let t = (user * 3 + j) % TEMPLATES.len();
+                (user, t, [8, 12, 16][(user + j) % 3])
+            })
+        })
+        .collect()
 }
 
 /// A seeded synthetic space of `k` preferences costing 1 to `max_cost`
@@ -165,7 +178,7 @@ fn golden_lines() -> Vec<String> {
     let conj = ConjModel::NoisyOr;
     let mut lines = Vec::new();
     let shared = SharedCostCache::with_capacity_policy(16, 1024, EvictionPolicy::Lru);
-    for (name, space) in benchmark_spaces() {
+    for (name, space) in benchmark_spaces(&rotating_picks()) {
         for cmax in CMAX {
             for algo in Algorithm::PAPER {
                 // The exact and single-phase doi-space searches visit
@@ -258,6 +271,30 @@ fn golden_lines() -> Vec<String> {
             }
             let sol = general::solve(&space, model, &ProblemSpec::p4(Doi::new(0.9)));
             lines.push(digest(&format!("syn10/{seed} {m} general p4"), &sol));
+        }
+    }
+
+    // Benchmark spaces just above the visited bitmap's K ≤ 16, so every
+    // search with a visited set also runs on the hashed one.
+    let picks: Vec<(usize, usize, usize)> = (0..4).map(|user| (user, 3 * user, 17)).collect();
+    for (name, space) in benchmark_spaces(&picks) {
+        assert_eq!(space.k(), 17, "{name}");
+        for algo in Algorithm::PAPER {
+            let sol = solve_p2(&space, conj, 200, algo);
+            lines.push(digest(&format!("{name} {} c200", algo.wire_name()), &sol));
+        }
+        let sol = cqp_core::algorithms::solve_p2_cached(
+            &space,
+            conj,
+            200,
+            Algorithm::CBoundaries,
+            &NoopRecorder,
+            Some(&shared),
+        );
+        lines.push(digest(&format!("{name} c_boundaries/shared c200"), &sol));
+        for (p, spec) in problems() {
+            let gen = general::solve(&space, conj, &spec);
+            lines.push(digest(&format!("{name} general {p}"), &gen));
         }
     }
     lines

@@ -97,37 +97,42 @@ pub fn generate_movie_db(config: &MovieDbConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut db = Database::with_block_capacity(config.block_capacity);
 
-    db.create_relation(RelationSchema::new(
-        "MOVIE",
-        vec![
-            ("mid", DataType::Int),
-            ("title", DataType::Str),
-            ("year", DataType::Int),
-            ("duration", DataType::Int),
-            ("did", DataType::Int),
-        ],
-    ))
-    .expect("fresh database");
-    db.create_relation(RelationSchema::new(
-        "DIRECTOR",
-        vec![("did", DataType::Int), ("name", DataType::Str)],
-    ))
-    .expect("fresh database");
-    db.create_relation(RelationSchema::new(
-        "GENRE",
-        vec![("mid", DataType::Int), ("genre", DataType::Str)],
-    ))
-    .expect("fresh database");
-    db.create_relation(RelationSchema::new(
-        "ACTOR",
-        vec![("aid", DataType::Int), ("name", DataType::Str)],
-    ))
-    .expect("fresh database");
-    db.create_relation(RelationSchema::new(
-        "CASTS",
-        vec![("mid", DataType::Int), ("aid", DataType::Int)],
-    ))
-    .expect("fresh database");
+    let movie = db
+        .create_relation(RelationSchema::new(
+            "MOVIE",
+            vec![
+                ("mid", DataType::Int),
+                ("title", DataType::Str),
+                ("year", DataType::Int),
+                ("duration", DataType::Int),
+                ("did", DataType::Int),
+            ],
+        ))
+        .expect("fresh database");
+    let director = db
+        .create_relation(RelationSchema::new(
+            "DIRECTOR",
+            vec![("did", DataType::Int), ("name", DataType::Str)],
+        ))
+        .expect("fresh database");
+    let genre = db
+        .create_relation(RelationSchema::new(
+            "GENRE",
+            vec![("mid", DataType::Int), ("genre", DataType::Str)],
+        ))
+        .expect("fresh database");
+    let actor = db
+        .create_relation(RelationSchema::new(
+            "ACTOR",
+            vec![("aid", DataType::Int), ("name", DataType::Str)],
+        ))
+        .expect("fresh database");
+    let casts = db
+        .create_relation(RelationSchema::new(
+            "CASTS",
+            vec![("mid", DataType::Int), ("aid", DataType::Int)],
+        ))
+        .expect("fresh database");
 
     let director_z = Zipf::new(config.directors, config.theta);
     let genre_z = Zipf::new(GENRES.len(), config.theta);
@@ -135,26 +140,23 @@ pub fn generate_movie_db(config: &MovieDbConfig) -> Database {
     let year_z = Zipf::new(60, 0.5); // recent years more common
 
     for d in 0..config.directors {
-        db.insert_into(
-            "DIRECTOR",
+        db.insert(
+            director,
             vec![Value::Int(d as i64), Value::str(director_name(d))],
         )
         .expect("valid row");
     }
     for a in 0..config.actors {
-        db.insert_into(
-            "ACTOR",
-            vec![Value::Int(a as i64), Value::str(actor_name(a))],
-        )
-        .expect("valid row");
+        db.insert(actor, vec![Value::Int(a as i64), Value::str(actor_name(a))])
+            .expect("valid row");
     }
 
     for m in 0..config.movies {
         let year = 2005 - year_z.sample(&mut rng) as i64;
         let duration = 60 + rng.gen_range(0..120) as i64;
         let did = director_z.sample(&mut rng) as i64;
-        db.insert_into(
-            "MOVIE",
+        db.insert(
+            movie,
             vec![
                 Value::Int(m as i64),
                 Value::str(format!("Movie #{m:05}")),
@@ -174,7 +176,7 @@ pub fn generate_movie_db(config: &MovieDbConfig) -> Database {
             }
         }
         for g in genres {
-            db.insert_into("GENRE", vec![Value::Int(m as i64), Value::str(GENRES[g])])
+            db.insert(genre, vec![Value::Int(m as i64), Value::str(GENRES[g])])
                 .expect("valid row");
         }
 
@@ -188,7 +190,7 @@ pub fn generate_movie_db(config: &MovieDbConfig) -> Database {
             }
         }
         for a in cast {
-            db.insert_into("CASTS", vec![Value::Int(m as i64), Value::Int(a as i64)])
+            db.insert(casts, vec![Value::Int(m as i64), Value::Int(a as i64)])
                 .expect("valid row");
         }
     }
@@ -229,11 +231,11 @@ mod tests {
         let a = generate_movie_db(&MovieDbConfig::tiny(5));
         let b = generate_movie_db(&MovieDbConfig::tiny(5));
         let movie = a.catalog().relation_id("MOVIE").unwrap();
-        let rows_a: Vec<_> = a.table(movie).unwrap().rows().cloned().collect();
-        let rows_b: Vec<_> = b.table(movie).unwrap().rows().cloned().collect();
+        let rows_a: Vec<_> = a.table(movie).unwrap().rows().collect();
+        let rows_b: Vec<_> = b.table(movie).unwrap().rows().collect();
         assert_eq!(rows_a, rows_b);
         let c = generate_movie_db(&MovieDbConfig::tiny(6));
-        let rows_c: Vec<_> = c.table(movie).unwrap().rows().cloned().collect();
+        let rows_c: Vec<_> = c.table(movie).unwrap().rows().collect();
         assert_ne!(rows_a, rows_c);
     }
 

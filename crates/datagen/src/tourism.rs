@@ -214,8 +214,8 @@ mod tests {
         let a = generate_tourism_db(&TourismConfig::default());
         let b = generate_tourism_db(&TourismConfig::default());
         let rest = a.catalog().relation_id("RESTAURANT").unwrap();
-        let ra: Vec<_> = a.table(rest).unwrap().rows().cloned().collect();
-        let rb: Vec<_> = b.table(rest).unwrap().rows().cloned().collect();
+        let ra: Vec<_> = a.table(rest).unwrap().rows().collect();
+        let rb: Vec<_> = b.table(rest).unwrap().rows().collect();
         assert_eq!(ra, rb);
     }
 }

@@ -82,7 +82,7 @@ pub fn execute_ranked(
             // Noisy-or over the satisfied preferences' dois (Formula 10).
             let doi = 1.0 - prefs.iter().map(|&i| 1.0 - pref_dois[i]).product::<f64>();
             RankedRow {
-                row: row.into_iter().cloned().collect(),
+                row,
                 doi,
                 satisfied: prefs,
             }

@@ -65,33 +65,61 @@ impl From<StorageError> for CsvError {
     }
 }
 
-/// Splits one CSV record into `(field, was_quoted)` pairs, honouring
-/// quotes. Quoting matters downstream: only an *unquoted* `NULL` is SQL
-/// NULL.
-fn split_record(line: &str, line_no: usize) -> Result<Vec<(String, bool)>, CsvError> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    let mut was_quoted = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        cur.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                other => cur.push(other),
+/// One CSV record: the 1-based line it starts on, and its
+/// `(field, was_quoted)` pairs.
+type Record = (usize, Vec<(String, bool)>);
+
+/// Splits CSV text into records, honouring quotes: a quoted field may hold
+/// commas, quotes (as `""`) and line breaks, and a record ends at a `\n`
+/// or `\r\n` outside quotes. Quoting matters downstream: only an
+/// *unquoted* `NULL` is SQL NULL.
+struct Records<'t> {
+    chars: std::iter::Peekable<std::str::Chars<'t>>,
+    line: usize,
+}
+
+impl<'t> Records<'t> {
+    fn new(text: &'t str) -> Self {
+        Records {
+            chars: text.chars().peekable(),
+            line: 1,
+        }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Result<Record, CsvError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.chars.peek()?;
+        let start = self.line;
+        let mut fields = Vec::new();
+        let mut cur = String::new();
+        let mut in_quotes = false;
+        let mut was_quoted = false;
+        while let Some(c) = self.chars.next() {
+            if c == '\n' {
+                self.line += 1;
             }
-        } else {
+            if in_quotes {
+                match c {
+                    '"' if self.chars.peek() == Some(&'"') => {
+                        self.chars.next();
+                        cur.push('"');
+                    }
+                    '"' => in_quotes = false,
+                    other => cur.push(other),
+                }
+                continue;
+            }
             match c {
-                ',' => {
+                '\n' => {
                     fields.push(finish_field(cur, was_quoted));
-                    cur = String::new();
+                    return Some(Ok((start, fields)));
+                }
+                '\r' if self.chars.peek() == Some(&'\n') => {}
+                ',' => {
+                    fields.push(finish_field(std::mem::take(&mut cur), was_quoted));
                     was_quoted = false;
                 }
                 '"' if cur.is_empty() => {
@@ -101,15 +129,15 @@ fn split_record(line: &str, line_no: usize) -> Result<Vec<(String, bool)>, CsvEr
                 other => cur.push(other),
             }
         }
+        if in_quotes {
+            return Some(Err(CsvError::Parse {
+                line: start,
+                reason: "unterminated quoted field".into(),
+            }));
+        }
+        fields.push(finish_field(cur, was_quoted));
+        Some(Ok((start, fields)))
     }
-    if in_quotes {
-        return Err(CsvError::Parse {
-            line: line_no,
-            reason: "unterminated quoted field".into(),
-        });
-    }
-    fields.push(finish_field(cur, was_quoted));
-    Ok(fields)
 }
 
 /// Quoted fields keep their content verbatim; unquoted fields are trimmed.
@@ -121,8 +149,12 @@ fn finish_field(raw: String, was_quoted: bool) -> (String, bool) {
     }
 }
 
+/// Quotes a string whenever loading it unquoted would not give it back:
+/// it is empty, has leading or trailing whitespace (unquoted fields are
+/// trimmed), holds a separator, quote or line break, or reads `NULL`.
 fn quote_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') || s == "NULL" {
+    let bare = !s.is_empty() && s.trim() == s && !s.contains([',', '"', '\n', '\r']) && s != "NULL";
+    if !bare {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_owned()
@@ -188,16 +220,13 @@ fn load_table_inner(
     text: &str,
 ) -> Result<usize, CsvError> {
     let schema = db.table(relation)?.schema().clone();
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or(CsvError::Parse {
+    let mut records = Records::new(text);
+    let (_, header) = records.next().ok_or(CsvError::Parse {
         line: 1,
         reason: "empty input (missing header)".into(),
-    })?;
+    })??;
     let expected: Vec<&str> = schema.attributes.iter().map(|a| a.name.as_str()).collect();
-    let got: Vec<String> = split_record(header, 1)?
-        .into_iter()
-        .map(|(f, _)| f)
-        .collect();
+    let got: Vec<String> = header.into_iter().map(|(f, _)| f).collect();
     if got != expected {
         return Err(CsvError::HeaderMismatch {
             expected: expected.join(","),
@@ -206,12 +235,12 @@ fn load_table_inner(
     }
 
     let mut inserted = 0usize;
-    for (i, raw) in lines {
-        let line_no = i + 1;
-        if raw.trim().is_empty() {
+    for record in records {
+        let (line_no, fields) = record?;
+        if matches!(fields.as_slice(), [(field, false)] if field.is_empty()) {
+            // A blank line.
             continue;
         }
-        let fields = split_record(raw, line_no)?;
         if fields.len() != schema.arity() {
             return Err(CsvError::Parse {
                 line: line_no,
@@ -278,6 +307,8 @@ pub fn load_table_from_recorded(
 mod tests {
     use super::*;
     use crate::schema::RelationSchema;
+    use crate::value::Tuple;
+    use proptest::prelude::*;
 
     fn movie_db() -> (Database, RelationId) {
         let mut db = Database::with_block_capacity(4);
@@ -326,8 +357,8 @@ mod tests {
         let (mut db2, rid2) = movie_db();
         let n = load_table(&mut db2, rid2, &text).unwrap();
         assert_eq!(n, 3);
-        let a: Vec<_> = db.table(rid).unwrap().rows().cloned().collect();
-        let b: Vec<_> = db2.table(rid2).unwrap().rows().cloned().collect();
+        let a: Vec<_> = db.table(rid).unwrap().rows().collect();
+        let b: Vec<_> = db2.table(rid2).unwrap().rows().collect();
         assert_eq!(a, b);
     }
 
@@ -370,6 +401,111 @@ mod tests {
         let (mut db2, rid2) = movie_db();
         assert_eq!(load_table_from(&mut db2, rid2, &path).unwrap(), 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Dumps `rows` from a fresh MOVIE table and loads them into another.
+    fn round_trip(rows: &[Tuple]) -> Vec<Tuple> {
+        let (mut db, rid) = movie_db();
+        for row in rows {
+            db.insert(rid, row.clone()).unwrap();
+        }
+        let text = dump_table(&db, rid).unwrap();
+        let (mut db2, rid2) = movie_db();
+        let n = load_table(&mut db2, rid2, &text).unwrap_or_else(|e| panic!("{e}: {text:?}"));
+        assert_eq!(n, rows.len(), "{text:?}");
+        db2.table(rid2).unwrap().rows().collect()
+    }
+
+    #[test]
+    fn whitespace_line_breaks_and_empty_strings_round_trip() {
+        let rows: Vec<Tuple> = [" padded ", "two\nlines", "", "cr\r", "crlf\r\n", "\t"]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| vec![Value::Int(i as i64), Value::str(*s), Value::Null])
+            .collect();
+        assert_eq!(round_trip(&rows), rows);
+
+        // An empty string in a one-column table is a record, not a blank line.
+        let mut db = Database::new();
+        let rid = db
+            .create_relation(RelationSchema::new("T", vec![("s", DataType::Str)]))
+            .unwrap();
+        db.insert(rid, vec![Value::str("")]).unwrap();
+        db.insert(rid, vec![Value::Null]).unwrap();
+        let text = dump_table(&db, rid).unwrap();
+        assert_eq!(text, "s\n\"\"\nNULL\n");
+        let mut db2 = Database::new();
+        let rid2 = db2
+            .create_relation(RelationSchema::new("T", vec![("s", DataType::Str)]))
+            .unwrap();
+        assert_eq!(load_table(&mut db2, rid2, &text).unwrap(), 2);
+        let got: Vec<Tuple> = db2.table(rid2).unwrap().rows().collect();
+        assert_eq!(got, vec![vec![Value::str("")], vec![Value::Null]]);
+    }
+
+    #[test]
+    fn records_span_lines_and_errors_name_their_first_line() {
+        let (mut db, rid) = movie_db();
+        let text = "mid,title,rating\r\n1,\"a\nb\",2.0\r\n2,\"c\",3.0\r\nnope,\"d\ne\",1\n";
+        let err = load_table(&mut db, rid, text).unwrap_err();
+        match err {
+            CsvError::Parse { line, reason } => {
+                // Records start on lines 2, 4 and 5: the first spans two.
+                assert_eq!(line, 5);
+                assert!(reason.contains("not an integer"));
+            }
+            other => panic!("unexpected error: {other}"),
+        }
+        let got: Vec<Tuple> = db.table(rid).unwrap().rows().collect();
+        assert_eq!(got[0][1], Value::str("a\nb"));
+        // CRLF ends a record; it is not part of the last field.
+        assert_eq!(got[1][1], Value::str("c"));
+        let err = load_table(
+            &mut db,
+            rid,
+            "mid,title,rating\n1,x,2.0\n2,\"open\n3,y,1.0\n",
+        )
+        .unwrap_err();
+        assert!(matches!(err, CsvError::Parse { line: 3, .. }), "{err}");
+    }
+
+    /// A string drawn from the characters and words CSV treats specially.
+    fn tricky_string() -> impl Strategy<Value = String> {
+        let tokens = [",", "\"", " ", "\t", "\r", "\n", "NULL", "\"\"", "x"];
+        prop::collection::vec(0usize..tokens.len(), 0..6)
+            .prop_map(move |picks| picks.into_iter().map(|i| tokens[i]).collect())
+    }
+
+    /// A MOVIE tuple with each cell NULL one time in four.
+    fn tricky_row() -> impl Strategy<Value = Tuple> {
+        (0i64..8, -4i32..4, 0usize..4, tricky_string()).prop_map(|(mid, rating, null, title)| {
+            vec![
+                if mid % 4 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(mid - 4)
+                },
+                if null == 0 {
+                    Value::Null
+                } else {
+                    Value::str(title)
+                },
+                if rating == 0 {
+                    Value::Null
+                } else {
+                    Value::float(f64::from(rating) / 4.0)
+                },
+            ]
+        })
+    }
+
+    proptest! {
+        /// dump → load returns the same rows for any strings over the
+        /// special characters, with NULLs in every column type.
+        #[test]
+        fn dump_load_round_trips(rows in prop::collection::vec(tricky_row(), 0..8)) {
+            prop_assert_eq!(round_trip(&rows), rows);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # cqp-storage
 //!
-//! In-memory, block-oriented relational storage used as the database
-//! substrate for the reproduction of *"Constrained Optimalities in Query
+//! In-memory, columnar relational storage used as the database substrate
+//! for the reproduction of *"Constrained Optimalities in Query
 //! Personalization"* (Koutrika & Ioannidis, SIGMOD 2005).
 //!
 //! The paper ran its experiments on top of Oracle 9i, but its cost model is
@@ -12,8 +12,11 @@
 //!
 //! * typed [`Value`]s and tuples,
 //! * relation [`schema::RelationSchema`]s collected in a [`catalog::Catalog`],
-//! * [`table::Table`]s whose rows live in fixed-capacity [`block::Block`]s so
-//!   that `blocks(R)` is well defined,
+//! * [`table::Table`]s that store one typed [`column::Column`] per attribute
+//!   (`i64`, `f64`, or `u32` codes into a per-column string dictionary,
+//!   with NULL marked per row) and count their rows in fixed-capacity
+//!   blocks, block `b` being rows `[b·cap, (b+1)·cap)`, so that `blocks(R)`
+//!   is well defined,
 //! * per-column [`stats::ColumnStats`] (distinct counts, min/max, equi-depth
 //!   histograms) for cardinality estimation, and
 //! * an [`disk::IoMeter`] that charges a configurable number of milliseconds
@@ -48,8 +51,8 @@
 //! assert_eq!(genre_col.n_distinct, 2);
 //! ```
 
-pub mod block;
 pub mod catalog;
+pub mod column;
 pub mod csv;
 pub mod database;
 pub mod disk;
@@ -61,6 +64,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::Catalog;
+pub use column::{Cell, Column, ColumnData};
 pub use csv::{dump_table, load_table, load_table_recorded, CsvError};
 pub use database::Database;
 pub use disk::{IoMeter, BLOCKS_READ_COUNTER, FAULTS_INJECTED_COUNTER, LATENCY_SPIKES_COUNTER};

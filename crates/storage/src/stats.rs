@@ -8,9 +8,11 @@
 //! notes that "one can afford to use a much less detailed cost model in CQP
 //! than the one found in a typical query optimizer" (Section 2).
 
+use crate::column::ColumnData;
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Number of most-common values tracked per column.
 pub const MCV_TARGET: usize = 8;
@@ -41,35 +43,47 @@ impl ColumnStats {
     /// Computes statistics for one column of a table.
     pub fn compute(table: &Table, attr: usize) -> Self {
         let n_rows = table.num_rows();
-        let mut counts: HashMap<&Value, usize> = HashMap::new();
-        let mut n_nulls = 0usize;
-        for v in table.column(attr) {
-            if v.is_null() {
-                n_nulls += 1;
-            } else {
-                *counts.entry(v).or_insert(0) += 1;
+        let column = table.column(attr);
+        let nulls = column.nulls();
+        let n_nulls = nulls.iter().filter(|&&null| null).count();
+        let present = |r: &usize| !nulls[*r];
+        // (value, count) for each distinct non-NULL value; strings count
+        // by dictionary code.
+        let counts: Vec<(Value, usize)> = match column.data() {
+            ColumnData::Int(v) => tally((0..n_rows).filter(present).map(|r| v[r]))
+                .map(|(x, c)| (Value::Int(x), c))
+                .collect(),
+            ColumnData::Float(v) => tally((0..n_rows).filter(present).map(|r| v[r].to_bits()))
+                .map(|(bits, c)| (Value::Float(f64::from_bits(bits)), c))
+                .collect(),
+            ColumnData::Str { codes, dict } => {
+                let mut per_code = vec![0usize; dict.values().len()];
+                for r in (0..n_rows).filter(present) {
+                    per_code[codes[r] as usize] += 1;
+                }
+                dict.values()
+                    .iter()
+                    .zip(per_code)
+                    .filter(|&(_, c)| c > 0)
+                    .map(|(v, c)| (v.clone(), c))
+                    .collect()
             }
-        }
+        };
         let n_distinct = counts.len();
 
-        let mut freq: Vec<(&Value, usize)> = counts.iter().map(|(v, c)| (*v, *c)).collect();
+        let mut freq: Vec<&(Value, usize)> = counts.iter().collect();
         // Sort by frequency descending, then by value for determinism.
-        freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        let mcv: Vec<(Value, usize)> = freq
-            .iter()
-            .take(MCV_TARGET)
-            .map(|(v, c)| ((*v).clone(), *c))
-            .collect();
+        freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mcv: Vec<(Value, usize)> = freq.iter().take(MCV_TARGET).map(|&vc| vc.clone()).collect();
 
-        let min = counts.keys().min().map(|v| (*v).clone());
-        let max = counts.keys().max().map(|v| (*v).clone());
+        let min = counts.iter().map(|(v, _)| v).min().cloned();
+        let max = counts.iter().map(|(v, _)| v).max().cloned();
 
-        // Equi-depth histogram over the numeric key.
-        let mut keys: Vec<f64> = table
-            .column(attr)
-            .filter(|v| !v.is_null())
-            .map(Value::numeric_key)
-            .collect();
+        // Equi-depth histogram over the numeric key of every non-NULL row.
+        let mut keys: Vec<f64> = Vec::with_capacity(n_rows - n_nulls);
+        for (v, c) in &counts {
+            keys.extend(std::iter::repeat_n(v.numeric_key(), *c));
+        }
         keys.sort_by(|a, b| a.partial_cmp(b).expect("numeric keys are not NaN"));
         let histogram = if keys.is_empty() {
             Vec::new()
@@ -144,6 +158,15 @@ impl ColumnStats {
             .max(1.0 / self.n_rows as f64)
             .min(1.0)
     }
+}
+
+/// The distinct keys with their counts, in no set order.
+fn tally<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> impl Iterator<Item = (K, usize)> {
+    let mut counts: HashMap<K, usize> = HashMap::new();
+    for k in keys {
+        *counts.entry(k).or_insert(0) += 1;
+    }
+    counts.into_iter()
 }
 
 /// Statistics for one table.

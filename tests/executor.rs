@@ -42,7 +42,7 @@ fn holds(pred: &Predicate, value_of: impl Fn(QualifiedAttr) -> Value) -> bool {
 fn reference_rows(db: &Database, q: &ConjunctiveQuery) -> Vec<Tuple> {
     let pos = |rel: RelationId| q.relations.iter().position(|r| *r == rel).unwrap();
     let slot = |qa: QualifiedAttr| pos(qa.relation);
-    let tables: Vec<Vec<&Tuple>> = q
+    let tables: Vec<Vec<Tuple>> = q
         .relations
         .iter()
         .map(|r| db.table(*r).unwrap().rows().collect())
@@ -63,7 +63,7 @@ fn reference_rows(db: &Database, q: &ConjunctiveQuery) -> Vec<Tuple> {
 fn bind<'a>(
     q: &ConjunctiveQuery,
     slot: &dyn Fn(QualifiedAttr) -> usize,
-    tables: &[Vec<&'a Tuple>],
+    tables: &'a [Vec<Tuple>],
     checks: &[Vec<&Predicate>],
     bound: &mut Vec<&'a Tuple>,
     out: &mut Vec<Tuple>,
@@ -78,7 +78,7 @@ fn bind<'a>(
         );
         return;
     }
-    for &row in &tables[depth] {
+    for row in &tables[depth] {
         bound.push(row);
         let value_of = |qa: QualifiedAttr| bound[slot(qa)][qa.attr.index()].clone();
         if checks[depth].iter().all(|p| holds(p, value_of)) {

@@ -226,7 +226,7 @@ fn serve_demo(db: &cqp_storage::Database, profile: &Profile, requests: usize) {
         };
     handle.state().store.put("me", profile.clone());
     let clients = 2usize;
-    let load = cqp_server::LoadConfig {
+    let load = cqp_bench::load::LoadConfig {
         clients,
         requests_per_client: requests.div_ceil(clients).max(1),
         users: vec!["me".to_string()],
@@ -237,7 +237,7 @@ fn serve_demo(db: &cqp_storage::Database, profile: &Profile, requests: usize) {
         "serving on http://{} — driving {requests} request(s)",
         handle.addr()
     );
-    match cqp_server::run_load(handle.addr(), &load) {
+    match cqp_bench::load::run_load(handle.addr(), &load) {
         Ok(report) => println!("{}", report.to_json().render()),
         Err(e) => println!("load error: {e}"),
     }

@@ -19,15 +19,11 @@
 //!   fig6      the Figure 6 boundary trace (cmax = 185)
 //!   fig8      the Figure 8 maximal-boundary trace (cmax = 185)
 //!   ablate    generic baselines, doi-model, annealing-budget ablations
-//!   bench_par 1-thread vs N-thread batch driver + fig12 grid (BENCH_parallel.json)
 //!   resilience seeded fault-injection batch + deadline sweep (degradation rates)
-//!   serve     closed-loop socket load against cqp-server (BENCH_serve.json)
 //!   obs       tracing overhead off/sampled/100% + captured degraded trace +
 //!             Chrome trace dump (BENCH_obs.json, trace_chrome.json)
 //!   recovery  WAL crash differential + drain quantiles + breaker trips
 //!             (BENCH_recovery.json)
-//!   cache     cache-off vs cache-on closed-loop load over a Zipf-skewed
-//!             user mix with live profile mutations (BENCH_cache.json)
 //!   cluster   distributed tier: SIGKILL-failover write-loss audit against
 //!             child serverd pairs + divergent-vs-uniform replica routing
 //!             + ring balance (BENCH_cluster.json)
@@ -41,6 +37,7 @@
 //! ```
 
 use cqp_bench::experiments::{self, FIG12_ALGORITHMS};
+use cqp_bench::load::{run_load, run_load_targets, LoadConfig, LoadReport};
 use cqp_bench::{build_workload, csvout, harness::Scale, Workload};
 use cqp_core::algorithms::{c_boundaries, c_maxbounds, Algorithm};
 use cqp_core::batch::{BatchDriver, BatchRequest, RetryPolicy};
@@ -171,16 +168,8 @@ fn main() {
         ablations(&w, &ks, &out);
         ran = true;
     }
-    if run_all || experiment == "bench_par" {
-        bench_par(&w, &ks, full_k, threads, &out);
-        ran = true;
-    }
     if run_all || experiment == "resilience" {
         resilience(&w, threads, &out);
-        ran = true;
-    }
-    if run_all || experiment == "serve" {
-        serve(&w, threads, &out);
         ran = true;
     }
     if run_all || experiment == "obs" {
@@ -189,10 +178,6 @@ fn main() {
     }
     if run_all || experiment == "recovery" {
         recovery(&w, &out);
-        ran = true;
-    }
-    if run_all || experiment == "cache" {
-        cache_experiment(&w, threads, &out);
         ran = true;
     }
     if run_all || experiment == "cluster" {
@@ -605,156 +590,6 @@ fn ablations(w: &Workload, ks: &[usize], out: &Path) {
     println!();
 }
 
-/// 1-thread vs N-thread comparison of the two parallel hot paths — the
-/// batch personalization driver and the fig12(a) grid — written as
-/// `BENCH_parallel.json` (in `out` and at the repo root) alongside a
-/// `bench_par.report.jsonl` run report. Solutions are asserted
-/// bit-identical across thread counts before any timing is reported.
-fn bench_par(w: &Workload, ks: &[usize], full_k: bool, threads: usize, out: &Path) {
-    let batch_k = 20;
-    let mut requests = Vec::new();
-    for (profile, query) in w.pairs() {
-        let (space, _) = w.space(profile, query, batch_k, true);
-        if space.k() == 0 {
-            continue;
-        }
-        let cmax = w.scale.cmax_for(&space);
-        for algo in Algorithm::PAPER {
-            requests.push(BatchRequest {
-                query: query.clone(),
-                profile: profile.clone(),
-                problem: ProblemSpec::p2(cmax),
-                config: SolverConfig {
-                    algorithm: algo,
-                    extract: ExtractConfig {
-                        max_k: batch_k,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            });
-        }
-    }
-    let db = Arc::new(w.db.clone());
-    let stats = Arc::new(w.stats.clone());
-    let widths: Vec<usize> = if threads > 1 {
-        vec![1, threads]
-    } else {
-        vec![1]
-    };
-
-    println!(
-        "--- bench_par: batch driver, {} requests ---",
-        requests.len()
-    );
-    let mut batch_rows = Vec::new();
-    let mut baseline: Option<Vec<_>> = None;
-    let mut reports = Vec::new();
-    for &t in &widths {
-        let driver = BatchDriver::with_stats(Arc::clone(&db), Arc::clone(&stats), t);
-        let obs = Obs::new();
-        let (results, stats_t) = driver.run_recorded(requests.clone(), &obs);
-        let solutions: Vec<_> = results
-            .into_iter()
-            .map(|r| r.expect("batch request").solution)
-            .collect();
-        match &baseline {
-            None => baseline = Some(solutions),
-            Some(base) => {
-                for (a, b) in base.iter().zip(&solutions) {
-                    assert_eq!(a.prefs, b.prefs, "parallel batch changed the answer");
-                    assert_eq!(a.doi, b.doi);
-                    assert_eq!(a.cost_blocks, b.cost_blocks);
-                }
-            }
-        }
-        println!(
-            "{:>2} thread(s): {:>8.1} req/s  p50 {:>6} us  p95 {:>6} us  p99 {:>6} us  \
-             cache {}h/{}m  steals {}",
-            t,
-            stats_t.requests_per_sec,
-            stats_t.p50_us,
-            stats_t.p95_us,
-            stats_t.p99_us,
-            stats_t.cache_hits,
-            stats_t.cache_misses,
-            stats_t.steals
-        );
-        reports.push(
-            RunReport::from_obs("bench_par", &format!("batch_t{t}"), &obs)
-                .with_field("threads", t as u64)
-                .with_field("requests_per_sec", stats_t.requests_per_sec),
-        );
-        batch_rows.push((t, stats_t));
-    }
-
-    println!("--- bench_par: fig12(a) grid ---");
-    let cells = fig12a_cells(ks, full_k);
-    let mut grid_rows = Vec::new();
-    for &t in &widths {
-        let mut grid_reports = Vec::new();
-        let t0 = Instant::now();
-        let rows = experiments::fig12a_parallel(w, &cells, t, &mut grid_reports);
-        let secs = t0.elapsed().as_secs_f64();
-        println!("{:>2} thread(s): {} cells in {:.3} s", t, rows.len(), secs);
-        grid_rows.push((t, rows.len(), secs));
-    }
-
-    let batch_json = Json::Arr(
-        batch_rows
-            .iter()
-            .map(|(t, s)| {
-                Json::obj(vec![
-                    ("threads", Json::from(*t as u64)),
-                    ("requests", Json::from(s.requests as u64)),
-                    ("wall_secs", Json::from(s.wall_secs)),
-                    ("requests_per_sec", Json::from(s.requests_per_sec)),
-                    ("p50_us", Json::from(s.p50_us)),
-                    ("p95_us", Json::from(s.p95_us)),
-                    ("p99_us", Json::from(s.p99_us)),
-                    ("cache_hits", Json::from(s.cache_hits)),
-                    ("cache_misses", Json::from(s.cache_misses)),
-                    ("steals", Json::from(s.steals)),
-                ])
-            })
-            .collect(),
-    );
-    let grid_json = Json::Arr(
-        grid_rows
-            .iter()
-            .map(|(t, cells, secs)| {
-                Json::obj(vec![
-                    ("threads", Json::from(*t as u64)),
-                    ("cells", Json::from(*cells as u64)),
-                    ("wall_secs", Json::from(*secs)),
-                ])
-            })
-            .collect(),
-    );
-    let speedup = |rows: &[(usize, usize, f64)]| -> f64 {
-        match rows {
-            [(_, _, base), .., (_, _, par)] if *par > 0.0 => base / par,
-            _ => 1.0,
-        }
-    };
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("bench_par".into())),
-        ("threads_requested", Json::from(threads as u64)),
-        ("batch", batch_json),
-        ("fig12a_grid", grid_json),
-        ("fig12a_speedup", Json::from(speedup(&grid_rows))),
-    ]);
-    let rendered = doc.render();
-    std::fs::create_dir_all(out).expect("results dir");
-    std::fs::write(out.join("BENCH_parallel.json"), &rendered).expect("bench write");
-    std::fs::write("BENCH_parallel.json", &rendered).expect("bench write");
-    write_reports(out, "bench_par", &reports);
-    println!(
-        "BENCH_parallel.json written ({} and repo root)\n",
-        out.display()
-    );
-}
-
 /// Serving-resilience experiment: (1) a 64-request batch under a seeded
 /// [`FaultPlan`] with retry-on-transient-failure — must finish with zero
 /// panics and zero errors, retry counters land in
@@ -890,499 +725,12 @@ fn resilience(w: &Workload, threads: usize, out: &Path) {
     );
 }
 
-/// Serving experiment: starts `cqp-server` over the workload's database on
-/// an ephemeral port, stores the workload profiles, drives a deterministic
-/// seeded closed-loop load over real sockets, then runs the overload probe
-/// (every execution slot held, zero-length queue) so the admission-reject
-/// measurement is exact, not timing-dependent. Written as
-/// `BENCH_serve.json` in `out` and at the repo root.
-fn serve(w: &Workload, threads: usize, out: &Path) {
-    let clients = threads.max(2);
-    let server_config = cqp_server::ServerConfig {
-        max_inflight: clients,
-        // Zero queue: under the closed loop (clients == slots) nothing
-        // needs to wait, and the overload probe's 429s are deterministic.
-        queue_cap: 0,
-        seed_users: 0,
-        ..cqp_server::ServerConfig::default()
-    };
-    let mut handle =
-        cqp_server::start(Arc::new(w.db.clone()), server_config).expect("server start");
-    let users: Vec<String> = w
-        .profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let user = format!("user{:04}", i + 1);
-            handle.state().store.put(&user, p.clone());
-            user
-        })
-        .collect();
-    let queries: Vec<String> = w
-        .queries
-        .iter()
-        .map(|q| cqp_engine::sql::conjunctive_sql(w.db.catalog(), q))
-        .collect();
-    let cmax = w.scale.cmax_blocks;
-    let load = cqp_server::LoadConfig {
-        clients,
-        requests_per_client: 40,
-        seed: 42,
-        users,
-        queries: queries.clone(),
-        // c_boundaries routes its cost evaluations through the driver's
-        // persistent submit cache, so the cache counters in the report
-        // carry signal.
-        algorithms: vec![
-            "c_boundaries".to_string(),
-            "c_maxbounds".to_string(),
-            "d_heurdoi".to_string(),
-        ],
-        problems: vec![
-            format!("{{\"kind\":\"p2\",\"cmax\":{cmax}}}"),
-            "{\"kind\":\"p6\",\"smin\":0,\"smax\":1000000}".to_string(),
-        ],
-        zero_deadline_permille: 150,
-        top_k_choices: vec![-1, 2, 4],
-        trace_every: 0,
-        zipf_theta: 0.0,
-        mutate_permille: 0,
-        mutation_texts: Vec::new(),
-    };
-    println!(
-        "--- serve: {} closed-loop client(s) x {} requests against {} ---",
-        load.clients,
-        load.requests_per_client,
-        handle.addr()
-    );
-    let report = cqp_server::run_load(handle.addr(), &load).expect("load run");
-    println!(
-        "{:>8.1} req/s  p50 {:>6} us  p95 {:>6} us  p99 {:>6} us  \
-         ok {}  degraded {}  rejected {}  unavailable {}  errors {}",
-        report.requests_per_sec,
-        report.p50_us,
-        report.p95_us,
-        report.p99_us,
-        report.ok,
-        report.degraded,
-        report.rejected,
-        report.unavailable,
-        report.client_errors + report.server_errors + report.io_errors,
-    );
-    assert_eq!(report.io_errors, 0, "serve load hit socket errors");
-    assert_eq!(report.server_errors, 0, "serve load hit 5xx responses");
-    assert!(report.ok > 0, "serve load produced no 200s");
-    assert!(
-        report.degraded > 0,
-        "zero-deadline mix produced no degraded responses"
-    );
-
-    let probe_body = format!(
-        "{{\"user\":\"user0001\",\"sql\":{},\"problem\":{{\"kind\":\"p2\",\"cmax\":{cmax}}}}}",
-        Json::Str(queries[0].clone()).render(),
-    );
-    let probe = cqp_server::overload_probe(&handle, 16, &probe_body).expect("overload probe");
-    println!(
-        "overload probe: {}/{} rejected with 429 (retry-after {:?})",
-        probe.rejected, probe.attempts, probe.retry_after
-    );
-    assert_eq!(
-        probe.rejected, probe.attempts,
-        "held slots + zero queue must shed every probe request"
-    );
-
-    let state = handle.state();
-    let (admitted, rejected, timed_out) = state.gate.counters();
-    let (cache_hits, cache_misses, cache_evictions) = state.driver.submit_cache_counters();
-    let panics_caught = state.driver.submit_panics();
-    assert_eq!(panics_caught, 0, "serving path caught panics");
-    let server_json = Json::obj(vec![
-        ("admitted", Json::from(admitted)),
-        ("rejected", Json::from(rejected)),
-        ("queue_timeouts", Json::from(timed_out)),
-        ("cache_hits", Json::from(cache_hits)),
-        ("cache_misses", Json::from(cache_misses)),
-        ("cache_evictions", Json::from(cache_evictions)),
-        ("panics_caught", Json::from(panics_caught)),
-    ]);
-    let obs_report = cqp_obs::RunReport::from_obs("serve", "load", &state.obs)
-        .with_field("requests", report.requests)
-        .with_field("ok", report.ok)
-        .with_field("degraded", report.degraded)
-        .with_field("probe_rejected", probe.rejected);
-    handle.stop();
-
-    // Epoll leg: the same seeded closed loop against the reactor backend
-    // at 10x request volume. The answer cache keeps the solver out of the
-    // hot path after warmup, so this measures the serving core itself.
-    let mut epoll_handle = cqp_server::start(
-        Arc::new(w.db.clone()),
-        cqp_server::ServerConfig {
-            backend: cqp_server::Backend::Epoll,
-            max_inflight: clients,
-            queue_cap: 0,
-            seed_users: 0,
-            ..cqp_server::ServerConfig::default()
-        },
-    )
-    .expect("epoll server start");
-    for (i, p) in w.profiles.iter().enumerate() {
-        epoll_handle
-            .state()
-            .store
-            .put(&format!("user{:04}", i + 1), p.clone());
-    }
-    let epoll_load = cqp_server::LoadConfig {
-        requests_per_client: load.requests_per_client * 10,
-        ..load.clone()
-    };
-    println!(
-        "--- serve: epoll backend, {} client(s) x {} requests against {} ---",
-        epoll_load.clients,
-        epoll_load.requests_per_client,
-        epoll_handle.addr()
-    );
-    let report_epoll = cqp_server::run_load(epoll_handle.addr(), &epoll_load).expect("epoll load");
-    println!(
-        "{:>8.1} req/s  p50 {:>6} us  p95 {:>6} us  p99 {:>6} us  \
-         ok {}  degraded {}  rejected {}  unavailable {}  errors {}",
-        report_epoll.requests_per_sec,
-        report_epoll.p50_us,
-        report_epoll.p95_us,
-        report_epoll.p99_us,
-        report_epoll.ok,
-        report_epoll.degraded,
-        report_epoll.rejected,
-        report_epoll.unavailable,
-        report_epoll.client_errors + report_epoll.server_errors + report_epoll.io_errors,
-    );
-    assert_eq!(report_epoll.io_errors, 0, "epoll leg hit socket errors");
-    assert_eq!(report_epoll.server_errors, 0, "epoll leg hit 5xx responses");
-    assert!(report_epoll.ok > 0, "epoll leg produced no 200s");
-    assert_eq!(epoll_handle.state().driver.submit_panics(), 0);
-    let obs_epoll = cqp_obs::RunReport::from_obs("serve", "load_epoll", &epoll_handle.state().obs)
-        .with_field("requests", report_epoll.requests)
-        .with_field("ok", report_epoll.ok)
-        .with_field("degraded", report_epoll.degraded);
-    epoll_handle.stop();
-
-    let conn_scale = conn_scale_leg(w);
-
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("serve".into())),
-        ("scale", Json::Str(w.scale.name.to_string())),
-        ("clients", Json::from(load.clients as u64)),
-        ("seed", Json::from(load.seed)),
-        ("load", report.to_json()),
-        ("load_epoll", report_epoll.to_json()),
-        ("conn_scale", conn_scale),
-        ("overload_probe", probe.to_json()),
-        ("server", server_json),
-    ]);
-    let rendered = doc.render();
-    std::fs::create_dir_all(out).expect("results dir");
-    std::fs::write(out.join("BENCH_serve.json"), &rendered).expect("bench write");
-    std::fs::write("BENCH_serve.json", &rendered).expect("bench write");
-    write_reports(out, "serve", &[obs_report, obs_epoll]);
-    println!(
-        "BENCH_serve.json written ({} and repo root)\n",
-        out.display()
-    );
-}
-
-/// Connection-scale leg: a C10k-class idle-keepalive herd plus slowloris
-/// drippers and two paced request lanes, against the epoll backend.
-///
-/// Prefers a child `serverd --backend epoll` process (found next to this
-/// binary) so the herd's server-side fds live in their own process fd
-/// table; falls back to an in-process server with the target capped to
-/// what one fd table can hold (two fds per connection). The target comes
-/// from `CQP_CONN_TARGET` (default 10000).
-fn conn_scale_leg(w: &Workload) -> Json {
-    let requested: usize = std::env::var("CQP_CONN_TARGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
-    let scale_config = |target: usize| cqp_server::ConnScaleConfig {
-        idle_conns: target,
-        slowloris_conns: 32,
-        drip_interval_ms: 40,
-        lanes: 2,
-        lane_rps: 50,
-        lane_requests: 100,
-        mix: cqp_server::LoadConfig {
-            users: (1..=8).map(|i| format!("user{i:04}")).collect(),
-            queries: vec!["SELECT title FROM MOVIE".to_string()],
-            ..cqp_server::LoadConfig::default()
-        },
-        reap_patience_ms: 20_000,
-        connect_burst: 128,
-    };
-
-    let serverd = std::env::current_exe()
-        .ok()
-        .and_then(|exe| exe.parent().map(|d| d.join("serverd")))
-        .filter(|p| p.is_file());
-    let (report, target, mode) = match serverd {
-        Some(bin) => {
-            let target = requested;
-            let mut child = std::process::Command::new(&bin)
-                .args(["--addr", "127.0.0.1:0", "--backend", "epoll"])
-                .args(["--read-timeout-ms", "1500", "--seed", "7"])
-                .args(["--seed-users", "8"])
-                .arg("--max-conns")
-                .arg((target + 2048).to_string())
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .expect("spawn serverd");
-            let addr = {
-                use std::io::BufRead;
-                let stdout = child.stdout.take().expect("serverd stdout");
-                let mut line = String::new();
-                std::io::BufReader::new(stdout)
-                    .read_line(&mut line)
-                    .expect("serverd banner");
-                line.strip_prefix("listening on ")
-                    .and_then(|rest| rest.split_whitespace().next())
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| panic!("unparseable serverd banner: {line:?}"))
-            };
-            println!(
-                "--- serve: conn_scale vs child serverd at {addr} \
-                 (idle target {target}, 32 slowloris, 2 lanes) ---"
-            );
-            let report = cqp_server::run_conn_scale(addr, &scale_config(target));
-            let _ = child.kill();
-            let _ = child.wait();
-            (report.expect("conn scale run"), target, "child-process")
-        }
-        None => {
-            // Both endpoints share this process's fd table: 2 fds/conn.
-            let _ = cqp_sys::raise_nofile_limit(requested as u64 * 2 + 512);
-            let (soft, _) = cqp_sys::nofile_limit().expect("rlimit");
-            let target = requested.min((soft.saturating_sub(512) / 2) as usize);
-            let mut handle = cqp_server::start(
-                Arc::new(w.db.clone()),
-                cqp_server::ServerConfig {
-                    backend: cqp_server::Backend::Epoll,
-                    read_timeout_ms: 1_500,
-                    max_connections: target + 256,
-                    seed_users: 8,
-                    ..cqp_server::ServerConfig::default()
-                },
-            )
-            .expect("epoll server start");
-            println!(
-                "--- serve: conn_scale in-process at {} \
-                 (idle target {target}, 32 slowloris, 2 lanes) ---",
-                handle.addr()
-            );
-            let report = cqp_server::run_conn_scale(handle.addr(), &scale_config(target))
-                .expect("conn scale run");
-            handle.stop();
-            (report, target, "in-process")
-        }
-    };
-
-    println!(
-        "conn_scale [{mode}]: idle {}/{} held, {} reaped, slowloris {}/{} reaped, \
-         lane ok {}  shed {}  errors {}  open-loop p99 {} us  leaked {}",
-        report.idle_opened,
-        target,
-        report.idle_reaped,
-        report.slowloris_reaped,
-        report.slowloris_opened,
-        report.lane_ok,
-        report.lane_shed,
-        report.lane_errors,
-        report.open_loop_p99_us,
-        report.leaked(),
-    );
-    assert!(
-        report.idle_opened as usize >= target * 9 / 10,
-        "idle herd failed to establish: {report:?}"
-    );
-    assert_eq!(report.leaked(), 0, "connections leaked: {report:?}");
-    assert_eq!(
-        report.slowloris_reaped, report.slowloris_opened,
-        "{report:?}"
-    );
-    assert_eq!(report.lane_errors, 0, "{report:?}");
-    report.to_json()
-}
-
-/// One leg of the cache experiment: boots `cqp-server` with the answer
-/// cache on or off, seeds the workload profiles, drives the given load,
-/// and returns the load report plus the server-side cache counters.
-fn cache_leg(
-    w: &Workload,
-    load: &cqp_server::LoadConfig,
-    answer_cache: bool,
-) -> (cqp_server::LoadReport, Json) {
-    let server_config = cqp_server::ServerConfig {
-        max_inflight: load.clients,
-        queue_cap: 0,
-        seed_users: 0,
-        answer_cache,
-        ..cqp_server::ServerConfig::default()
-    };
-    let mut handle =
-        cqp_server::start(Arc::new(w.db.clone()), server_config).expect("server start");
-    for (i, p) in w.profiles.iter().enumerate() {
-        handle
-            .state()
-            .store
-            .put(&format!("user{:04}", i + 1), p.clone());
-    }
-    let report = cqp_server::run_load(handle.addr(), load).expect("load run");
-    let state = handle.state();
-    let counters = match state.driver.answer_cache() {
-        Some(cache) => {
-            let c = cache.counters();
-            Json::obj(vec![
-                ("hits_exact", Json::from(c.hits_exact)),
-                ("hits_warm", Json::from(c.hits_warm)),
-                ("hits_repair", Json::from(c.hits_repair)),
-                ("misses", Json::from(c.misses)),
-                ("invalidations", Json::from(c.invalidations)),
-                ("entries", Json::from(cache.entries() as u64)),
-                ("families", Json::from(cache.families() as u64)),
-            ])
-        }
-        None => Json::Null,
-    };
-    handle.stop();
-    assert_eq!(report.io_errors, 0, "cache load hit socket errors");
-    assert_eq!(report.server_errors, 0, "cache load hit 5xx responses");
-    assert!(report.ok > 0, "cache load produced no 200s");
-    assert_eq!(
-        report.stale_answers, 0,
-        "a stale personalization was served"
-    );
-    (report, counters)
-}
-
-/// Answer-cache experiment: the same Zipf-skewed, mutation-carrying
-/// closed-loop load, once against a cache-off server and once against a
-/// cache-on server. The skew makes templates repeat (exact tier), the two
-/// `p2` budgets exercise the warm tier within a family, and the live
-/// profile mutations exercise invalidation + the repair tier; the staleness
-/// audit inside the load generator must stay at zero in both legs.
-/// Written as `BENCH_cache.json` in `out` and at the repo root.
-fn cache_experiment(w: &Workload, threads: usize, out: &Path) {
-    let clients = threads.max(2);
-    let users: Vec<String> = (1..=w.profiles.len())
-        .map(|i| format!("user{i:04}"))
-        .collect();
-    let queries: Vec<String> = w
-        .queries
-        .iter()
-        .map(|q| cqp_engine::sql::conjunctive_sql(w.db.catalog(), q))
-        .collect();
-    let cmax = w.scale.cmax_blocks;
-    let load = cqp_server::LoadConfig {
-        clients,
-        requests_per_client: 80,
-        seed: 42,
-        users,
-        queries,
-        // Branch-and-bound is the one algorithm the warm tier can *seed*
-        // (the cached objective is a valid pruning bound under the
-        // Formula 4/7/8 monotonicity); exact and repair tiers are
-        // algorithm-agnostic.
-        algorithms: vec!["branch_bound".to_string()],
-        // Two budgets of the same problem kind: same family, different
-        // variant key, so a hot template hits the warm tier when only the
-        // budget moved.
-        problems: vec![
-            format!("{{\"kind\":\"p2\",\"cmax\":{cmax}}}"),
-            format!("{{\"kind\":\"p2\",\"cmax\":{}}}", cmax / 2),
-        ],
-        // Degraded answers are never cached, so a zero-deadline mix would
-        // only add noise to the off/on comparison.
-        zero_deadline_permille: 0,
-        top_k_choices: vec![-1],
-        trace_every: 0,
-        zipf_theta: 1.2,
-        mutate_permille: 25,
-        mutation_texts: vec![
-            "# cqp-profile v1\nprofile m\nselect 0.7 GENRE.genre eq \"comedy\"\n".to_string(),
-        ],
-    };
-    println!(
-        "--- cache: {} client(s) x {} requests, zipf {:.1}, {}‰ mutations ---",
-        load.clients, load.requests_per_client, load.zipf_theta, load.mutate_permille
-    );
-    let (off, _) = cache_leg(w, &load, false);
-    let (on, counters) = cache_leg(w, &load, true);
-    let hit_rate = on.cache_hit_rate();
-    let p50_ratio = if off.p50_us == 0 {
-        1.0
-    } else {
-        on.p50_us as f64 / off.p50_us as f64
-    };
-    println!(
-        "cache off: p50 {:>6} us  p95 {:>6} us  ok {}  mutations {}",
-        off.p50_us, off.p95_us, off.ok, off.mutations
-    );
-    println!(
-        "cache on : p50 {:>6} us  p95 {:>6} us  ok {}  mutations {}  \
-         exact {}  warm {}  repair {}  miss {}  hit rate {:.2}  p50 ratio {:.2}",
-        on.p50_us,
-        on.p95_us,
-        on.ok,
-        on.mutations,
-        on.cache_exact,
-        on.cache_warm,
-        on.cache_repair,
-        on.cache_miss,
-        hit_rate,
-        p50_ratio,
-    );
-    assert_eq!(
-        off.cache_exact + off.cache_warm + off.cache_repair,
-        0,
-        "cache-off leg reported cache hits"
-    );
-    assert!(on.cache_exact > 0, "cache-on leg saw no exact hits");
-    assert!(
-        hit_rate >= 0.5,
-        "exact+warm hit rate {hit_rate:.2} below the 0.5 acceptance floor"
-    );
-    assert!(
-        p50_ratio <= 0.5,
-        "cache-on p50 must be at most half of cache-off p50 (ratio {p50_ratio:.2})"
-    );
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("cache".into())),
-        ("scale", Json::Str(w.scale.name.to_string())),
-        ("clients", Json::from(load.clients as u64)),
-        ("seed", Json::from(load.seed)),
-        ("zipf_theta", Json::from(load.zipf_theta)),
-        ("mutate_permille", Json::from(load.mutate_permille as u64)),
-        ("cache_off", off.to_json()),
-        ("cache_on", on.to_json()),
-        ("server_cache", counters),
-        ("hit_rate", Json::from(hit_rate)),
-        ("p50_ratio", Json::from(p50_ratio)),
-    ]);
-    let rendered = doc.render();
-    std::fs::create_dir_all(out).expect("results dir");
-    std::fs::write(out.join("BENCH_cache.json"), &rendered).expect("bench write");
-    std::fs::write("BENCH_cache.json", &rendered).expect("bench write");
-    println!(
-        "BENCH_cache.json written ({} and repo root)\n",
-        out.display()
-    );
-}
-
 /// Observability experiment: what does tracing cost, and what does a
 /// captured trace actually show?
 ///
-/// Boots the PR-4 serve workload three times — tracing off, default
+/// Boots three servers over the workload — tracing off, default
 /// deterministic sampling (1/16), and 100% capture — and measures
-/// closed-loop throughput for each (best of two runs after a warmup, so
+/// closed-loop throughput for each (best of five runs after a warmup, so
 /// the overhead numbers measure tracing, not allocator warmup or CI
 /// scheduling noise). Then, on the 100% server, sends one explicit-
 /// trace-ID request with a 0-ms deadline and pulls its span tree back out
@@ -1421,29 +769,26 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
             .collect();
         (handle, users)
     };
-    let load_config =
-        |users: Vec<String>, trace_every: u64, requests: usize| cqp_server::LoadConfig {
-            clients,
-            requests_per_client: requests,
-            seed: 42,
-            users,
-            queries: queries.clone(),
-            algorithms: vec![
-                "c_boundaries".to_string(),
-                "c_maxbounds".to_string(),
-                "d_heurdoi".to_string(),
-            ],
-            problems: vec![
-                format!("{{\"kind\":\"p2\",\"cmax\":{cmax}}}"),
-                "{\"kind\":\"p6\",\"smin\":0,\"smax\":1000000}".to_string(),
-            ],
-            zero_deadline_permille: 150,
-            top_k_choices: vec![-1, 2, 4],
-            trace_every,
-            zipf_theta: 0.0,
-            mutate_permille: 0,
-            mutation_texts: Vec::new(),
-        };
+    let load_config = |users: Vec<String>, trace_every: u64, requests: usize| LoadConfig {
+        clients,
+        requests_per_client: requests,
+        seed: 42,
+        users,
+        queries: queries.clone(),
+        algorithms: vec![
+            "c_boundaries".to_string(),
+            "c_maxbounds".to_string(),
+            "d_heurdoi".to_string(),
+        ],
+        problems: vec![
+            format!("{{\"kind\":\"p2\",\"cmax\":{cmax}}}"),
+            "{\"kind\":\"p6\",\"smin\":0,\"smax\":1000000}".to_string(),
+        ],
+        zero_deadline_permille: 150,
+        top_k_choices: vec![-1, 2, 4],
+        trace_every,
+        zipf_theta: 0.0,
+    };
 
     // Best-of-N with the modes *interleaved*: closed-loop throughput in a
     // shared container jitters by far more than tracing costs, and the
@@ -1457,7 +802,7 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
         "--- obs: tracing overhead, {} client(s) x 40 requests x {MEASURED_RUNS} interleaved runs per mode ---",
         clients
     );
-    // (mode label, sample_every, explicit-header period for the loadgen).
+    // (mode label, sample_every, explicit-header period for the load driver).
     let modes: [(&str, u64, u64); 3] = [("off", 0, 0), ("sampled", 16, 0), ("full", 1, 8)];
     let servers: Vec<(cqp_server::ServerHandle, Vec<String>)> = modes
         .iter()
@@ -1465,15 +810,14 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
         .collect();
     // Warmup each: populate the submit cache and the allocator.
     for (handle, users) in &servers {
-        cqp_server::run_load(handle.addr(), &load_config(users.clone(), 0, 5)).expect("warmup");
+        run_load(handle.addr(), &load_config(users.clone(), 0, 5)).expect("warmup");
     }
-    let mut best: [Option<cqp_server::LoadReport>; 3] = [None, None, None];
+    let mut best: [Option<LoadReport>; 3] = [None, None, None];
     for _round in 0..MEASURED_RUNS {
         for (mi, (mode, _, trace_every)) in modes.iter().enumerate() {
             let (handle, users) = &servers[mi];
-            let report =
-                cqp_server::run_load(handle.addr(), &load_config(users.clone(), *trace_every, 40))
-                    .expect("load run");
+            let report = run_load(handle.addr(), &load_config(users.clone(), *trace_every, 40))
+                .expect("load run");
             assert_eq!(report.io_errors, 0, "{mode}: load hit socket errors");
             assert_eq!(report.server_errors, 0, "{mode}: load hit 5xx responses");
             assert_eq!(
@@ -1543,9 +887,12 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
         resp.body_text()
     };
     let trace_id = "deadbeef";
+    // An algorithm the load mix never draws: the probe's family is not in
+    // the answer cache, so it runs the search and the 0-ms deadline trips
+    // it. An exact hit answers without searching and is never degraded.
     let body = format!(
         "{{\"user\":\"user0001\",\"sql\":{},\"problem\":{{\"kind\":\"p2\",\"cmax\":{cmax}}},\
-         \"deadline_ms\":0}}",
+         \"algorithm\":\"branch_bound\",\"deadline_ms\":0}}",
         Json::Str(queries[0].clone()).render(),
     );
     {
@@ -2214,7 +1561,7 @@ fn cluster_spawn_serverd(
 /// One arm of the divergent-vs-uniform comparison: boots a 2-group
 /// in-process cluster under `policy`, seeds profiles through the router
 /// (so ring placement is real), and drives a Zipf-skewed template mix.
-fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> cqp_server::LoadReport {
+fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> LoadReport {
     use cqp_cluster::{Cluster, ClusterConfig};
     let mut config = ClusterConfig::new(2, root.join(policy.as_str()));
     config.policy = policy;
@@ -2233,7 +1580,7 @@ fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> cqp_s
             .expect("seed profile");
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
-    let load = cqp_server::LoadConfig {
+    let load = LoadConfig {
         clients: 4,
         requests_per_client: 150,
         seed: 42,
@@ -2251,9 +1598,9 @@ fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> cqp_s
         zero_deadline_permille: 0,
         top_k_choices: vec![-1],
         zipf_theta: 0.8,
-        ..cqp_server::LoadConfig::default()
+        ..LoadConfig::default()
     };
-    let report = cqp_server::run_load_targets(&[addr], &load).expect("cluster load");
+    let report = run_load_targets(&[addr], &load).expect("cluster load");
     cluster.stop();
     report
 }

@@ -9,6 +9,9 @@
 //! * [`experiments`] — one function per table/figure (12a–15, Table 1) plus
 //!   the ablations DESIGN.md lists.
 //! * [`csvout`] — plain CSV emission for plotting.
+//! * [`load`] — seeded closed-loop, open-loop and chaos clients that drive
+//!   a `cqp-server` over real sockets (the cluster and tracing
+//!   experiments, `cqp-shell`'s `\serve` and the socket suites).
 //!
 //! The `reproduce` binary drives everything:
 //!
@@ -20,5 +23,6 @@
 pub mod csvout;
 pub mod experiments;
 pub mod harness;
+pub mod load;
 
 pub use harness::{build_workload, Scale, Workload};

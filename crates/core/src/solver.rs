@@ -176,7 +176,11 @@ impl<'a> CqpSystem<'a> {
         extract(query, profile, &self.stats, &extract_cfg).space
     }
 
-    /// Runs the full pipeline for one CQP problem.
+    /// Runs the full pipeline for one CQP problem, returning a typed
+    /// [`CqpError`] for every failure mode: infeasible request shapes are
+    /// rejected up front ([`CqpError::SpaceTooLarge`]), construction and
+    /// execution errors propagate, and budget overruns degrade the solution
+    /// ([`Solution::degraded`]) instead of failing the request.
     pub fn personalize(
         &self,
         query: &ConjunctiveQuery,
@@ -184,7 +188,7 @@ impl<'a> CqpSystem<'a> {
         problem: &ProblemSpec,
         config: &SolverConfig,
     ) -> Result<PersonalizationOutcome, SolverError> {
-        self.run_recorded(query, profile, problem, config, &NoopRecorder)
+        self.personalize_recorded(query, profile, problem, config, &NoopRecorder)
     }
 
     /// [`CqpSystem::personalize`] under a `personalize` span with nested
@@ -199,33 +203,6 @@ impl<'a> CqpSystem<'a> {
         config: &SolverConfig,
         recorder: &dyn Recorder,
     ) -> Result<PersonalizationOutcome, SolverError> {
-        self.run_recorded(query, profile, problem, config, recorder)
-    }
-
-    /// Runs the full pipeline for one CQP problem, returning a typed
-    /// [`CqpError`] for every failure mode: infeasible request shapes are
-    /// rejected up front ([`CqpError::SpaceTooLarge`]), construction and
-    /// execution errors propagate, and budget overruns degrade the solution
-    /// ([`Solution::degraded`]) instead of failing the request.
-    pub fn run(
-        &self,
-        query: &ConjunctiveQuery,
-        profile: &Profile,
-        problem: &ProblemSpec,
-        config: &SolverConfig,
-    ) -> Result<PersonalizationOutcome, CqpError> {
-        self.run_recorded(query, profile, problem, config, &NoopRecorder)
-    }
-
-    /// [`CqpSystem::run`] with spans and `solver.*` counters.
-    pub fn run_recorded(
-        &self,
-        query: &ConjunctiveQuery,
-        profile: &Profile,
-        problem: &ProblemSpec,
-        config: &SolverConfig,
-        recorder: &dyn Recorder,
-    ) -> Result<PersonalizationOutcome, CqpError> {
         let _run = span_guard(recorder, "personalize");
 
         let t0 = Instant::now();

@@ -129,11 +129,6 @@ impl AdmissionController {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).waiting
     }
 
-    /// Execution slots.
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight
-    }
-
     /// Waiting slots.
     pub fn queue_cap(&self) -> usize {
         self.queue_cap

@@ -19,9 +19,9 @@
 //! documents every flag.
 //!
 //! `--backend` picks the serving core (defaults to `CQP_SERVER_BACKEND`,
-//! then `threaded`); the connection-scale bench boots `--backend epoll`
-//! as a child process so the 10k-connection herd lives in its own fd
-//! table.
+//! then `threaded`). A connection-scale client run against
+//! `serverd --backend epoll` keeps the server's side of its herd in this
+//! process's fd table; `--max-conns` sizes it.
 //!
 //! `--chrome-trace PATH` periodically dumps the trace retention ring as a
 //! Chrome trace-event document (loadable in `chrome://tracing` or

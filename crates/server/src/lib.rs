@@ -31,20 +31,16 @@
 //! * [`telemetry`] — per-server trace identity and sampling, trace
 //!   retention (ring + slow-query log), SLO time series, and the labeled
 //!   request counters behind the Prometheus `/metrics` endpoint.
-//! * [`loadgen`] — a deterministic closed-loop load generator over real
-//!   sockets, feeding `BENCH_serve.json`.
-//! * [`chaos`] — a seeded connection-level chaos client (truncated heads,
-//!   mid-body disconnects, slowloris, garbage) for the robustness suite.
+//!
+//! The seeded clients that put this crate under load (closed loop, open
+//! loop and chaos) live outside it, in `cqp_bench::load`.
 //!
 //! Everything is `std`-only, same as the rest of the workspace.
 
 pub mod admission;
 pub mod canon;
-pub mod chaos;
-pub mod connscale;
 pub mod http;
 pub mod json;
-pub mod loadgen;
 pub(crate) mod reactor;
 pub mod repl;
 pub mod server;
@@ -54,11 +50,6 @@ pub mod wal;
 
 pub use admission::{AdmissionController, AdmissionError, Permit};
 pub use canon::{canonicalize_sql, template_hash};
-pub use chaos::{run_chaos, ChaosConfig, ChaosMode, ChaosOutcome, ChaosReport};
-pub use connscale::{run_conn_scale, ConnScaleConfig, ConnScaleReport};
-pub use loadgen::{
-    overload_probe, run_load, run_load_targets, LoadConfig, LoadReport, ProbeReport,
-};
 pub use repl::{Repl, Role};
 pub use server::{start, Backend, ServerConfig, ServerHandle, ServerState};
 pub use session::{SessionStore, StoredProfile, UpsertMode, WriteListener};

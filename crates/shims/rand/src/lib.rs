@@ -15,7 +15,7 @@ use std::ops::{Range, RangeInclusive};
 
 /// One step of the splitmix64 stream (Steele, Lea & Flood): advances
 /// `state` by the golden-ratio increment and returns the finalized mix.
-/// This is THE workspace splitmix64 — every seeded stream (loadgen, chaos,
+/// This is THE workspace splitmix64 — every seeded stream (load drivers,
 /// fault plans, trace IDs, the test shims) derives from this function or
 /// [`splitmix64_mix`], so deterministic fixtures stay bit-identical no
 /// matter which crate drew them.
@@ -29,7 +29,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// The stateless form: one splitmix64 step over a copy of `x`. Callers
 /// that just need a hash-quality scramble of an existing value (trace
-/// IDs, chaos case derivation, fault-plan coin flips) use this directly;
+/// IDs, ring points, fault-plan coin flips) use this directly;
 /// it is bit-identical to `splitmix64(&mut x.clone())`.
 pub fn splitmix64_mix(mut x: u64) -> u64 {
     splitmix64(&mut x)

@@ -137,6 +137,19 @@ fn prom_value(text: &str, prefix: &str) -> Option<f64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
+/// The solver's search-work counters on `/metrics`: states examined and
+/// parameter evaluations. Both must be exported.
+fn search_counters(addr: SocketAddr) -> (f64, f64) {
+    let text = request(addr, "GET", "/metrics", &[], None).body_text();
+    let counter = |name: &str| {
+        prom_value(&text, name).unwrap_or_else(|| panic!("{name} missing from /metrics"))
+    };
+    (
+        counter("cqp_solver_states_examined_total"),
+        counter("cqp_solver_param_evals_total"),
+    )
+}
+
 /// The six Table-1 problems in the server's wire encoding.
 fn six_problems() -> [String; 6] {
     [
@@ -150,8 +163,10 @@ fn six_problems() -> [String; 6] {
 }
 
 /// Exact tier across every Table-1 problem: the second identical request is
-/// served from the cache, and its answer is bit-identical both to the first
-/// (cold) response and to a cache-off server solving the same instance.
+/// served from the cache without any search (the solver's work counters on
+/// `/metrics` do not move), and its answer is bit-identical both to the
+/// first (cold) response and to a cache-off server solving the same
+/// instance.
 #[test]
 fn exact_hits_are_bit_identical_across_all_six_problems() {
     let mut cached = boot(ServerConfig::default());
@@ -169,8 +184,14 @@ fn exact_hits_are_bit_identical_across_all_six_problems() {
         // space-reuse hits — never exact, which is what matters here.
         let first = personalize(cached.addr(), SQL, problem);
         assert_ne!(cache_tier(&first), "exact", "{problem}");
+        let searched = search_counters(cached.addr());
         let second = personalize(cached.addr(), SQL, problem);
         assert_eq!(cache_tier(&second), "exact", "{problem}");
+        assert_eq!(
+            search_counters(cached.addr()),
+            searched,
+            "an exact hit searched on {problem}"
+        );
         let off = personalize(cold.addr(), SQL, problem);
         assert_eq!(cache_tier(&off), "off", "{problem}");
         assert_eq!(

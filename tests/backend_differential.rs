@@ -13,9 +13,10 @@
 //! 3. a seeded single-client closed loop whose deterministic report
 //!    fields must agree exactly.
 
+use cqp_bench::load::{run_load, LoadConfig, LoadReport};
 use cqp_obs::Json;
 use cqp_server::http::{parse_response, ClientResponse};
-use cqp_server::{json, start, Backend, LoadConfig, ServerConfig, ServerHandle};
+use cqp_server::{json, start, Backend, ServerConfig, ServerHandle};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -221,7 +222,7 @@ fn error_responses_are_identical_across_backends() {
 }
 
 /// A seeded single-client closed loop: every deterministic field of the
-/// load report — status tallies, cache tiers, staleness — agrees exactly.
+/// load report — status tallies, trace echoes, cache tiers — agrees exactly.
 /// (Latency quantiles and wall-clock are timing and excluded; `degraded`
 /// is deadline-dependent and excluded.)
 #[test]
@@ -247,9 +248,9 @@ fn seeded_closed_loop_reports_agree_across_backends() {
         trace_every: 3,
         ..LoadConfig::default()
     };
-    let report_t = cqp_server::run_load(threaded.addr(), &load).expect("threaded load");
-    let report_e = cqp_server::run_load(epoll.addr(), &load).expect("epoll load");
-    let deterministic = |r: &cqp_server::LoadReport| {
+    let report_t = run_load(threaded.addr(), &load).expect("threaded load");
+    let report_e = run_load(epoll.addr(), &load).expect("epoll load");
+    let deterministic = |r: &LoadReport| {
         (
             r.requests,
             r.ok,
@@ -260,7 +261,6 @@ fn seeded_closed_loop_reports_agree_across_backends() {
             r.io_errors,
             r.traced,
             r.trace_mismatches,
-            r.stale_answers,
             (
                 r.cache_exact,
                 r.cache_warm,

@@ -93,7 +93,7 @@ const ALL_P2_SEARCHERS: [Algorithm; 7] = [
     Algorithm::BranchBound,
 ];
 
-/// Acceptance gate: `CqpSystem::run` with a 0-ms deadline returns a
+/// Acceptance gate: `CqpSystem::personalize` with a 0-ms deadline returns a
 /// `Degraded`-tagged solution — never a hang, never a panic — for all five
 /// paper algorithms (plus the exact baselines).
 #[test]
@@ -113,7 +113,7 @@ fn zero_deadline_degrades_every_algorithm_through_the_facade() {
             ..Default::default()
         };
         let outcome = system
-            .run(&base, &profile, &ProblemSpec::p2(100), &config)
+            .personalize(&base, &profile, &ProblemSpec::p2(100), &config)
             .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
         let d = outcome
             .solution
@@ -146,7 +146,9 @@ fn zero_deadline_degrades_the_general_search_on_every_problem_variant() {
             budget: Budget::with_deadline_ms(0),
             ..Default::default()
         };
-        let outcome = system.run(&base, &profile, problem, &config).unwrap();
+        let outcome = system
+            .personalize(&base, &profile, problem, &config)
+            .unwrap();
         assert!(
             outcome.solution.degraded.is_some(),
             "{problem:?} did not degrade"
@@ -333,7 +335,7 @@ fn zero_deadline_degrades_partitioned_searches() {
             ..Default::default()
         };
         let outcome = system
-            .run(&base, &profile, &ProblemSpec::p2(100), &config)
+            .personalize(&base, &profile, &ProblemSpec::p2(100), &config)
             .unwrap();
         assert!(
             outcome.solution.degraded.is_some(),

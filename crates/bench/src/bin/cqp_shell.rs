@@ -23,8 +23,8 @@
 //! * `\k <n>` — cap the number of extracted preferences
 //! * `\soft <query>` — execute with ranked any-match semantics
 //! * `\explain <query>` — show the personalized execution plan
-//! * `\trace <query>` — personalize + execute under the tracer, then print
-//!   the nested span tree and the metrics registry
+//! * `\trace <query>` — personalize + execute under an `Obs`, then print
+//!   the folded span tree and the metrics registry
 //! * `\serve [n]` — start the HTTP serving layer on an ephemeral port and
 //!   drive `n` requests through the closed-loop load generator
 //! * `\help`, `\quit`
@@ -342,9 +342,9 @@ fn trace_query(
         }
     };
     // With \threads N > 1 the request goes through the batch driver, so the
-    // pipeline spans nest under a `workerNN` subtree — the tracer keeps one
-    // span stack per OS thread, so concurrent workers can never interleave
-    // into each other's subtree.
+    // pipeline spans nest under a `workerNN` subtree — the span capture
+    // keeps one open-span stack per OS thread, so concurrent workers can
+    // never interleave into each other's subtree.
     let (solution, personalized) = if config.parallelism.threads > 1 {
         let driver =
             cqp_core::batch::BatchDriver::new(Arc::new(db.clone()), config.parallelism.threads);

@@ -44,6 +44,7 @@ use cqp_core::batch::{BatchDriver, BatchRequest, RetryPolicy};
 use cqp_core::budget::Budget;
 use cqp_core::spaces::SpaceView;
 use cqp_core::{Instrument, ProblemSpec, SolverConfig};
+use cqp_obs::reqtrace::fold_traces;
 use cqp_obs::{Json, Obs, RunReport};
 use cqp_prefs::{ConjModel, Doi};
 use cqp_prefspace::{ExtractConfig, PrefParams, PreferenceSpace};
@@ -862,8 +863,18 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
                 ("traces_evicted", Json::from(evicted)),
             ]),
         ));
+        // The server keeps metrics only; the spans are its retained
+        // traces, folded.
+        let traces = state.telemetry.ring.recent(usize::MAX);
+        let report = RunReport {
+            experiment: "obs".to_string(),
+            label: mode.to_string(),
+            fields: Vec::new(),
+            snapshot: state.registry.snapshot(),
+            spans: fold_traces(&traces),
+        };
         reports.push(
-            RunReport::from_obs("obs", mode, &state.obs)
+            report
                 .with_field("requests", best.requests)
                 .with_field("traces_captured", captured),
         );

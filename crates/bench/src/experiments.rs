@@ -120,7 +120,7 @@ pub fn spaces_at_k(w: &Workload, k: usize) -> Vec<PreferenceSpace> {
 }
 
 /// One recorded solver run under a shared cell `Obs`. The root span is the
-/// algorithm name, so the delta of its tracer total is this run's wall
+/// algorithm name, so the delta of its folded total is this run's wall
 /// seconds — timing and metrics come from the same instrument.
 fn solve_timed(
     obs: &Obs,

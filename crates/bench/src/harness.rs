@@ -154,7 +154,7 @@ impl Workload {
     }
 
     /// [`Workload::space`] under a shared [`Obs`]: extraction runs inside a
-    /// `prefspace.extract` span so repeated calls aggregate in the tracer.
+    /// `prefspace.extract` span so repeated calls aggregate in its tree.
     pub fn space_recorded(
         &self,
         profile: &Profile,
@@ -222,16 +222,9 @@ pub fn supreme_cost_blocks(space: &PreferenceSpace) -> u64 {
     (0..space.k()).map(|i| space.cost_blocks(i)).sum()
 }
 
-/// Times a closure, returning its output and elapsed seconds. The clock is
-/// the span tracer (a throwaway [`Obs`]), so every experiment timing flows
-/// through the same instrument as the recorded pipelines.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    timed_span(&Obs::new(), "timed", f)
-}
-
 /// Runs `f` inside a root span `name` on `obs` and returns its output plus
-/// the wall seconds the tracer attributed to *this* entry (total delta, so
-/// it works on an `Obs` shared across repeated runs).
+/// the wall seconds the span tree attributed to *this* entry (total delta,
+/// so it works on an `Obs` shared across repeated runs).
 pub fn timed_span<R>(obs: &Obs, name: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
     let before = span_secs(obs, name);
     let r = {
@@ -241,16 +234,14 @@ pub fn timed_span<R>(obs: &Obs, name: &'static str, f: impl FnOnce() -> R) -> (R
     (r, span_secs(obs, name) - before)
 }
 
-/// Total wall seconds the tracer has accumulated for spans whose dotted
+/// Total wall seconds `obs`'s span tree holds for the span whose dotted
 /// path equals `path` (0.0 if the span never ran).
 pub fn span_secs(obs: &Obs, path: &str) -> f64 {
-    obs.with_tracer(|t| {
-        t.spans()
-            .iter()
-            .filter(|s| s.path == path)
-            .map(|s| s.total.as_secs_f64())
-            .sum()
-    })
+    obs.spans()
+        .iter()
+        .filter(|s| s.path == path)
+        .map(|s| s.total.as_secs_f64())
+        .sum()
 }
 
 #[cfg(test)]
@@ -290,10 +281,10 @@ mod tests {
         assert_eq!(v, 42);
         assert!(t1 >= 0.0);
         let (_, t2) = timed_span(&obs, "work", || ());
-        // Both entries aggregate in the tracer, yet each call reported only
+        // Both entries aggregate in the tree, yet each call reported only
         // its own delta.
         assert!((span_secs(&obs, "work") - (t1 + t2)).abs() < 1e-9);
-        assert_eq!(obs.with_tracer(|t| t.spans()[0].count), 2);
+        assert_eq!(obs.spans()[0].count, 2);
         assert_eq!(span_secs(&obs, "no-such-span"), 0.0);
     }
 

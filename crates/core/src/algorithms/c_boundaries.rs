@@ -319,7 +319,7 @@ mod tests {
         assert!(p1.cache_misses > 0);
 
         // Spans and registry counters were published.
-        let spans = obs.with_tracer(|t| t.spans());
+        let spans = obs.spans();
         assert!(spans.iter().any(|s| s.path == "find_boundaries"));
         assert!(spans.iter().any(|s| s.path == "find_max_doi"));
         assert_eq!(

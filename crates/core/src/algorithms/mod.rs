@@ -314,24 +314,20 @@ pub fn solve_p2_budgeted(
     }
     if let Some(d) = &sol.degraded {
         recorder.add("solver.degraded", 1);
-        if recorder.is_enabled() {
-            recorder.event(&format!(
-                "{}: degraded ({}) after {} states",
-                algorithm.name(),
-                d.reason.name(),
-                d.states_visited,
-            ));
-        }
-    }
-    if recorder.is_enabled() {
-        recorder.event(&format!(
-            "{}: doi={:.4} cost={} states={}",
+        recorder.event(format_args!(
+            "{}: degraded ({}) after {} states",
             algorithm.name(),
-            sol.doi.value(),
-            sol.cost_blocks,
-            sol.instrument.states_examined,
+            d.reason.name(),
+            d.states_visited,
         ));
     }
+    recorder.event(format_args!(
+        "{}: doi={:.4} cost={} states={}",
+        algorithm.name(),
+        sol.doi.value(),
+        sol.cost_blocks,
+        sol.instrument.states_examined,
+    ));
     drop(span);
     sol
 }

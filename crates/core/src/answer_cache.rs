@@ -430,14 +430,6 @@ impl AnswerCache {
             })
             .sum()
     }
-
-    /// Cached families (template × profile × config keys).
-    pub fn families(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
-    }
 }
 
 /// The strongest warm-start bound available for `problem`: among cached
@@ -677,11 +669,12 @@ mod tests {
         let p = ProblemSpec::p2(200);
         let v = VariantKey::of(&p);
         // Far more families than capacity: the cache must stay bounded.
+        // Each family holds one variant, so entries count families.
         for i in 0..200 {
             let k = FamilyKey::new(i, "user1", &config);
             cache.insert(&k, 1, v, &sp, answer_for(&p, &sp));
         }
-        assert!(cache.families() <= DEFAULT_SHARDS);
+        assert!(cache.entries() <= DEFAULT_SHARDS);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   once — not per request;
 //! * each request runs the full pipeline (preference space → search →
 //!   construction) on whichever worker claims it, under a per-worker
-//!   tracer span so `\trace` output keeps one subtree per worker;
+//!   span so `\trace` output keeps one subtree per worker;
 //! * cost evaluations of the boundary search flow through one
 //!   [`SharedCostCache`] (sharded, `Mutex`-per-shard), so concurrent
 //!   requests over the same preference space reuse each other's work — the
@@ -494,9 +494,7 @@ impl BatchDriver {
         let variant = VariantKey::of(&req.problem);
         let t = Instant::now();
         let lookup = cache.lookup(&key, cache_req.profile_version, &variant, &req.problem);
-        if recorder.is_enabled() {
-            recorder.event(&format!("answer cache: {}", lookup.tier()));
-        }
+        recorder.event(format_args!("answer cache: {}", lookup.tier()));
         let (tier, warm) = match lookup {
             Lookup::Exact(hit) => {
                 let latency_us = t.elapsed().as_micros() as u64;
@@ -560,11 +558,9 @@ impl BatchDriver {
         if let Some(breaker) = &self.breaker {
             if let Err(retry_after_ms) = breaker.try_acquire() {
                 recorder.add("batch.breaker_shed", 1);
-                if recorder.is_enabled() {
-                    recorder.event(&format!(
-                        "breaker open: shed before dispatch (retry after {retry_after_ms} ms)"
-                    ));
-                }
+                recorder.event(format_args!(
+                    "breaker open: shed before dispatch (retry after {retry_after_ms} ms)"
+                ));
                 return Err(CqpError::CircuitOpen { retry_after_ms });
             }
         }
@@ -590,14 +586,12 @@ impl BatchDriver {
             item.latency_us = latency_us;
             if let Some(d) = &item.solution.degraded {
                 recorder.add("batch.degraded", 1);
-                if recorder.is_enabled() {
-                    recorder.event(&format!(
-                        "degraded: {} after {} states in {:?}",
-                        d.reason.name(),
-                        d.states_visited,
-                        d.elapsed
-                    ));
-                }
+                recorder.event(format_args!(
+                    "degraded: {} after {} states in {:?}",
+                    d.reason.name(),
+                    d.states_visited,
+                    d.elapsed
+                ));
             }
             item
         })
@@ -1117,7 +1111,7 @@ mod tests {
         let h = reg.histogram("batch.latency_us").unwrap();
         assert_eq!(h.count(), 6);
         // Worker spans are roots; request pipelines nest under them.
-        let spans = obs.with_tracer(|t| t.spans());
+        let spans = obs.spans();
         assert!(spans
             .iter()
             .any(|s| s.path.starts_with("worker0") && s.path.contains("personalize")));

@@ -81,9 +81,6 @@ impl Instrument {
     /// namespace. Work counters are monotonic adds; the memory peak goes to
     /// a histogram so its `max` is the overall peak across flushes.
     pub fn flush_to(&self, recorder: &dyn Recorder) {
-        if !recorder.is_enabled() {
-            return;
-        }
         recorder.add("solver.states_examined", self.states_examined);
         recorder.add("solver.param_evals", self.param_evals);
         recorder.add("solver.horizontal_moves", self.horizontal_moves);

@@ -626,7 +626,7 @@ mod tests {
             .unwrap();
 
         // Solver-phase spans nest under personalize → search → algorithm.
-        let spans = obs.with_tracer(|t| t.spans());
+        let spans = obs.spans();
         let paths: Vec<&str> = spans.iter().map(|s| s.path.as_str()).collect();
         assert!(paths.contains(&"storage.analyze"), "{paths:?}");
         assert!(paths.contains(&"personalize.search.C_Boundaries.find_boundaries"));

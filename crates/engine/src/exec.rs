@@ -567,9 +567,7 @@ pub(crate) fn satisfying_rows(
         let joined = join(db, sub, &scanned[i], &filters, recorder)?;
         let columns = projection(db, sub, &joined)?;
         recorder.add("engine.rows_emitted", joined.len() as u64);
-        if recorder.is_enabled() {
-            recorder.observe("engine.subquery_rows", joined.len() as u64);
-        }
+        recorder.observe("engine.subquery_rows", joined.len() as u64);
         for row in joined.rows() {
             key.clear();
             key.extend(columns.iter().map(|&(s, c)| c.cell(row[s] as usize)));

@@ -5,21 +5,22 @@
 //! personalization run):
 //!
 //! * [`metrics`] — a [`Registry`] of named monotonic counters, gauges, and
-//!   log-linear histograms, with point-in-time [`Snapshot`]s and
-//!   [`Snapshot::diff`] for attributing counter deltas to a region of work.
-//!   Counters and gauges are atomics; histograms sit behind a mutex.
-//! * [`trace`] — the *aggregate* span [`Tracer`]: per-span wall-clock time,
-//!   counter deltas captured at span boundaries, and a ring-buffered event
-//!   log. Nesting is tracked per thread, so concurrent workers build
-//!   disjoint subtrees. Renders as a flame-style text tree for `cqp_shell`.
+//!   log-linear histograms, with point-in-time [`Snapshot`]s. Counters and
+//!   gauges are atomics; histograms sit behind a mutex.
 //! * [`record`] — the [`Recorder`] trait the lower layers are written
-//!   against. [`NoopRecorder`] keeps the hot path free when observability
-//!   is off; [`Obs`] (registry + tracer behind one handle) records
-//!   everything.
-//! * [`reqtrace`] — *per-request* tracing: [`RequestRecorder`] captures an
-//!   exact-timestamped span tree for one request (forwarding metrics to a
-//!   base recorder), retained in a lock-sharded [`TraceRing`] and a
-//!   worst-N [`SlowLog`], exportable as JSON or Chrome trace events.
+//!   against, and the one span capture behind every recorder that keeps
+//!   spans: it opens and closes spans on one stack per thread (so
+//!   concurrent workers build disjoint subtrees), keeps every span
+//!   occurrence, and attributes counter deltas to each. [`NoopRecorder`]
+//!   drops everything; a [`Registry`] records metrics only; [`Obs`]
+//!   (registry + capture behind one handle) records everything.
+//! * [`trace`] — the aggregate tree: the fold of a capture's records into
+//!   one node per span path (count, total time, counter deltas), rendered
+//!   as a flame-style text tree for `cqp_shell`.
+//! * [`reqtrace`] — *per-request* tracing: [`RequestRecorder`] exports a
+//!   capture as one request's exact-timestamped span tree (forwarding
+//!   metrics to a base recorder), retained in a lock-sharded [`TraceRing`]
+//!   and a worst-N [`SlowLog`], exportable as JSON or Chrome trace events.
 //! * [`timeseries`] — [`SloSeries`], windowed 1-second-bucket aggregation
 //!   for request rates and SLO burn.
 //! * [`prometheus`] — text-exposition (0.0.4) rendering of a registry plus
@@ -42,4 +43,4 @@ pub use record::{NoopRecorder, Obs, Recorder, SpanGuard};
 pub use report::{Json, RunReport};
 pub use reqtrace::{RequestRecorder, RequestTrace, SlowLog, SpanRecord, TraceId, TraceRing};
 pub use timeseries::{SloSeries, SloSnapshot};
-pub use trace::{SpanView, Tracer};
+pub use trace::SpanView;

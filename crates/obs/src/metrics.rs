@@ -329,17 +329,6 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Counter map keyed by static name — the cheap snapshot the tracer
-    /// takes at span boundaries to compute per-span counter deltas.
-    pub(crate) fn counters_now(&self) -> BTreeMap<&'static str, u64> {
-        self.counters
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(&k, v)| (k, v.load(Ordering::Relaxed)))
-            .collect()
-    }
 }
 
 /// Point-in-time copy of a [`Registry`].
@@ -351,48 +340,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
-}
-
-impl Snapshot {
-    /// What happened between `earlier` and `self`.
-    ///
-    /// Counters subtract (saturating, so a reset registry diffs to zero
-    /// rather than wrapping); histogram summaries subtract `count`/`sum`
-    /// and keep `self`'s `min`/`max` (extrema are not invertible); gauges
-    /// keep `self`'s value. Metrics absent from `earlier` count as zero.
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| {
-                let before = earlier.counters.get(k).copied().unwrap_or(0);
-                (k.clone(), v.saturating_sub(before))
-            })
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let before = earlier.histograms.get(k).copied().unwrap_or_default();
-                (
-                    k.clone(),
-                    HistogramSummary {
-                        count: h.count.saturating_sub(before.count),
-                        sum: h.sum.saturating_sub(before.sum),
-                        min: h.min,
-                        max: h.max,
-                    },
-                )
-            })
-            .filter(|(_, h)| h.count > 0)
-            .collect();
-        Snapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -553,35 +500,5 @@ mod tests {
         assert_eq!(r.counter("a.x"), 5);
         assert_eq!(r.counter("a.y"), 0);
         assert_eq!(r.gauge("g"), Some(2.5));
-    }
-
-    #[test]
-    fn snapshot_diff_subtracts_counters_and_hist_counts() {
-        let r = Registry::new();
-        r.add("c", 10);
-        r.observe("h", 4);
-        let before = r.snapshot();
-        r.add("c", 7);
-        r.add("d", 1);
-        r.observe("h", 8);
-        r.observe("h", 16);
-        let after = r.snapshot();
-        let d = after.diff(&before);
-        assert_eq!(d.counters.get("c"), Some(&7));
-        assert_eq!(d.counters.get("d"), Some(&1));
-        let h = d.histograms.get("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 24);
-    }
-
-    #[test]
-    fn snapshot_diff_drops_unchanged_metrics() {
-        let r = Registry::new();
-        r.add("stable", 5);
-        let before = r.snapshot();
-        r.add("moving", 1);
-        let d = r.snapshot().diff(&before);
-        assert!(!d.counters.contains_key("stable"));
-        assert_eq!(d.counters.get("moving"), Some(&1));
     }
 }

@@ -1,13 +1,17 @@
-//! The [`Recorder`] trait lower layers are written against, its no-op
-//! implementation, and [`Obs`] — the live registry + tracer bundle.
+//! The [`Recorder`] trait lower layers are written against, its no-op and
+//! metrics-only implementations, the span capture, and [`Obs`] — the live
+//! registry + capture bundle.
 
 use crate::metrics::{Registry, Snapshot};
-use crate::trace::Tracer;
-use std::sync::Mutex;
+use crate::trace::{fold, render, SpanView};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::{self, ThreadId};
+use std::time::Instant;
 
 /// Observability sink. Every method takes `&self` and defaults to a no-op,
-/// so instrumented code pays one virtual call (or nothing, when it checks
-/// [`Recorder::is_enabled`] first) when recording is off.
+/// so instrumented code pays one virtual call when recording is off.
 ///
 /// Recorders are `Send + Sync` so one sink (behind an `Arc` or a plain
 /// reference) can serve every worker of a parallel search or batch run.
@@ -15,12 +19,6 @@ use std::sync::Mutex;
 /// Span discipline: `span_enter`/`span_exit` must nest *per thread*; use
 /// [`SpanGuard`] (via [`span_guard`]) to make exits drop-safe.
 pub trait Recorder: Send + Sync {
-    /// Whether this recorder keeps anything. Instrumented code may skip
-    /// preparing expensive arguments (formatting, snapshots) when false.
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
     /// Opens a nested span.
     fn span_enter(&self, _name: &'static str) {}
 
@@ -36,8 +34,9 @@ pub trait Recorder: Send + Sync {
     /// Records a histogram observation.
     fn observe(&self, _name: &'static str, _value: u64) {}
 
-    /// Appends a point event to the ring log.
-    fn event(&self, _message: &str) {}
+    /// Records a point event. Pass `format_args!(..)`: only a recorder
+    /// that keeps events (a request trace) formats the message.
+    fn event(&self, _message: fmt::Arguments<'_>) {}
 }
 
 /// Discards everything; all methods are the trait defaults.
@@ -46,18 +45,205 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-/// Live observability state: a metrics [`Registry`] plus a span [`Tracer`],
-/// shared by `&self` across solver, engine, and storage for one run — and
-/// across worker threads for a parallel one (the tracer keeps one open-span
-/// stack per thread).
+/// Metrics only: counters, gauges and histograms land in the registry;
+/// spans and events are dropped.
+impl Recorder for Registry {
+    fn add(&self, name: &'static str, delta: u64) {
+        Registry::add(self, name, delta);
+    }
+
+    fn set_gauge(&self, name: &'static str, value: f64) {
+        Registry::set_gauge(self, name, value);
+    }
+
+    fn observe(&self, name: &'static str, value: u64) {
+        Registry::observe(self, name, value);
+    }
+}
+
+/// One span occurrence in a [`Capture`]. Times are nanoseconds since the
+/// capture's start.
+#[derive(Debug)]
+pub(crate) struct Record {
+    pub(crate) name: &'static str,
+    /// Index of the enclosing record, if nested.
+    pub(crate) parent: Option<usize>,
+    pub(crate) start_ns: u64,
+    /// `None` while the span is open.
+    pub(crate) end_ns: Option<u64>,
+    /// Counters that advanced through the capture while the span was open
+    /// (children and other threads' adds included).
+    pub(crate) counters: Vec<(&'static str, u64)>,
+}
+
+#[derive(Debug)]
+struct Open {
+    record: usize,
+    counts_at: BTreeMap<&'static str, u64>,
+}
+
+/// What a capture holds once it is taken apart.
+#[derive(Debug, Default)]
+pub(crate) struct CaptureState {
+    /// Span occurrences in entry order (parents before children).
+    pub(crate) records: Vec<Record>,
+    /// Point events `(ns since start, message)`.
+    pub(crate) events: Vec<(u64, String)>,
+    // One open-span stack per thread, dropped when it drains so
+    // short-lived pool workers do not accumulate.
+    stacks: Vec<(ThreadId, Vec<Open>)>,
+    counts: BTreeMap<&'static str, u64>,
+}
+
+/// The one span recorder: opens and closes spans on a per-thread stack,
+/// keeps every occurrence as a [`Record`], and attributes to each span the
+/// counters that advanced through the capture while it was open. [`Obs`]
+/// folds the records into the aggregate tree; a request recorder exports
+/// them as one request's trace.
+#[derive(Debug)]
+pub(crate) struct Capture {
+    t0: Instant,
+    state: Mutex<CaptureState>,
+}
+
+impl Capture {
+    /// An empty capture whose times count from `t0`.
+    pub(crate) fn new(t0: Instant) -> Self {
+        Capture {
+            t0,
+            state: Mutex::new(CaptureState::default()),
+        }
+    }
+
+    /// Nanoseconds since `t0`.
+    pub(crate) fn elapsed_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
+    }
+
+    // Recovering from a panic that poisoned the lock is safe: each step of
+    // every update below leaves the records and stacks consistent (at
+    // worst a span stays open, which the fold and export tolerate).
+    fn lock(&self) -> MutexGuard<'_, CaptureState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Opens `name` under the calling thread's innermost open span.
+    pub(crate) fn enter(&self, name: &'static str) {
+        let start_ns = self.elapsed_ns();
+        let tid = thread::current().id();
+        let mut s = self.lock();
+        let record = s.push(tid, name, start_ns, None);
+        let counts_at = s.counts.clone();
+        match s.stacks.iter_mut().find(|(t, _)| *t == tid) {
+            Some((_, stack)) => stack.push(Open { record, counts_at }),
+            None => s.stacks.push((tid, vec![Open { record, counts_at }])),
+        }
+    }
+
+    /// Closes the calling thread's innermost open span; no-op if none.
+    pub(crate) fn exit(&self) {
+        let end_ns = self.elapsed_ns();
+        let tid = thread::current().id();
+        let mut s = self.lock();
+        let Some(at) = s.stacks.iter().position(|(t, _)| *t == tid) else {
+            return;
+        };
+        let stack = &mut s.stacks[at].1;
+        let Some(open) = stack.pop() else {
+            return;
+        };
+        if stack.is_empty() {
+            s.stacks.swap_remove(at);
+        }
+        let counters = s
+            .counts
+            .iter()
+            .filter_map(|(&name, &now)| {
+                let before = open.counts_at.get(name).copied().unwrap_or(0);
+                (now > before).then_some((name, now - before))
+            })
+            .collect();
+        let r = &mut s.records[open.record];
+        r.end_ns = Some(end_ns);
+        r.counters = counters;
+    }
+
+    /// Adds an already-measured span under the calling thread's innermost
+    /// open span.
+    pub(crate) fn record(&self, name: &'static str, start_ns: u64, end_ns: u64) {
+        let tid = thread::current().id();
+        self.lock().push(tid, name, start_ns, Some(end_ns));
+    }
+
+    /// Counts `delta` toward every open span's counter deltas.
+    pub(crate) fn count(&self, name: &'static str, delta: u64) {
+        *self.lock().counts.entry(name).or_insert(0) += delta;
+    }
+
+    /// Keeps a point event.
+    pub(crate) fn event(&self, message: fmt::Arguments<'_>) {
+        let at = self.elapsed_ns();
+        let message = message.to_string();
+        self.lock().events.push((at, message));
+    }
+
+    /// The aggregate tree: every record so far, folded.
+    pub(crate) fn spans(&self) -> Vec<SpanView> {
+        fold(&self.lock().records)
+    }
+
+    /// The records and events, for export.
+    pub(crate) fn into_state(self) -> CaptureState {
+        self.state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Default for Capture {
+    fn default() -> Self {
+        Capture::new(Instant::now())
+    }
+}
+
+impl CaptureState {
+    fn push(
+        &mut self,
+        tid: ThreadId,
+        name: &'static str,
+        start_ns: u64,
+        end_ns: Option<u64>,
+    ) -> usize {
+        let parent = self
+            .stacks
+            .iter()
+            .find(|(t, _)| *t == tid)
+            .and_then(|(_, stack)| stack.last())
+            .map(|open| open.record);
+        self.records.push(Record {
+            name,
+            parent,
+            start_ns,
+            end_ns,
+            counters: Vec::new(),
+        });
+        self.records.len() - 1
+    }
+}
+
+/// Live observability state for one run: a metrics [`Registry`] plus a
+/// span capture, shared by `&self` across solver, engine, and storage —
+/// and across worker threads for a parallel run (the capture keeps one
+/// open-span stack per thread). It keeps one record per span entry and
+/// no events, so it suits a run of bounded length, not a server.
 #[derive(Debug, Default)]
 pub struct Obs {
     registry: Registry,
-    tracer: Mutex<Tracer>,
+    capture: Capture,
 }
 
 impl Obs {
-    /// A fresh registry and tracer.
+    /// A fresh registry and capture.
     pub fn new() -> Self {
         Self::default()
     }
@@ -72,14 +258,15 @@ impl Obs {
         self.registry.snapshot()
     }
 
-    /// Runs `f` against the tracer (lock scope kept internal).
-    pub fn with_tracer<R>(&self, f: impl FnOnce(&Tracer) -> R) -> R {
-        f(&self.tracer.lock().unwrap())
+    /// The aggregate span tree in pre-order: spans with the same path
+    /// merged, counts and time added, counter deltas summed.
+    pub fn spans(&self) -> Vec<SpanView> {
+        self.capture.spans()
     }
 
     /// Flame-style text rendering of the span tree.
     pub fn render_tree(&self) -> String {
-        self.tracer.lock().unwrap().render()
+        render(&self.spans())
     }
 
     /// Opens a span and returns a guard that closes it on drop.
@@ -89,22 +276,17 @@ impl Obs {
 }
 
 impl Recorder for Obs {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
     fn span_enter(&self, name: &'static str) {
-        let counters = self.registry.counters_now();
-        self.tracer.lock().unwrap().enter(name, counters);
+        self.capture.enter(name);
     }
 
     fn span_exit(&self) {
-        let counters = self.registry.counters_now();
-        self.tracer.lock().unwrap().exit(counters);
+        self.capture.exit();
     }
 
     fn add(&self, name: &'static str, delta: u64) {
         self.registry.add(name, delta);
+        self.capture.count(name, delta);
     }
 
     fn set_gauge(&self, name: &'static str, value: f64) {
@@ -113,10 +295,6 @@ impl Recorder for Obs {
 
     fn observe(&self, name: &'static str, value: u64) {
         self.registry.observe(name, value);
-    }
-
-    fn event(&self, message: &str) {
-        self.tracer.lock().unwrap().event(message.to_string());
     }
 }
 
@@ -145,10 +323,25 @@ mod tests {
     #[test]
     fn noop_recorder_is_disabled_and_inert() {
         let r = NoopRecorder;
-        assert!(!r.is_enabled());
         r.span_enter("x");
         r.add("c", 1);
+        r.event(format_args!("e{}", 1));
         r.span_exit();
+    }
+
+    #[test]
+    fn registry_records_metrics_and_drops_spans() {
+        let r = Registry::new();
+        {
+            let _g = span_guard(&r, "work");
+            Recorder::add(&r, "c", 2);
+            Recorder::observe(&r, "h", 9);
+            Recorder::set_gauge(&r, "g", 0.5);
+            r.event(format_args!("dropped"));
+        }
+        assert_eq!(r.counter("c"), 2);
+        assert_eq!(r.histogram("h").unwrap().count(), 1);
+        assert_eq!(r.gauge("g"), Some(0.5));
     }
 
     #[test]
@@ -163,7 +356,7 @@ mod tests {
             }
         }
         assert_eq!(obs.registry().counter("solver.states"), 12);
-        let spans = obs.with_tracer(|t| t.spans());
+        let spans = obs.spans();
         let solve = spans.iter().find(|s| s.path == "solve").unwrap();
         let phase = spans.iter().find(|s| s.path == "solve.phase1").unwrap();
         assert_eq!(solve.counter_deltas, vec![("solver.states", 12)]);
@@ -175,7 +368,12 @@ mod tests {
         let obs = Obs::new();
         let g = obs.span("outer");
         drop(g);
-        assert_eq!(obs.with_tracer(|t| t.open_depth()), 0);
+        let _next = obs.span("next");
+        let spans = obs.spans();
+        assert_eq!(spans[0].path, "outer");
+        assert_eq!(spans[0].count, 1);
+        // `outer` closed, so `next` opened at the root.
+        assert_eq!(spans[1].path, "next");
     }
 
     #[test]
@@ -195,9 +393,10 @@ mod tests {
             }
         });
         assert_eq!(obs.registry().counter("r.ticks"), 200);
-        let spans = obs.with_tracer(|t| t.spans());
+        let spans = obs.spans();
         // Each worker has its own root with a nested `work` node — no
         // cross-thread interleaving corrupted the nesting.
+        assert_eq!(spans.len(), 2 * WORKER_SPANS.len());
         for name in WORKER_SPANS {
             let path = format!("{name}.work");
             let node = spans.iter().find(|v| v.path == path).unwrap_or_else(|| {
@@ -206,7 +405,7 @@ mod tests {
             assert_eq!(node.count, 50);
             assert_eq!(node.depth, 1);
         }
-        assert_eq!(obs.with_tracer(|t| t.open_depth()), 0);
+        assert!(obs.capture.lock().stacks.is_empty());
     }
 
     #[test]

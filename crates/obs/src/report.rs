@@ -1,5 +1,5 @@
 //! Run-report export: a tiny JSON value type (no serde in this
-//! environment), converters from snapshots and span trees, and a JSONL
+//! environment), converters from snapshots and folded span trees, and a JSONL
 //! appender used by `reproduce` to drop one report line per experiment
 //! row next to the CSVs.
 
@@ -267,14 +267,14 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Captures registry + tracer state from `obs` into a report line.
+    /// Captures `obs`'s registry and folded span tree into a report line.
     pub fn from_obs(experiment: &str, label: &str, obs: &Obs) -> Self {
         RunReport {
             experiment: experiment.to_string(),
             label: label.to_string(),
             fields: Vec::new(),
             snapshot: obs.snapshot(),
-            spans: obs.with_tracer(|t| t.spans()),
+            spans: obs.spans(),
         }
     }
 

@@ -2,21 +2,20 @@
 //! a lock-sharded retention ring, a worst-N slow-query log, and JSON /
 //! Chrome trace-event export.
 //!
-//! The global [`crate::trace::Tracer`] *aggregates* — same-name siblings
-//! merge, and per-entry timestamps are discarded — which is the right
-//! shape for "where does time go on average" but useless for "why was
-//! *this* request slow". [`RequestRecorder`] fills that gap: it implements
-//! [`Recorder`] so the existing solver/engine instrumentation flows into
-//! it unchanged, but it keeps every span occurrence with its own start
-//! offset and duration, producing a [`RequestTrace`] that can be exported
-//! as a tree or a `chrome://tracing` / Perfetto timeline. Metrics calls
-//! are forwarded to a base recorder (normally the server's global
-//! [`crate::Obs`]) so sampling a request never steals its counters from
-//! the aggregate view.
+//! [`RequestRecorder`] implements [`Recorder`] so the solver/engine
+//! instrumentation flows into it unchanged. It records into the same span
+//! capture as [`crate::Obs`], but instead of folding same-path spans into
+//! the aggregate tree it keeps every span occurrence with its own start
+//! offset and duration: a [`RequestTrace`] answers "why was *this* request
+//! slow", exportable as a tree or a `chrome://tracing` / Perfetto
+//! timeline. Metrics are forwarded to a base recorder (the server's
+//! registry), so sampling a request never steals its counters from
+//! `/metrics`; spans and events stay in the trace.
 
-use crate::record::Recorder;
+use crate::record::{Capture, Record, Recorder};
 use crate::report::Json;
-use std::collections::{BTreeMap, VecDeque};
+use crate::trace::{fold, SpanView};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,7 +46,7 @@ impl fmt::Display for TraceId {
 /// One completed span occurrence inside a [`RequestTrace`].
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
-    /// Span name (matches the aggregate tracer's vocabulary).
+    /// Span name (matches the aggregate tree's vocabulary).
     pub name: &'static str,
     /// Index of the parent span in the trace's `spans` vec, if nested.
     pub parent: Option<usize>,
@@ -97,29 +96,14 @@ impl RequestTrace {
     }
 }
 
-struct OpenSpan {
-    index: usize,
-    counters_at: BTreeMap<&'static str, u64>,
-}
-
-#[derive(Default)]
-struct TraceBuild {
-    spans: Vec<SpanRecord>,
-    stack: Vec<OpenSpan>,
-    counts: BTreeMap<&'static str, u64>,
-    events: Vec<(u64, String)>,
-}
-
 /// Per-request [`Recorder`] that captures an exact span tree while
-/// forwarding metrics (and aggregate spans) to a base recorder.
+/// forwarding metrics to a base recorder.
 ///
-/// One instance serves one request; the interior mutex is effectively
-/// uncontended but keeps the type `Sync`, which the `Recorder` bound
-/// requires so the solver can hold `&dyn Recorder`.
+/// Spans, counter deltas and events go to the same capture [`crate::Obs`]
+/// folds; here they are exported as one [`RequestTrace`] instead.
 pub struct RequestRecorder<'a> {
     base: &'a dyn Recorder,
-    t0: Instant,
-    inner: Mutex<TraceBuild>,
+    capture: Capture,
 }
 
 impl<'a> RequestRecorder<'a> {
@@ -129,28 +113,16 @@ impl<'a> RequestRecorder<'a> {
     pub fn new(base: &'a dyn Recorder, t0: Instant) -> Self {
         RequestRecorder {
             base,
-            t0,
-            inner: Mutex::new(TraceBuild::default()),
+            capture: Capture::new(t0),
         }
-    }
-
-    fn elapsed_us(&self) -> u64 {
-        self.t0.elapsed().as_micros() as u64
     }
 
     /// Records an already-measured span (e.g. HTTP parse, which finishes
     /// before the recorder can exist). Nested under the currently open
     /// span, if any.
     pub fn record_span(&self, name: &'static str, start_us: u64, dur_us: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let parent = inner.stack.last().map(|o| o.index);
-        inner.spans.push(SpanRecord {
-            name,
-            parent,
-            start_us,
-            dur_us,
-            counters: Vec::new(),
-        });
+        self.capture
+            .record(name, start_us * 1_000, (start_us + dur_us) * 1_000);
     }
 
     /// Closes any spans left open (drop-safety for panicking handlers) and
@@ -163,76 +135,50 @@ impl<'a> RequestRecorder<'a> {
         start_us: u64,
         meta: Vec<(&'static str, String)>,
     ) -> RequestTrace {
-        let total_us = self.elapsed_us();
-        let mut inner = self.inner.into_inner().unwrap_or_else(|p| p.into_inner());
-        while let Some(open) = inner.stack.pop() {
-            let end = total_us;
-            let span = &mut inner.spans[open.index];
-            span.dur_us = end.saturating_sub(span.start_us);
-        }
+        let total_ns = self.capture.elapsed_ns();
+        let state = self.capture.into_state();
+        let spans = state
+            .records
+            .into_iter()
+            .map(|r| {
+                let start_us = r.start_ns / 1_000;
+                SpanRecord {
+                    name: r.name,
+                    parent: r.parent,
+                    start_us,
+                    dur_us: (r.end_ns.unwrap_or(total_ns) / 1_000).saturating_sub(start_us),
+                    counters: r.counters,
+                }
+            })
+            .collect();
         RequestTrace {
             id,
             seq,
             label,
             start_us,
-            total_us,
+            total_us: total_ns / 1_000,
             meta,
-            spans: inner.spans,
-            events: inner.events,
+            spans,
+            events: state
+                .events
+                .into_iter()
+                .map(|(at_ns, message)| (at_ns / 1_000, message))
+                .collect(),
         }
     }
 }
 
 impl Recorder for RequestRecorder<'_> {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
     fn span_enter(&self, name: &'static str) {
-        let start_us = self.elapsed_us();
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            let parent = inner.stack.last().map(|o| o.index);
-            let index = inner.spans.len();
-            inner.spans.push(SpanRecord {
-                name,
-                parent,
-                start_us,
-                dur_us: 0,
-                counters: Vec::new(),
-            });
-            let counters_at = inner.counts.clone();
-            inner.stack.push(OpenSpan { index, counters_at });
-        }
-        self.base.span_enter(name);
+        self.capture.enter(name);
     }
 
     fn span_exit(&self) {
-        let end_us = self.elapsed_us();
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(open) = inner.stack.pop() {
-                let deltas: Vec<(&'static str, u64)> = inner
-                    .counts
-                    .iter()
-                    .filter_map(|(&k, &v)| {
-                        let before = open.counters_at.get(k).copied().unwrap_or(0);
-                        (v > before).then_some((k, v - before))
-                    })
-                    .collect();
-                let span = &mut inner.spans[open.index];
-                span.dur_us = end_us.saturating_sub(span.start_us);
-                span.counters = deltas;
-            }
-        }
-        self.base.span_exit();
+        self.capture.exit();
     }
 
     fn add(&self, name: &'static str, delta: u64) {
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            *inner.counts.entry(name).or_insert(0) += delta;
-        }
+        self.capture.count(name, delta);
         self.base.add(name, delta);
     }
 
@@ -244,13 +190,8 @@ impl Recorder for RequestRecorder<'_> {
         self.base.observe(name, value);
     }
 
-    fn event(&self, message: &str) {
-        let at = self.elapsed_us();
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            inner.events.push((at, message.to_string()));
-        }
-        self.base.event(message);
+    fn event(&self, message: fmt::Arguments<'_>) {
+        self.capture.event(message);
     }
 }
 
@@ -453,7 +394,7 @@ pub fn trace_to_json(trace: &RequestTrace) -> Json {
 }
 
 /// Dotted root-to-leaf path for every span, aligned with the aggregate
-/// tracer's path vocabulary (`personalize.search`, …).
+/// tree's path vocabulary (`personalize.search`, …).
 pub fn span_paths(trace: &RequestTrace) -> Vec<String> {
     let mut paths: Vec<String> = Vec::with_capacity(trace.spans.len());
     for s in &trace.spans {
@@ -464,6 +405,23 @@ pub fn span_paths(trace: &RequestTrace) -> Vec<String> {
         paths.push(path);
     }
     paths
+}
+
+/// The aggregate tree over several traces: their spans folded the way
+/// [`crate::Obs::spans`] folds a run's, at the traces' µs resolution.
+pub fn fold_traces(traces: &[Arc<RequestTrace>]) -> Vec<SpanView> {
+    let mut records = Vec::new();
+    for trace in traces {
+        let base = records.len();
+        records.extend(trace.spans.iter().map(|s| Record {
+            name: s.name,
+            parent: s.parent.map(|p| base + p),
+            start_ns: s.start_us * 1_000,
+            end_ns: Some((s.start_us + s.dur_us) * 1_000),
+            counters: s.counters.clone(),
+        }));
+    }
+    fold(&records)
 }
 
 /// An array of traces in JSON form.
@@ -595,13 +553,29 @@ mod tests {
             rec.add("c.forwarded", 2);
             rec.observe("h.forwarded", 10);
             rec.set_gauge("g.forwarded", 1.5);
+            rec.event(format_args!("kept in the trace"));
         }
         assert_eq!(obs.registry().counter("c.forwarded"), 2);
         assert_eq!(obs.registry().histogram("h.forwarded").unwrap().count(), 1);
         assert_eq!(obs.registry().gauge("g.forwarded"), Some(1.5));
-        // The aggregate tracer saw the span too.
-        let spans = obs.with_tracer(|t| t.spans());
-        assert!(spans.iter().any(|s| s.path == "work"));
+        // Spans and events stay in the request's own trace.
+        assert!(obs.spans().is_empty());
+        let trace = rec.finish(TraceId(3), 1, "x".into(), 0, vec![]);
+        assert!(trace.has_span("work"));
+        assert_eq!(trace.spans[0].counters, vec![("c.forwarded", 2)]);
+        assert_eq!(trace.events.len(), 1);
+        assert_eq!(trace.events[0].1, "kept in the trace");
+    }
+
+    #[test]
+    fn fold_traces_merges_paths_across_traces() {
+        let traces = vec![sample_trace(1, 1, 101), sample_trace(2, 2, 51)];
+        let spans = fold_traces(&traces);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].path, "dispatch");
+        assert_eq!(spans[0].count, 2);
+        assert_eq!(spans[0].total.as_micros(), 150);
+        assert_eq!(spans[0].counter_deltas, vec![("solver.states_examined", 6)]);
     }
 
     #[test]

@@ -1,40 +1,15 @@
-//! Hierarchical span tracer.
+//! The aggregate span tree: a fold over one capture's span records.
 //!
-//! Spans form a tree; entering the same span name twice under the same
-//! parent aggregates into one node (count + total time), which keeps the
-//! rendered tree readable when a phase runs in a loop. At span boundaries
-//! the tracer captures counter values from the owning registry so each
-//! node carries the counter *deltas* attributable to it (including its
-//! children). A small ring buffer keeps the most recent point events.
-//!
-//! Nesting is tracked **per thread**: each thread gets its own open-span
-//! stack, so workers of a parallel search build disjoint subtrees (rooted
-//! at their per-worker spans) instead of corrupting each other's nesting.
-//! The tree itself is shared — same-name siblings still aggregate.
+//! A capture (see [`crate::record`]) keeps every span occurrence. Folding
+//! merges the occurrences that share a dotted path into one node (entry
+//! count, total time, summed counter deltas), which keeps the tree
+//! readable when a phase runs in a loop. The result is in pre-order with
+//! children in first-entry order, and renders as a flame-style text tree
+//! for `cqp_shell`.
 
+use crate::record::Record;
 use std::collections::BTreeMap;
-use std::collections::{HashMap, VecDeque};
-use std::thread::{self, ThreadId};
-use std::time::{Duration, Instant};
-
-/// Maximum retained point events.
-const EVENT_RING: usize = 256;
-
-#[derive(Debug)]
-struct SpanData {
-    name: &'static str,
-    children: Vec<usize>,
-    count: u64,
-    total: Duration,
-    counter_deltas: BTreeMap<&'static str, u64>,
-}
-
-#[derive(Debug)]
-struct OpenSpan {
-    node: usize,
-    started: Instant,
-    counters_at_entry: BTreeMap<&'static str, u64>,
-}
+use std::time::Duration;
 
 /// Read-only view of one span node, for exporters.
 #[derive(Debug, Clone)]
@@ -45,7 +20,7 @@ pub struct SpanView {
     pub name: &'static str,
     /// Tree depth (root children are 0).
     pub depth: usize,
-    /// Times the span was entered.
+    /// Times the span was entered (and closed).
     pub count: u64,
     /// Total wall-clock across entries.
     pub total: Duration,
@@ -53,181 +28,108 @@ pub struct SpanView {
     pub counter_deltas: Vec<(&'static str, u64)>,
 }
 
-/// The span tree plus event ring. Mutation requires `&mut`; the shared
-/// wrapper lives in [`crate::record::Obs`] (a `Mutex`, so one tracer can
-/// serve many worker threads).
-#[derive(Debug)]
-pub struct Tracer {
-    arena: Vec<SpanData>,
-    roots: Vec<usize>,
-    // One open-span stack per thread; entries are removed when a thread's
-    // stack drains so short-lived pool workers don't accumulate.
-    stacks: HashMap<ThreadId, Vec<OpenSpan>>,
-    epoch: Instant,
-    events: VecDeque<(Duration, String)>,
+struct Node {
+    name: &'static str,
+    children: Vec<usize>,
+    count: u64,
+    total: Duration,
+    counter_deltas: BTreeMap<&'static str, u64>,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Tracer {
-    /// An empty tracer; the epoch for event timestamps starts now.
-    pub fn new() -> Self {
-        Tracer {
-            arena: Vec::new(),
-            roots: Vec::new(),
-            stacks: HashMap::new(),
-            epoch: Instant::now(),
-            events: VecDeque::new(),
-        }
-    }
-
-    /// Opens a span under the calling thread's currently open one (or at
-    /// the root). `counters` is the registry's counter state at entry, used
-    /// to compute this span's deltas on exit.
-    pub fn enter(&mut self, name: &'static str, counters: BTreeMap<&'static str, u64>) {
-        let tid = thread::current().id();
-        let parent = self
-            .stacks
-            .get(&tid)
-            .and_then(|stack| stack.last())
-            .map(|open| open.node);
+/// Merges span occurrences into the aggregate tree. `records` lists every
+/// parent before its children. A span still open adds its node (so its
+/// closed children have a parent) but neither a count nor time.
+pub(crate) fn fold(records: &[Record]) -> Vec<SpanView> {
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut roots: Vec<usize> = Vec::new();
+    // The node each record merged into, by record index.
+    let mut node_of: Vec<usize> = Vec::with_capacity(records.len());
+    for r in records {
+        let parent = r.parent.and_then(|p| node_of.get(p).copied());
         let siblings = match parent {
-            Some(p) => &self.arena[p].children,
-            None => &self.roots,
+            Some(p) => &nodes[p].children,
+            None => &roots,
         };
-        let existing = siblings
+        let existing = siblings.iter().copied().find(|&i| nodes[i].name == r.name);
+        let node = existing.unwrap_or_else(|| {
+            nodes.push(Node {
+                name: r.name,
+                children: Vec::new(),
+                count: 0,
+                total: Duration::ZERO,
+                counter_deltas: BTreeMap::new(),
+            });
+            let i = nodes.len() - 1;
+            match parent {
+                Some(p) => nodes[p].children.push(i),
+                None => roots.push(i),
+            }
+            i
+        });
+        node_of.push(node);
+        if let Some(end_ns) = r.end_ns {
+            let n = &mut nodes[node];
+            n.count += 1;
+            n.total += Duration::from_nanos(end_ns.saturating_sub(r.start_ns));
+            for &(name, delta) in &r.counters {
+                *n.counter_deltas.entry(name).or_insert(0) += delta;
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(nodes.len());
+    for &root in &roots {
+        flatten(&nodes, root, "", 0, &mut out);
+    }
+    out
+}
+
+fn flatten(nodes: &[Node], node: usize, prefix: &str, depth: usize, out: &mut Vec<SpanView>) {
+    let n = &nodes[node];
+    let path = if prefix.is_empty() {
+        n.name.to_string()
+    } else {
+        format!("{prefix}.{}", n.name)
+    };
+    out.push(SpanView {
+        path: path.clone(),
+        name: n.name,
+        depth,
+        count: n.count,
+        total: n.total,
+        counter_deltas: n.counter_deltas.iter().map(|(&k, &v)| (k, v)).collect(),
+    });
+    for &child in &n.children {
+        flatten(nodes, child, &path, depth + 1, out);
+    }
+}
+
+/// Flame-style text rendering of a folded tree, one line per node: tree
+/// guides, name, total time, entry count, and counter deltas.
+pub fn render(spans: &[SpanView]) -> String {
+    let mut out = String::new();
+    // Per depth on the current path: whether that ancestor has a later
+    // sibling, so its column keeps a `│` guide.
+    let mut more: Vec<bool> = Vec::new();
+    for (i, s) in spans.iter().enumerate() {
+        let last = spans[i + 1..]
             .iter()
-            .copied()
-            .find(|&i| self.arena[i].name == name);
-        let node = match existing {
-            Some(i) => i,
-            None => {
-                let i = self.arena.len();
-                self.arena.push(SpanData {
-                    name,
-                    children: Vec::new(),
-                    count: 0,
-                    total: Duration::ZERO,
-                    counter_deltas: BTreeMap::new(),
-                });
-                match parent {
-                    Some(p) => self.arena[p].children.push(i),
-                    None => self.roots.push(i),
-                }
-                i
+            .take_while(|n| n.depth >= s.depth)
+            .all(|n| n.depth != s.depth);
+        more.truncate(s.depth);
+        if s.depth > 0 {
+            for &m in &more[1..] {
+                out.push_str(if m { "│  " } else { "   " });
             }
-        };
-        self.stacks.entry(tid).or_default().push(OpenSpan {
-            node,
-            started: Instant::now(),
-            counters_at_entry: counters,
-        });
-    }
-
-    /// Closes the calling thread's innermost open span, folding in elapsed
-    /// time and the counter deltas since entry. No-op if nothing is open.
-    pub fn exit(&mut self, counters: BTreeMap<&'static str, u64>) {
-        let tid = thread::current().id();
-        let Some(stack) = self.stacks.get_mut(&tid) else {
-            return;
-        };
-        let Some(open) = stack.pop() else {
-            self.stacks.remove(&tid);
-            return;
-        };
-        if stack.is_empty() {
-            self.stacks.remove(&tid);
+            out.push_str(if last { "└─ " } else { "├─ " });
         }
-        let data = &mut self.arena[open.node];
-        data.count += 1;
-        data.total += open.started.elapsed();
-        for (name, now) in counters {
-            let before = open.counters_at_entry.get(name).copied().unwrap_or(0);
-            let delta = now.saturating_sub(before);
-            if delta > 0 {
-                *data.counter_deltas.entry(name).or_insert(0) += delta;
-            }
+        more.push(!last);
+        out.push_str(s.name);
+        out.push_str(&format!("  {}", fmt_duration(s.total)));
+        if s.count != 1 {
+            out.push_str(&format!("  ({}x)", s.count));
         }
-    }
-
-    /// Appends a point event to the ring (oldest dropped past capacity).
-    pub fn event(&mut self, message: String) {
-        if self.events.len() == EVENT_RING {
-            self.events.pop_front();
-        }
-        self.events.push_back((self.epoch.elapsed(), message));
-    }
-
-    /// Retained events as `(time since tracer creation, message)`.
-    pub fn events(&self) -> impl Iterator<Item = (Duration, &str)> {
-        self.events.iter().map(|(t, m)| (*t, m.as_str()))
-    }
-
-    /// Depth of spans currently open on the calling thread.
-    pub fn open_depth(&self) -> usize {
-        self.stacks.get(&thread::current().id()).map_or(0, Vec::len)
-    }
-
-    /// Flattens the closed span tree in render order (pre-order).
-    pub fn spans(&self) -> Vec<SpanView> {
-        let mut out = Vec::new();
-        for &root in &self.roots {
-            self.flatten(root, "", 0, &mut out);
-        }
-        out
-    }
-
-    fn flatten(&self, node: usize, prefix: &str, depth: usize, out: &mut Vec<SpanView>) {
-        let data = &self.arena[node];
-        let path = if prefix.is_empty() {
-            data.name.to_string()
-        } else {
-            format!("{prefix}.{}", data.name)
-        };
-        out.push(SpanView {
-            path: path.clone(),
-            name: data.name,
-            depth,
-            count: data.count,
-            total: data.total,
-            counter_deltas: data.counter_deltas.iter().map(|(&k, &v)| (k, v)).collect(),
-        });
-        for &child in &data.children {
-            self.flatten(child, &path, depth + 1, out);
-        }
-    }
-
-    /// Flame-style text rendering of the span tree, one line per node:
-    /// tree guides, name, total time, entry count, and counter deltas.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for &root in &self.roots {
-            self.render_node(root, "", true, true, &mut out);
-        }
-        out
-    }
-
-    fn render_node(&self, node: usize, indent: &str, last: bool, root: bool, out: &mut String) {
-        let data = &self.arena[node];
-        let (branch, child_indent) = if root {
-            (String::new(), String::new())
-        } else if last {
-            (format!("{indent}└─ "), format!("{indent}   "))
-        } else {
-            (format!("{indent}├─ "), format!("{indent}│  "))
-        };
-        out.push_str(&branch);
-        out.push_str(data.name);
-        out.push_str(&format!("  {}", fmt_duration(data.total)));
-        if data.count != 1 {
-            out.push_str(&format!("  ({}x)", data.count));
-        }
-        if !data.counter_deltas.is_empty() {
-            let deltas: Vec<String> = data
+        if !s.counter_deltas.is_empty() {
+            let deltas: Vec<String> = s
                 .counter_deltas
                 .iter()
                 .map(|(k, v)| format!("{k} +{v}"))
@@ -235,11 +137,8 @@ impl Tracer {
             out.push_str(&format!("  [{}]", deltas.join(", ")));
         }
         out.push('\n');
-        for (i, &child) in data.children.iter().enumerate() {
-            let child_last = i + 1 == data.children.len();
-            self.render_node(child, &child_indent, child_last, false, out);
-        }
     }
+    out
 }
 
 /// Human-readable duration: ns/µs/ms/s with sensible precision.
@@ -259,24 +158,25 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Capture;
+    use std::time::Instant;
 
-    fn counters(pairs: &[(&'static str, u64)]) -> BTreeMap<&'static str, u64> {
-        pairs.iter().copied().collect()
+    fn paths(spans: &[SpanView]) -> Vec<&str> {
+        spans.iter().map(|s| s.path.as_str()).collect()
     }
 
     #[test]
     fn nesting_builds_a_tree_with_paths() {
-        let mut t = Tracer::new();
-        t.enter("solve", counters(&[]));
-        t.enter("find_boundaries", counters(&[]));
-        t.exit(counters(&[]));
-        t.enter("find_max_doi", counters(&[]));
-        t.exit(counters(&[]));
-        t.exit(counters(&[]));
-        let spans = t.spans();
-        let paths: Vec<&str> = spans.iter().map(|s| s.path.as_str()).collect();
+        let c = Capture::new(Instant::now());
+        c.enter("solve");
+        c.enter("find_boundaries");
+        c.exit();
+        c.enter("find_max_doi");
+        c.exit();
+        c.exit();
+        let spans = c.spans();
         assert_eq!(
-            paths,
+            paths(&spans),
             ["solve", "solve.find_boundaries", "solve.find_max_doi"]
         );
         assert_eq!(spans[0].depth, 0);
@@ -285,28 +185,49 @@ mod tests {
 
     #[test]
     fn reentering_a_span_aggregates() {
-        let mut t = Tracer::new();
+        let c = Capture::new(Instant::now());
         for _ in 0..3 {
-            t.enter("phase", counters(&[]));
-            t.exit(counters(&[]));
+            c.enter("phase");
+            c.exit();
         }
-        let spans = t.spans();
+        let spans = c.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].count, 3);
     }
 
     #[test]
+    fn children_stay_in_their_parents_subtree_in_first_entry_order() {
+        // A{B}, then A{C}, then A{B{D}}: D is first seen under the third
+        // entry of A but is listed under B, before A's later child C.
+        let c = Capture::new(Instant::now());
+        for children in [&["B"][..], &["C"], &["B", "D"]] {
+            c.enter("A");
+            for &name in children {
+                c.enter(name);
+            }
+            for _ in children {
+                c.exit();
+            }
+            c.exit();
+        }
+        let spans = c.spans();
+        assert_eq!(paths(&spans), ["A", "A.B", "A.B.D", "A.C"]);
+        let counts: Vec<u64> = spans.iter().map(|s| s.count).collect();
+        assert_eq!(counts, [3, 2, 1, 1]);
+    }
+
+    #[test]
     fn parent_time_covers_child_time() {
-        let mut t = Tracer::new();
-        t.enter("parent", counters(&[]));
-        t.enter("child", counters(&[]));
+        let c = Capture::new(Instant::now());
+        c.enter("parent");
+        c.enter("child");
         std::thread::sleep(Duration::from_millis(2));
-        t.exit(counters(&[]));
-        t.exit(counters(&[]));
-        let spans = t.spans();
+        c.exit();
+        c.exit();
+        let spans = c.spans();
         let parent = spans.iter().find(|s| s.name == "parent").unwrap();
         let child = spans.iter().find(|s| s.name == "child").unwrap();
-        assert!(child.total > Duration::ZERO);
+        assert!(child.total >= Duration::from_millis(2));
         assert!(
             parent.total >= child.total,
             "parent {:?} < child {:?}",
@@ -317,51 +238,57 @@ mod tests {
 
     #[test]
     fn counter_deltas_attributed_to_span() {
-        let mut t = Tracer::new();
-        t.enter("work", counters(&[("io.blocks", 10)]));
-        t.exit(counters(&[("io.blocks", 25), ("io.other", 3)]));
-        let spans = t.spans();
+        let c = Capture::new(Instant::now());
+        c.count("io.blocks", 10);
+        c.enter("work");
+        c.count("io.blocks", 15);
+        c.count("io.other", 3);
+        c.exit();
+        c.enter("work");
+        c.count("io.blocks", 5);
+        c.exit();
+        let spans = c.spans();
         assert_eq!(
             spans[0].counter_deltas,
-            vec![("io.blocks", 15), ("io.other", 3)]
+            vec![("io.blocks", 20), ("io.other", 3)]
         );
     }
 
     #[test]
     fn unbalanced_exit_is_harmless() {
-        let mut t = Tracer::new();
-        t.exit(counters(&[]));
-        t.enter("a", counters(&[]));
-        t.exit(counters(&[]));
-        t.exit(counters(&[]));
-        assert_eq!(t.spans().len(), 1);
-        assert_eq!(t.open_depth(), 0);
-    }
-
-    #[test]
-    fn event_ring_caps_retention() {
-        let mut t = Tracer::new();
-        for i in 0..(EVENT_RING + 10) {
-            t.event(format!("e{i}"));
-        }
-        let events: Vec<_> = t.events().collect();
-        assert_eq!(events.len(), EVENT_RING);
-        assert_eq!(events[0].1, "e10");
+        let c = Capture::new(Instant::now());
+        c.exit();
+        c.enter("a");
+        c.exit();
+        c.exit();
+        let spans = c.spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].count, 1);
+        // Nothing is left open: a new span is a root, not a child of `a`.
+        c.enter("b");
+        c.exit();
+        assert_eq!(paths(&c.spans()), ["a", "b"]);
     }
 
     #[test]
     fn render_contains_guides_and_names() {
-        let mut t = Tracer::new();
-        t.enter("solve", counters(&[]));
-        t.enter("a", counters(&[("n", 0)]));
-        t.exit(counters(&[("n", 7)]));
-        t.enter("b", counters(&[]));
-        t.exit(counters(&[]));
-        t.exit(counters(&[]));
-        let text = t.render();
-        assert!(text.contains("solve"));
-        assert!(text.contains("├─ a"));
-        assert!(text.contains("└─ b"));
-        assert!(text.contains("[n +7]"));
+        let c = Capture::new(Instant::now());
+        c.enter("solve");
+        c.enter("a");
+        c.enter("x");
+        c.exit();
+        c.count("n", 7);
+        c.exit();
+        c.enter("b");
+        c.exit();
+        c.exit();
+        let text = render(&c.spans());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].starts_with("solve  "));
+        assert!(lines[1].starts_with("├─ a  "));
+        assert!(lines[1].ends_with("[n +7]"));
+        assert!(lines[2].starts_with("│  └─ x  "));
+        assert!(lines[3].starts_with("└─ b  "));
     }
 }

@@ -28,7 +28,7 @@ use std::thread;
 /// Hard cap on pool width; far above any machine this workspace targets.
 pub const MAX_WORKERS: usize = 32;
 
-/// Static span names for per-worker tracer roots: `worker00`..`worker31`.
+/// Static span names for per-worker span roots: `worker00`..`worker31`.
 ///
 /// `Recorder::span_enter` takes `&'static str`, so worker spans come from
 /// this fixed table rather than a formatted string.
@@ -106,7 +106,7 @@ impl ThreadPool {
     }
 
     /// [`ThreadPool::map`] with the executing worker's [`WorkerCtx`] passed
-    /// through, so tasks can open per-worker tracer spans.
+    /// through, so tasks can open per-worker spans.
     pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,

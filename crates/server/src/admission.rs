@@ -128,11 +128,6 @@ impl AdmissionController {
     pub fn queue_depth(&self) -> usize {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).waiting
     }
-
-    /// Waiting slots.
-    pub fn queue_cap(&self) -> usize {
-        self.queue_cap
-    }
 }
 
 /// An execution slot; freed (and one waiter woken) on drop.

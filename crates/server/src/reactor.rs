@@ -48,7 +48,6 @@ use crate::http::{HttpError, RequestParser, Response};
 use crate::server::{
     handle_request, http_error_response, read_timeout_response, Phase, ServerState,
 };
-use cqp_obs::Recorder;
 use cqp_par::Executor;
 use cqp_sys::{Epoll, Event, EventFd, Interest};
 use std::cmp::Reverse;
@@ -299,7 +298,7 @@ impl Reactor {
                 for t in tokens {
                     self.close_conn(t);
                 }
-                self.state.obs.add("server.reactor.stops", 1);
+                self.state.registry.add("server.reactor.stops", 1);
                 return self.forced;
             }
             if self.drained && self.conns.is_empty() {
@@ -319,7 +318,7 @@ impl Reactor {
                 match ev.token {
                     TOKEN_WAKE => {
                         self.me.wake.drain();
-                        self.state.obs.add("server.reactor.wakeups", 1);
+                        self.state.registry.add("server.reactor.wakeups", 1);
                     }
                     TOKEN_LISTENER => self.accept_ready(),
                     _ => self.conn_event(ev),
@@ -389,7 +388,7 @@ impl Reactor {
                 Ok((stream, _)) => {
                     if self.state.active_connections() >= self.state.config.max_connections {
                         // Over the fd budget: refuse by immediate close.
-                        self.state.obs.add("server.reactor.over_capacity", 1);
+                        self.state.registry.add("server.reactor.over_capacity", 1);
                         drop(stream);
                         continue;
                     }
@@ -397,7 +396,7 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    self.state.obs.add("server.reactor.accepted", 1);
+                    self.state.registry.add("server.reactor.accepted", 1);
                     let target = self.rr % self.all.len();
                     self.rr += 1;
                     if target == self.idx {
@@ -579,7 +578,7 @@ impl Reactor {
             Err(e) => match e {
                 HttpError::ConnectionClosed | HttpError::Io(_) => self.close_conn(token),
                 e => {
-                    self.state.obs.add("server.http_errors", 1);
+                    self.state.registry.add("server.http_errors", 1);
                     self.respond(token, http_error_response(&e), false);
                 }
             },
@@ -757,15 +756,15 @@ impl Reactor {
             };
             match state {
                 ConnState::Idle => {
-                    self.state.obs.add("server.idle_reaped", 1);
+                    self.state.registry.add("server.idle_reaped", 1);
                     self.close_conn(token);
                 }
                 ConnState::Reading => {
-                    self.state.obs.add("server.read_timeouts", 1);
+                    self.state.registry.add("server.read_timeouts", 1);
                     self.respond(token, read_timeout_response(), false);
                 }
                 ConnState::Writing => {
-                    self.state.obs.add("server.write_timeouts", 1);
+                    self.state.registry.add("server.write_timeouts", 1);
                     self.close_conn(token);
                 }
                 ConnState::Dispatched => {}

@@ -36,7 +36,7 @@ use cqp_engine::{execute_personalized, execute_ranked, parse_query, Matching};
 use cqp_obs::prometheus::{render_registry, PromWriter, TEXT_CONTENT_TYPE};
 use cqp_obs::record::span_guard;
 use cqp_obs::reqtrace::{traces_to_chrome, traces_to_json, RequestRecorder, TraceId};
-use cqp_obs::{Json, Obs, Recorder};
+use cqp_obs::{Json, Recorder, Registry};
 use cqp_prefs::Doi;
 use cqp_storage::{Database, IoMeter};
 use std::io::{BufRead, BufReader, Read};
@@ -268,8 +268,10 @@ pub struct ServerState {
     pub gate: AdmissionController,
     /// The dispatch circuit breaker (shared with the driver).
     pub breaker: Arc<CircuitBreaker>,
-    /// Metrics + tracing sink.
-    pub obs: Arc<Obs>,
+    /// Metrics sink: what `/metrics` exports under `cqp_`. Sampled
+    /// requests forward their metrics here and keep their spans in their
+    /// own trace; nothing else records spans.
+    pub registry: Registry,
     /// Trace identity/sampling, retention, SLO series, labeled counters.
     pub telemetry: Telemetry,
     /// What startup recovery replayed, when the store is durable.
@@ -473,7 +475,7 @@ impl ServerHandle {
                 graceful: true,
             };
         }
-        self.state.obs.set_gauge("server.phase", 1.0);
+        self.state.registry.set_gauge("server.phase", 1.0);
         let forced = match &mut self.backend {
             BackendImpl::Threaded {
                 accept_thread,
@@ -522,14 +524,14 @@ impl ServerHandle {
         self.state
             .phase
             .store(Phase::Stopped as u8, Ordering::SeqCst);
-        self.state.obs.set_gauge("server.phase", 2.0);
+        self.state.registry.set_gauge("server.phase", 2.0);
         let stats = DrainStats {
             drain_ms: t0.elapsed().as_millis() as u64,
             forced,
             graceful: forced == 0,
         };
         self.state
-            .obs
+            .registry
             .add("server.drain_forced", stats.forced as u64);
         stats
     }
@@ -610,10 +612,10 @@ pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<ServerH
         }
         (None, None) => None,
     };
-    let obs = Arc::new(Obs::new());
+    let registry = Registry::new();
     if let Some(r) = &recovery {
-        obs.add("server.wal_records_recovered", r.records_replayed());
-        obs.add("server.wal_torn_tail_bytes", r.torn_tail_bytes);
+        registry.add("server.wal_records_recovered", r.records_replayed());
+        registry.add("server.wal_torn_tail_bytes", r.torn_tail_bytes);
     }
     let telemetry = Telemetry::new(
         config.trace_sample_every,
@@ -632,7 +634,7 @@ pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<ServerH
         driver,
         store,
         breaker,
-        obs,
+        registry,
         telemetry,
         recovery,
         repl,
@@ -775,18 +777,18 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
             Err(HttpError::Io(std::io::ErrorKind::TimedOut)) => {
                 // The read deadline expired mid-request: a slowloris (or
                 // a genuinely glacial client) — answer 408 and close.
-                state.obs.add("server.read_timeouts", 1);
+                state.registry.add("server.read_timeouts", 1);
                 (read_timeout_response(), false)
             }
             Err(HttpError::Io(_)) => return,
             Err(e) => {
-                state.obs.add("server.http_errors", 1);
+                state.registry.add("server.http_errors", 1);
                 (http_error_response(&e), false)
             }
         };
         if let Err(e) = response.write_to(&mut write_half, keep_alive) {
             if is_poll_timeout(&e) {
-                state.obs.add("server.write_timeouts", 1);
+                state.registry.add("server.write_timeouts", 1);
             }
             return;
         }
@@ -819,7 +821,7 @@ fn wait_for_request(reader: &mut BufReader<TimedStream>, state: &ServerState) ->
             Ok(_) => return IdleWait::RequestArriving,
             Err(e) if is_poll_timeout(&e) => {
                 if idle_start.elapsed() >= idle_limit {
-                    state.obs.add("server.idle_reaped", 1);
+                    state.registry.add("server.idle_reaped", 1);
                     return IdleWait::Close;
                 }
             }
@@ -850,7 +852,7 @@ pub(crate) fn handle_request(
         // and debug stay reachable so pollers (and an operator pulling
         // traces) see the transition.
         state.drain_rejected.fetch_add(1, Ordering::Relaxed);
-        state.obs.add("server.drain_rejected", 1);
+        state.registry.add("server.drain_rejected", 1);
         (draining_response(), false)
     } else {
         let keep = req.keep_alive
@@ -957,7 +959,7 @@ fn outcome_for_status(status: u16) -> &'static str {
 /// arriving; `parse_us` is how long HTTP parsing took (the first span of
 /// a captured trace).
 fn route(state: &ServerState, req: &Request, t0: Instant, parse_us: u64) -> Response {
-    state.obs.add("server.requests", 1);
+    state.registry.add("server.requests", 1);
     let segments = req.segments();
     let endpoint = endpoint_label(segments.as_slice());
     let result = match (req.method.as_str(), segments.as_slice()) {
@@ -992,7 +994,7 @@ fn route(state: &ServerState, req: &Request, t0: Instant, parse_us: u64) -> Resp
     let response = match result {
         Ok(resp) => resp,
         Err(e) => {
-            state.obs.add("server.request_errors", 1);
+            state.registry.add("server.request_errors", 1);
             e.response()
         }
     };
@@ -1037,7 +1039,7 @@ fn personalize_route(state: &ServerState, req: &Request, t0: Instant, parse_us: 
     let explicit = req.header(TRACE_ID_HEADER).and_then(TraceId::parse);
     let trace_id = tel.assign_id(seq, explicit);
     let capture = tel.should_capture(seq, explicit.is_some());
-    let recorder = capture.then(|| RequestRecorder::new(state.obs.as_ref(), t0));
+    let recorder = capture.then(|| RequestRecorder::new(&state.registry, t0));
     if let Some(rec) = &recorder {
         rec.record_span("parse", 0, parse_us);
     }
@@ -1045,14 +1047,14 @@ fn personalize_route(state: &ServerState, req: &Request, t0: Instant, parse_us: 
     let result = {
         let rec: &dyn Recorder = match &recorder {
             Some(r) => r,
-            None => state.obs.as_ref(),
+            None => &state.registry,
         };
         personalize(state, req, rec, &mut ctx)
     };
     let mut response = match result {
         Ok(resp) => resp,
         Err(e) => {
-            state.obs.add("server.request_errors", 1);
+            state.registry.add("server.request_errors", 1);
             e.response()
         }
     };
@@ -1219,7 +1221,7 @@ fn readiness(state: &ServerState, req: &Request) -> Response {
 ///
 /// Three layers share the document: hand-named serving-tier families
 /// (`cqp_admission_*`, `cqp_wal_*`, `cqp_slo_*`, …), the labeled request
-/// counters from [`Telemetry`], and the whole aggregate [`Obs`] registry
+/// counters from [`Telemetry`], and the whole metrics [`Registry`]
 /// mangled under `cqp_` (`server.latency_us` → `cqp_server_latency_us`,
 /// a full histogram family). The name sets are disjoint by construction:
 /// registry paths all start with a subsystem segment (`server.`,
@@ -1529,8 +1531,8 @@ fn metrics(state: &ServerState) -> Response {
     );
     tel.requests.render(&mut w);
     tel.personalize.render(&mut w);
-    // Everything the solver/engine recorded through Obs, under `cqp_`.
-    render_registry(state.obs.registry(), "cqp_", &mut w);
+    // Everything the solver/engine recorded into the registry, under `cqp_`.
+    render_registry(&state.registry, "cqp_", &mut w);
     Response::text_with_type(200, w.finish(), TEXT_CONTENT_TYPE)
 }
 
@@ -1621,7 +1623,7 @@ fn upsert_profile(state: &ServerState, req: &Request, user: &str) -> Result<Resp
         .store
         .upsert_text(user, text, state.db.catalog(), mode)
         .map_err(|e| ApiError::new(400, "bad_profile", e.to_string()))?;
-    state.obs.add("server.profile_upserts", 1);
+    state.registry.add("server.profile_upserts", 1);
     let epoch = state.repl.as_ref().map_or(0, |r| r.epoch());
     Ok(Response::json(
         200,
@@ -1826,9 +1828,10 @@ fn cqp_error_response(e: &CqpError) -> ApiError {
 }
 
 /// The personalize handler proper. `rec` is either the per-request
-/// [`RequestRecorder`] (sampled) or the global [`Obs`] directly, so the
-/// span vocabulary here — `session`, `admission`, `dispatch` (inside the
-/// driver), `materialize` — lands in the aggregate tracer either way.
+/// [`RequestRecorder`] (sampled: the span vocabulary here — `session`,
+/// `admission`, `dispatch` (inside the driver), `materialize` — lands in
+/// the request's trace) or the server's [`Registry`] directly (unsampled:
+/// metrics only, no spans). Metrics reach the registry either way.
 /// `ctx` carries labels out to [`personalize_route`] on every exit path.
 fn personalize(
     state: &ServerState,
@@ -1869,7 +1872,7 @@ fn personalize(
         ctx.outcome = "shed";
         match e {
             AdmissionError::Overloaded { retry_after_ms } => {
-                state.obs.add("server.rejected", 1);
+                state.registry.add("server.rejected", 1);
                 ApiError::new(
                     429,
                     "overloaded",
@@ -1878,7 +1881,7 @@ fn personalize(
                 .with_retry_after_ms(retry_after_ms)
             }
             AdmissionError::QueueTimeout => {
-                state.obs.add("server.queue_timeouts", 1);
+                state.registry.add("server.queue_timeouts", 1);
                 ApiError::new(503, "queue_timeout", "no execution slot freed in time")
             }
         }
@@ -1913,10 +1916,10 @@ fn personalize(
         .driver
         .submit_cached_recorded(batch_req, &cache_req, rec)
         .map_err(|e| {
-            state.obs.add("server.solver_errors", 1);
+            state.registry.add("server.solver_errors", 1);
             let api = cqp_error_response(&e);
             if api.status == 429 || api.status == 503 {
-                state.obs.add("server.unavailable", 1);
+                state.registry.add("server.unavailable", 1);
                 ctx.outcome = "shed";
             }
             api
@@ -1968,14 +1971,14 @@ fn personalize(
         ]),
     };
     if item.solution.degraded.is_some() {
-        state.obs.add("server.degraded", 1);
+        state.registry.add("server.degraded", 1);
         ctx.outcome = "degraded";
     } else {
         ctx.outcome = "ok";
     }
-    state.obs.add("server.personalized", 1);
+    state.registry.add("server.personalized", 1);
     let latency_us = t0.elapsed().as_micros() as u64;
-    state.obs.observe("server.latency_us", latency_us);
+    state.registry.observe("server.latency_us", latency_us);
 
     let mut members = vec![
         ("user".to_string(), Json::from(params.user.as_str())),

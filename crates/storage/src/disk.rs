@@ -8,7 +8,7 @@
 //!
 //! A meter can optionally carry a [`Recorder`]: every charge is then also
 //! forwarded to the `storage.blocks_read` counter, which lets the span
-//! tracer attribute physical reads to solver phases and engine operators.
+//! tree attribute physical reads to solver phases and engine operators.
 
 use crate::error::{StorageError, StorageResult};
 use crate::fault::{FaultPlan, ReadOutcome};

@@ -7,10 +7,11 @@
 //! cargo run --release -p cqp-bench --example algorithm_showdown
 //! ```
 
-use cqp_bench::harness::{supreme_cost_blocks, timed, Scale};
+use cqp_bench::harness::{supreme_cost_blocks, Scale};
 use cqp_bench::{build_workload, experiments};
 use cqp_core::{solve_p2, Algorithm};
 use cqp_prefs::ConjModel;
+use std::time::Instant;
 
 fn main() {
     let w = build_workload(&Scale::default_scale());
@@ -42,7 +43,9 @@ fn main() {
         "algorithm", "seconds", "states", "doi", "gap(x1e-7)", "exact?"
     );
     for algo in algorithms {
-        let (sol, secs) = timed(|| solve_p2(space, ConjModel::NoisyOr, cmax, algo));
+        let started = Instant::now();
+        let sol = solve_p2(space, ConjModel::NoisyOr, cmax, algo);
+        let secs = started.elapsed().as_secs_f64();
         println!(
             "{:<16} {:>10.6} {:>10} {:>9.5} {:>12.2} {:>8}",
             algo.name(),

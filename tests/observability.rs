@@ -43,7 +43,7 @@ fn traced_run(algorithm: Algorithm) -> (Arc<Obs>, u64) {
 #[test]
 fn c_boundaries_emits_phase_spans_and_block_reads() {
     let (obs, blocks) = traced_run(Algorithm::CBoundaries);
-    let spans = obs.with_tracer(|t| t.spans());
+    let spans = obs.spans();
     let paths: Vec<&str> = spans.iter().map(|s| s.path.as_str()).collect();
 
     // Solver-phase, engine-exec, and storage-analyze levels all present.
@@ -89,7 +89,7 @@ fn span_tree_renders_nested_levels() {
         assert!(tree.contains(needle), "missing `{needle}` in:\n{tree}");
     }
     // Depths are visible as indentation: the phase spans sit under search.
-    let spans = obs.with_tracer(|t| t.spans());
+    let spans = obs.spans();
     let depth_of = |path: &str| {
         spans
             .iter()

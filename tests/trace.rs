@@ -13,6 +13,7 @@ use cqp_obs::reqtrace::{RequestTrace, SpanRecord, TraceId, TraceRing};
 use cqp_obs::Json;
 use cqp_server::http::{parse_response, ClientResponse};
 use cqp_server::{json, start, ServerConfig, ServerHandle, TRACE_ID_HEADER};
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -225,6 +226,82 @@ fn chrome_export_covers_captured_traces() {
         assert!(e.get("tid").and_then(Json::as_f64).is_some());
     }
     handle.stop();
+}
+
+/// `/metrics` samples as `name{labels}` → value.
+fn metric_samples(addr: SocketAddr) -> BTreeMap<String, f64> {
+    let text = request(addr, "GET", "/metrics", &[], None).body_text();
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .map(|(name, value)| (name.to_string(), value.parse().expect("sample value")))
+        .collect()
+}
+
+/// Sampling decides only whether a request keeps its spans. A server that
+/// traces every request and one that traces none count the same solver
+/// work, batch latencies and search peaks on `/metrics`, over a miss, an
+/// exact hit and a warm hit on each of two algorithms.
+#[test]
+fn sampling_does_not_change_what_metrics_count() {
+    let db = Arc::new(generate_movie_db(&MovieDbConfig::tiny(7)));
+    let mut servers: Vec<ServerHandle> = [0, 1]
+        .into_iter()
+        .map(|every| {
+            let config = ServerConfig {
+                trace_sample_every: every,
+                ..ServerConfig::default()
+            };
+            start(Arc::clone(&db), config).expect("server start")
+        })
+        .collect();
+    for h in &servers {
+        let resp = request(h.addr(), "POST", "/profiles/al", &[], Some(PROFILE_WIRE));
+        assert_eq!(resp.status, 200, "{}", resp.body_text());
+    }
+    let mut sent = 0.0;
+    for algorithm in ["c_maxbounds", "branch_bound"] {
+        for (cmax, tier) in [(500, "miss"), (500, "exact"), (300, "warm")] {
+            let body = format!(
+                "{{\"user\":\"al\",\"sql\":\"SELECT title FROM MOVIE\",\
+                 \"problem\":{{\"kind\":\"p2\",\"cmax\":{cmax}}},\
+                 \"algorithm\":\"{algorithm}\"}}"
+            );
+            for h in &servers {
+                let resp = request(h.addr(), "POST", "/personalize", &[], Some(&body));
+                assert_eq!(resp.status, 200, "{}", resp.body_text());
+                let served = json::parse(&resp.body_text()).unwrap();
+                assert_eq!(
+                    served.get("cache").and_then(Json::as_str),
+                    Some(tier),
+                    "{algorithm} cmax={cmax}"
+                );
+            }
+            sent += 1.0;
+        }
+    }
+    let [off, full] = [0, 1].map(|i| metric_samples(servers[i].addr()));
+    let counted = |m: &BTreeMap<String, f64>| -> BTreeMap<String, f64> {
+        m.iter()
+            .filter(|(name, _)| {
+                (name.starts_with("cqp_solver_") && name.ends_with("_total"))
+                    || *name == "cqp_batch_latency_us_count"
+                    || *name == "cqp_solver_peak_bytes_count"
+            })
+            .map(|(name, &v)| (name.clone(), v))
+            .collect()
+    };
+    let off_counted = counted(&off);
+    assert_eq!(off_counted, counted(&full));
+    let value = |name: &str| off_counted.get(name).copied().unwrap_or(0.0);
+    assert!(value("cqp_solver_states_examined_total") > 0.0);
+    assert!(value("cqp_solver_peak_bytes_count") > 0.0);
+    assert_eq!(value("cqp_batch_latency_us_count"), sent);
+    assert_eq!(off.get("cqp_traces_captured_total"), Some(&0.0));
+    assert_eq!(full.get("cqp_traces_captured_total"), Some(&sent));
+    for h in &mut servers {
+        h.stop();
+    }
 }
 
 fn mk_trace(id: u64, seq: u64) -> Arc<RequestTrace> {

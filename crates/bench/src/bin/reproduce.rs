@@ -1,14 +1,20 @@
 //! `reproduce` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! reproduce <experiment> [--scale tiny|default|paper] [--out DIR] [--full-k]
-//!           [--threads N]
+//! reproduce <experiment>... [--scale tiny|default|paper] [--out DIR]
+//!           [--full-k] [--threads N]
+//!
+//! Each named experiment runs once, in the order listed below; an unknown
+//! name exits with status 2 before any runs. Every file is written under
+//! --out (default `results`).
 //!
 //! experiments:
-//!   all       every experiment below
+//!   all       every experiment below (the default)
+//!   fig12     fig12a, fig12b and fig12c
 //!   fig12a    optimization time vs K
 //!   fig12b    preference-selection time vs K
-//!   fig12c    optimization time vs cmax (% Supreme Cost)   [incl. fig12d zoom]
+//!   fig12c    optimization time vs cmax (% Supreme Cost)   [incl. fig12d zoom;
+//!             `fig12d` is another name for it]
 //!   fig13a    memory vs K
 //!   fig13b    memory vs cmax
 //!   fig14a    quality vs K
@@ -55,7 +61,7 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = "all".to_owned();
+    let mut names: Vec<String> = Vec::new();
     let mut scale = Scale::default_scale();
     let mut out = PathBuf::from("results");
     let mut full_k = false;
@@ -82,11 +88,21 @@ fn main() {
                     .unwrap_or_else(|| die("--threads needs a positive integer"));
             }
             "--full-k" => full_k = true,
-            other if !other.starts_with('-') => experiment = other.to_owned(),
+            other if !other.starts_with('-') => names.push(other.to_owned()),
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
     }
+    if names.is_empty() {
+        names.push("all".to_owned());
+    }
+    if let Some(unknown) = names
+        .iter()
+        .find(|n| !EXPERIMENTS.iter().any(|e| runs(n, e)))
+    {
+        die(&format!("unknown experiment `{unknown}`"));
+    }
+    let wants = |experiment: &str| names.iter().any(|n| runs(n, experiment));
 
     // The paper sweeps K in [10, 40]; the exact doi-space algorithms are
     // exponential in practice (that is Figure 12's point), so the default
@@ -115,82 +131,59 @@ fn main() {
         w.db.catalog().len()
     );
 
-    let run_all = experiment == "all";
-    let mut ran = false;
-    if run_all || experiment == "fig12a" || experiment == "fig12" {
+    if wants("fig12a") {
         fig12a(&w, &ks, full_k, threads, &out);
-        ran = true;
     }
-    if run_all || experiment == "fig12b" || experiment == "fig12" {
+    if wants("fig12b") {
         fig12b(&w, &ks, &out);
-        ran = true;
     }
-    if run_all || experiment == "fig12c" || experiment == "fig12d" || experiment == "fig12" {
+    if wants("fig12c") {
         fig12cd(&w, &percents, full_k, threads, &out);
-        ran = true;
     }
-    if run_all || experiment == "fig13a" {
+    if wants("fig13a") {
         fig13a(&w, &ks, full_k, &out);
-        ran = true;
     }
-    if run_all || experiment == "fig13b" {
+    if wants("fig13b") {
         fig13b(&w, &percents, full_k, &out);
-        ran = true;
     }
-    if run_all || experiment == "fig14a" {
+    if wants("fig14a") {
         fig14a(&w, &ks, &out);
-        ran = true;
     }
-    if run_all || experiment == "fig14b" {
+    if wants("fig14b") {
         fig14b(&w, &percents, &out);
-        ran = true;
     }
-    if run_all || experiment == "fig15" {
+    if wants("fig15") {
         fig15(&w, &ks, &out);
-        ran = true;
     }
-    if run_all || experiment == "table1" {
+    if wants("table1") {
         table1(&w, &out);
-        ran = true;
     }
-    if run_all || experiment == "table2" {
+    if wants("table2") {
         table2_example();
-        ran = true;
     }
-    if run_all || experiment == "fig6" {
+    if wants("fig6") {
         fig6_trace();
-        ran = true;
     }
-    if run_all || experiment == "fig8" {
+    if wants("fig8") {
         fig8_trace();
-        ran = true;
     }
-    if run_all || experiment == "ablate" {
+    if wants("ablate") {
         ablations(&w, &ks, &out);
-        ran = true;
     }
-    if run_all || experiment == "resilience" {
+    if wants("resilience") {
         resilience(&w, threads, &out);
-        ran = true;
     }
-    if run_all || experiment == "obs" {
+    if wants("obs") {
         obs_experiment(&w, threads, &out);
-        ran = true;
     }
-    if run_all || experiment == "recovery" {
+    if wants("recovery") {
         recovery(&w, &out);
-        ran = true;
     }
-    if run_all || experiment == "cluster" {
+    if wants("cluster") {
         cluster_experiment(&out);
-        ran = true;
     }
-    if run_all || experiment == "partition" {
+    if wants("partition") {
         partition_experiment(&out);
-        ran = true;
-    }
-    if !ran {
-        die(&format!("unknown experiment `{experiment}`"));
     }
     println!(
         "\nCSV and .report.jsonl run-reports written under {}",
@@ -198,9 +191,51 @@ fn main() {
     );
 }
 
+/// Every experiment, in the order `main` runs them.
+const EXPERIMENTS: [&str; 18] = [
+    "fig12a",
+    "fig12b",
+    "fig12c",
+    "fig13a",
+    "fig13b",
+    "fig14a",
+    "fig14b",
+    "fig15",
+    "table1",
+    "table2",
+    "fig6",
+    "fig8",
+    "ablate",
+    "resilience",
+    "obs",
+    "recovery",
+    "cluster",
+    "partition",
+];
+
+/// Whether the command-line name `name` runs `experiment`: by its own
+/// name, as `all`, or through an alias.
+fn runs(name: &str, experiment: &str) -> bool {
+    match name {
+        "all" => true,
+        "fig12" => experiment.starts_with("fig12"),
+        "fig12d" => experiment == "fig12c",
+        _ => name == experiment,
+    }
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
     std::process::exit(2)
+}
+
+/// Writes `BENCH_<name>.json` under `out`, and only there, so a run from a
+/// checkout leaves the committed files alone.
+fn write_bench(out: &Path, name: &str, doc: &Json) {
+    std::fs::create_dir_all(out).expect("results dir");
+    let path = out.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, doc.render()).expect("bench write");
+    println!("{} written", path.display());
 }
 
 /// Writes the run-report lines for one experiment next to its CSV, as
@@ -1032,13 +1067,10 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
         ),
         ("degraded_trace", degraded_trace),
     ]);
-    let rendered = doc.render();
-    std::fs::write(out.join("BENCH_obs.json"), &rendered).expect("bench write");
-    std::fs::write("BENCH_obs.json", &rendered).expect("bench write");
+    write_bench(out, "obs", &doc);
     write_reports(out, "obs", &reports);
     println!(
-        "BENCH_obs.json written ({} and repo root); Chrome trace at {}\n",
-        out.display(),
+        "Chrome trace at {}\n",
         out.join("trace_chrome.json").display()
     );
 }
@@ -1053,8 +1085,8 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
 /// boot/drain cycles, each with an idle connection and a request that
 /// finishes its arrival mid-drain (answered `503 + Connection: close`);
 /// (4) deterministic circuit-breaker trip/half-open/close counts under
-/// first-K injected faults. Emits `BENCH_recovery.json` in `out` and at
-/// the repo root plus a `recovery.report.jsonl` run report.
+/// first-K injected faults. Emits `BENCH_recovery.json` plus a
+/// `recovery.report.jsonl` run report in `out`.
 fn recovery(w: &Workload, out: &Path) {
     use cqp_core::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
     use cqp_server::http::parse_response;
@@ -1335,15 +1367,10 @@ fn recovery(w: &Workload, out: &Path) {
         .with_field("replays_exact", replays_exact as u64)
         .with_field("drain_graceful", graceful as u64)
         .with_field("breaker_opened", opened);
-    let rendered = doc.render();
-    std::fs::write(out.join("BENCH_recovery.json"), &rendered).expect("bench write");
-    std::fs::write("BENCH_recovery.json", &rendered).expect("bench write");
+    write_bench(out, "recovery", &doc);
     write_reports(out, "recovery", &[report]);
     let _ = std::fs::remove_dir_all(&wal_root);
-    println!(
-        "BENCH_recovery.json written ({} and repo root)\n",
-        out.display()
-    );
+    println!();
 }
 
 /// One bench-side HTTP request over a fresh connection.
@@ -1629,7 +1656,7 @@ fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> LoadR
 ///    class → pinned replica) must beat uniform on answer-cache hits.
 /// 3. **Ring balance** — placement spread of 10k users over 4 groups.
 ///
-/// Emits `BENCH_cluster.json` in `out` and at the repo root.
+/// Emits `BENCH_cluster.json` in `out`.
 fn cluster_experiment(out: &Path) {
     use cqp_cluster::{Ring, RoutingPolicy};
     use cqp_datagen::{generate_movie_db, MovieDbConfig};
@@ -1818,14 +1845,9 @@ fn cluster_experiment(out: &Path) {
             ]),
         ),
     ]);
-    let rendered = doc.render();
-    std::fs::write(out.join("BENCH_cluster.json"), &rendered).expect("bench write");
-    std::fs::write("BENCH_cluster.json", &rendered).expect("bench write");
+    write_bench(out, "cluster", &doc);
     let _ = std::fs::remove_dir_all(&root);
-    println!(
-        "BENCH_cluster.json written ({} and repo root)\n",
-        out.display()
-    );
+    println!();
 }
 
 /// [`cluster_http`] with extra request headers (the partition legs stamp
@@ -2137,7 +2159,7 @@ fn partition_churn_leg(root: &Path, seed: u64) -> PartitionLeg {
 ///    primary's HTTP link under a best-effort write load; every ack that
 ///    made it through must survive.
 ///
-/// Emits `BENCH_partition.json` in `out` and at the repo root; its
+/// Emits `BENCH_partition.json` in `out`; its
 /// top-level `lost_acked_writes`, `split_brain_divergence`, and
 /// `fenced_write_rejections` fields are CI's shape gate.
 fn partition_experiment(out: &Path) {
@@ -2172,12 +2194,7 @@ fn partition_experiment(out: &Path) {
         ("fenced_write_rejections", Json::from(fenced)),
         ("schedules", Json::Arr(vec![split.detail, churn.detail])),
     ]);
-    let rendered = doc.render();
-    std::fs::write(out.join("BENCH_partition.json"), &rendered).expect("bench write");
-    std::fs::write("BENCH_partition.json", &rendered).expect("bench write");
+    write_bench(out, "partition", &doc);
     let _ = std::fs::remove_dir_all(&root);
-    println!(
-        "BENCH_partition.json written ({} and repo root)\n",
-        out.display()
-    );
+    println!();
 }

@@ -7,10 +7,16 @@
 //!    those before it), with its selections pushed down. Each block charges
 //!    the [`IoMeter`], so measured I/O is the paper's `b × Σ blocks(R)`
 //!    (Figure 15), and a fault plan sees the same read schedule whatever the
-//!    join phase does. Selections run on the table's typed columns and
-//!    yield `u32` row ids. Every comparison goes through [`CmpOp::eval`]: a
-//!    string predicate once per dictionary entry, a numeric one on each
-//!    unboxed cell.
+//!    join phase does. Selections, and join predicates whose two sides are
+//!    both in the scanned relation, run on the table's typed columns and
+//!    yield `u32` row ids. Each selection picks one kernel before its row
+//!    loop: an `INT` or `FLOAT` column against a literal of its own type
+//!    compares bare numbers, and string `=` / `<>` looks the literal up
+//!    once in the column's dictionary and compares codes. Other pairs
+//!    (string ranges, cross-type and NULL literals) go through
+//!    [`CmpOp::eval`], which every kernel agrees with. The first condition
+//!    walks its columns front to back and writes passing row ids; later
+//!    ones narrow them.
 //! 2. **Join.** Hash joins in [`join_order`] over the exact filtered row
 //!    counts: the smallest input first, then the smallest input joined to
 //!    the rows so far, never a cross product. A joined row is a list of row
@@ -20,7 +26,7 @@
 //! A personalized query (Section 4.2's `UNION ALL … HAVING COUNT(*) = L`)
 //! scans every sub-query first, in order, each charging its own blocks.
 //! The sub-queries share their filtering: each distinct (relation,
-//! selections) pair is filtered once per execution. It then joins them
+//! conditions) pair is filtered once per execution. It then joins them
 //! most selective first into a running intersection of their distinct
 //! projected rows, keyed on column values, and builds tuples only for the
 //! rows that survive it. Once the intersection is empty, the remaining
@@ -32,8 +38,12 @@
 //! columns is the bare `i64`), which compare like `Value`s: NULL never
 //! joins, `Int(1)` and `Float(1.0)` differ, and strings compare by content
 //! across dictionaries. A build side with more than a few distinct keys
-//! hashes them under std's keyed default hasher; a smaller one is searched
-//! linearly.
+//! hashes them under std's keyed default hasher, since database contents
+//! can come from CSV; a smaller one is searched linearly. A hashed `INT`
+//! key also gets a bitmap of the keys present over their `[min, max]`,
+//! when that needs no more words than the build side has rows: a probe
+//! outside the span or on a clear bit skips the hash. A bit's position is
+//! the key itself, so the bitmap adds no collisions to craft.
 
 use crate::error::{EngineError, EngineResult};
 use crate::explain::{join_order, scan_order};
@@ -65,39 +75,46 @@ impl ExecOutput {
     }
 }
 
-/// A pushed-down selection: attribute index, operator, constant.
-type Selection<'q> = (usize, CmpOp, &'q Value);
+/// A condition pushed down to one relation's scan.
+#[derive(Clone, Copy, PartialEq)]
+enum Condition<'q> {
+    /// A selection: attribute index, operator, literal.
+    Compare(usize, CmpOp, &'q Value),
+    /// A join predicate whose two sides are both in the scanned relation:
+    /// two attribute indices.
+    Equal(usize, usize),
+}
 
-/// The row ids of one relation that pass a list of selections.
+/// The row ids of one relation that pass a list of conditions.
 struct Filtered<'q> {
     relation: RelationId,
-    selections: Vec<Selection<'q>>,
+    conditions: Vec<Condition<'q>>,
     rows: Vec<u32>,
 }
 
 /// The filtered row ids of one execution: each distinct (relation,
-/// selections) pair is filtered once and shared by every scan of it.
+/// conditions) pair is filtered once and shared by every scan of it.
 #[derive(Default)]
 struct Filters<'q>(Vec<Filtered<'q>>);
 
 impl<'q> Filters<'q> {
-    /// The position of `relation`'s row ids under `selections`, filtering
+    /// The position of `relation`'s row ids under `conditions`, filtering
     /// `table` on first use.
     fn position(
         &mut self,
         relation: RelationId,
         table: &Table,
-        selections: Vec<Selection<'q>>,
+        conditions: Vec<Condition<'q>>,
     ) -> usize {
         let seen = self
             .0
             .iter()
-            .position(|f| f.relation == relation && f.selections == selections);
+            .position(|f| f.relation == relation && f.conditions == conditions);
         seen.unwrap_or_else(|| {
-            let rows = filter(table, &selections);
+            let rows = filter(table, &conditions);
             self.0.push(Filtered {
                 relation,
-                selections,
+                conditions,
                 rows,
             });
             self.0.len() - 1
@@ -109,29 +126,99 @@ impl<'q> Filters<'q> {
     }
 }
 
-/// The row ids of `table` that pass every selection. `CmpOp::eval` decides
-/// each comparison, so NULL, mixed Int/Float and mistyped-literal
-/// semantics are `Value`'s; a NULL cell passes nothing, as `eval` says.
-fn filter(table: &Table, selections: &[Selection<'_>]) -> Vec<u32> {
-    let mut rows: Vec<u32> = (0..table.num_rows() as u32).collect();
-    for &(attr, op, value) in selections {
-        let column = table.column(attr);
-        let nulls = column.nulls();
-        match column.data() {
-            ColumnData::Int(v) => keep(&mut rows, |r| {
-                !nulls[r] && op.eval(&Value::Int(v[r]), value)
-            }),
-            ColumnData::Float(v) => keep(&mut rows, |r| {
-                !nulls[r] && op.eval(&Value::Float(v[r]), value)
-            }),
-            ColumnData::Str { codes, dict } => {
-                let pass: Vec<bool> = dict.values().iter().map(|s| op.eval(s, value)).collect();
-                // A NULL row's placeholder code may not be in `dict`.
-                keep(&mut rows, |r| !nulls[r] && pass[codes[r] as usize]);
+/// The row ids of `table` that pass every condition, in order. The first
+/// condition produces ids and later ones narrow them; `None` stands for
+/// every row until then. A NULL cell passes nothing. A same-relation
+/// equality compares [`Cell`]s, as a join key does: `Int` never equals
+/// `Float`, and strings compare by content, since the two columns have
+/// separate dictionaries.
+fn filter(table: &Table, conditions: &[Condition<'_>]) -> Vec<u32> {
+    let all = || (0..table.num_rows() as u32).collect();
+    let mut rows = None;
+    for condition in conditions {
+        match *condition {
+            Condition::Compare(attr, op, literal) => {
+                compare(&mut rows, table.column(attr), op, literal);
+            }
+            Condition::Equal(a, b) => {
+                let (a, b) = (table.column(a), table.column(b));
+                keep(rows.get_or_insert_with(all), |r| {
+                    let cell = a.cell(r);
+                    cell != Cell::Null && cell == b.cell(r)
+                });
             }
         }
     }
-    rows
+    rows.unwrap_or_else(all)
+}
+
+/// Narrows `rows` to those whose cell satisfies `op literal` as
+/// [`CmpOp::eval`] decides, choosing the kernel once, outside the row
+/// loop (see the module docs).
+fn compare(rows: &mut Option<Vec<u32>>, column: &Column, op: CmpOp, literal: &Value) {
+    let nulls = column.nulls();
+    match (column.data(), literal) {
+        (ColumnData::Int(v), &Value::Int(x)) => match op {
+            CmpOp::Eq => select(rows, nulls, v, |c| c == x),
+            CmpOp::Ne => select(rows, nulls, v, |c| c != x),
+            CmpOp::Lt => select(rows, nulls, v, |c| c < x),
+            CmpOp::Le => select(rows, nulls, v, |c| c <= x),
+            CmpOp::Gt => select(rows, nulls, v, |c| c > x),
+            CmpOp::Ge => select(rows, nulls, v, |c| c >= x),
+        },
+        // `Value` equates floats by bit pattern and orders them by
+        // `partial_cmp`, so -0.0 <> 0.0 yet -0.0 <= 0.0. No cell is NaN.
+        (ColumnData::Float(v), &Value::Float(x)) => match op {
+            CmpOp::Eq => select(rows, nulls, v, |c| c.to_bits() == x.to_bits()),
+            CmpOp::Ne => select(rows, nulls, v, |c| c.to_bits() != x.to_bits()),
+            CmpOp::Lt => select(rows, nulls, v, |c| c < x),
+            CmpOp::Le => select(rows, nulls, v, |c| c <= x),
+            CmpOp::Gt => select(rows, nulls, v, |c| c > x),
+            CmpOp::Ge => select(rows, nulls, v, |c| c >= x),
+        },
+        (ColumnData::Str { codes, dict }, Value::Str(s)) if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
+            match (op, dict.code(s)) {
+                (CmpOp::Eq, Some(code)) => select(rows, nulls, codes, |c| c == code),
+                (CmpOp::Eq, None) => *rows = Some(Vec::new()),
+                (_, Some(code)) => select(rows, nulls, codes, |c| c != code),
+                (_, None) => select(rows, nulls, codes, |_| true),
+            }
+        }
+        (ColumnData::Str { codes, dict }, _) => {
+            let pass: Vec<bool> = dict.values().iter().map(|s| op.eval(s, literal)).collect();
+            // A NULL row's placeholder code may not be in `dict`.
+            select(rows, nulls, codes, |c| pass.get(c as usize) == Some(&true));
+        }
+        (ColumnData::Int(v), _) => select(rows, nulls, v, |c| op.eval(&Value::Int(c), literal)),
+        (ColumnData::Float(v), _) => {
+            select(rows, nulls, v, |c| op.eval(&Value::Float(c), literal));
+        }
+    }
+}
+
+/// Narrows `rows` to the ids whose cell is not NULL and passes `pass`.
+/// With no ids yet, walks the NULL marks and values together over the
+/// whole column. A NULL row's placeholder value is tested too, so the loops
+/// do not branch on the mark.
+fn select<T: Copy>(
+    rows: &mut Option<Vec<u32>>,
+    nulls: &[bool],
+    values: &[T],
+    pass: impl Fn(T) -> bool,
+) {
+    match rows {
+        Some(rows) => keep(rows, |r| !nulls[r] & pass(values[r])),
+        None => {
+            let mut ids = vec![0; values.len()];
+            let mut kept = 0;
+            for (r, (&null, &value)) in nulls.iter().zip(values).enumerate() {
+                ids[kept] = r as u32;
+                kept += usize::from(!null & pass(value));
+            }
+            ids.truncate(kept);
+            *rows = Some(ids);
+        }
+    }
 }
 
 /// Keeps the row ids that pass `test`, in order. The write is
@@ -190,20 +277,21 @@ fn scan<'q>(
     let mut inputs = Vec::with_capacity(query.relations.len());
     for relation in scan_order(db.catalog(), query)? {
         let table = db.table(relation)?;
-        let selections: Vec<_> = query
-            .predicates
-            .iter()
-            .filter_map(|p| match p {
-                Predicate::Selection { attr, op, value } if attr.relation == relation => {
-                    Some((attr.attr.index(), *op, value))
+        let conditions: Vec<_> = query
+            .selections_on(relation)
+            .map(|p| match p {
+                Predicate::Selection { attr, op, value } => {
+                    Condition::Compare(attr.attr.index(), *op, value)
                 }
-                _ => None,
+                Predicate::Join { left, right } => {
+                    Condition::Equal(left.attr.index(), right.attr.index())
+                }
             })
             .collect();
         for _ in 0..table.num_blocks() {
             meter.try_charge(1)?;
         }
-        let filtered = filters.position(relation, table, selections);
+        let filtered = filters.position(relation, table, conditions);
         recorder.add("engine.scans", 1);
         recorder.add("engine.blocks_scanned", table.num_blocks());
         recorder.add("engine.rows_scanned", table.num_rows() as u64);
@@ -303,10 +391,27 @@ fn hash_join<'a>(
     )
 }
 
+/// A join key: the bare `i64` of a single `INT = INT` key, or a `Vec` of
+/// [`Cell`]s.
+trait JoinKey: Hash + Eq + Clone + Default {
+    /// The key as a [`Bitmap`] slot. Only a bare `i64` is one.
+    fn slot(&self) -> Option<i64> {
+        None
+    }
+}
+
+impl JoinKey for i64 {
+    fn slot(&self) -> Option<i64> {
+        Some(*self)
+    }
+}
+
+impl JoinKey for Vec<Cell<'_>> {}
+
 /// Hash-joins on keys that `left_key` and `right_key` read into a reused
 /// buffer, each returning false for a key holding NULL. The smaller side
 /// builds.
-fn join_on<K: Hash + Eq + Clone + Default>(
+fn join_on<K: JoinKey>(
     left: &Joined<'_>,
     right: &[u32],
     left_key: impl Fn(&[u32], &mut K) -> bool,
@@ -355,6 +460,9 @@ const LINEAR_KEYS: usize = 8;
 struct Build<K> {
     heads: Heads<K>,
     next: Vec<usize>,
+    /// The hashed `INT` keys, when their span needs no more words than
+    /// the build side has rows: a probe on a clear bit skips the hash.
+    present: Option<Bitmap>,
 }
 
 /// The chain head of each distinct key.
@@ -398,7 +506,7 @@ impl<K: Hash + Eq + Clone> Heads<K> {
     }
 }
 
-impl<K: Hash + Eq + Clone + Default> Build<K> {
+impl<K: JoinKey> Build<K> {
     fn new<R>(rows: impl ExactSizeIterator<Item = R>, key_of: impl Fn(R, &mut K) -> bool) -> Self {
         let mut heads = Heads::Linear(Vec::new());
         let mut next = Vec::with_capacity(rows.len());
@@ -410,11 +518,21 @@ impl<K: Hash + Eq + Clone + Default> Build<K> {
                 END
             });
         }
-        Build { heads, next }
+        let present = match &heads {
+            Heads::Hashed(map) => Bitmap::new(map.keys().filter_map(K::slot), next.len()),
+            Heads::Linear(_) => None,
+        };
+        Build {
+            heads,
+            next,
+            present,
+        }
     }
 
     fn matches(&self, key: &K) -> impl Iterator<Item = usize> + '_ {
-        let mut at = self.heads.get(key);
+        let absent =
+            matches!((&self.present, key.slot()), (Some(bits), Some(k)) if !bits.contains(k));
+        let mut at = if absent { END } else { self.heads.get(key) };
         std::iter::from_fn(move || {
             let i = at;
             (i != END).then(|| {
@@ -422,6 +540,48 @@ impl<K: Hash + Eq + Clone + Default> Build<K> {
                 i
             })
         })
+    }
+}
+
+/// The `INT` keys present over `[min, min + 64 · words.len())`, one bit a
+/// value. A bit's position is the key itself, so crafted keys cannot
+/// collide in it.
+struct Bitmap {
+    min: i64,
+    words: Vec<u64>,
+}
+
+impl Bitmap {
+    /// The bitmap of `keys`, or `None` if there are none or their span needs
+    /// more than `max_words` words.
+    fn new(keys: impl Iterator<Item = i64> + Clone, max_words: usize) -> Option<Self> {
+        let min = keys.clone().min()?;
+        let max = keys.clone().max()?;
+        // `abs_diff` spans even `i64::MIN..=i64::MAX` without overflow.
+        let words = usize::try_from(max.abs_diff(min) / 64 + 1).ok()?;
+        if words > max_words {
+            return None;
+        }
+        let mut bits = Bitmap {
+            min,
+            words: vec![0; words],
+        };
+        for key in keys {
+            let at = key.abs_diff(min);
+            bits.words[(at / 64) as usize] |= 1 << (at % 64);
+        }
+        Some(bits)
+    }
+
+    fn contains(&self, key: i64) -> bool {
+        if key < self.min {
+            return false;
+        }
+        let at = key.abs_diff(self.min);
+        usize::try_from(at / 64)
+            .ok()
+            .and_then(|w| self.words.get(w))
+            .is_some_and(|word| (word >> (at % 64)) & 1 == 1)
     }
 }
 
@@ -916,6 +1076,275 @@ mod tests {
             .build();
         let out = execute(&db, &q, &IoMeter::default()).unwrap();
         assert_eq!(out.rows, vec![vec![Value::Null]; 3]);
+    }
+
+    #[test]
+    fn same_relation_equality_is_a_scan_condition() {
+        let db = paper_db();
+        let sql = "SELECT mid, did FROM MOVIE WHERE MOVIE.mid = MOVIE.did";
+        let q = crate::parse::parse_query(sql, db.catalog()).unwrap();
+        let meter = IoMeter::new(1.0);
+        let out = execute(&db, &q, &meter).unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Int(1), Value::Int(1)]]);
+        let stats = db.analyze();
+        assert_eq!(
+            meter.blocks_read(),
+            crate::cost::CostModel::new(&stats).query_blocks(&q)
+        );
+        // EXPLAIN lists it in MOVIE's scan: 4 rows × 1/max(V(mid), V(did)).
+        let plan = crate::explain::explain(db.catalog(), &stats, &q).unwrap();
+        let scan = &plan.children[0];
+        assert_eq!(scan.op, "SeqScan(MOVIE: MOVIE.mid = MOVIE.did)");
+        assert!((scan.est_rows - 1.0).abs() < 1e-9, "{}", scan.est_rows);
+
+        // Two VARCHAR columns with separate dictionaries: row 0 holds code 0
+        // in both, yet "x" <> "y". NULL never equals NULL.
+        let mut db = Database::with_block_capacity(2);
+        db.create_relation(RelationSchema::new(
+            "T",
+            vec![("a", DataType::Str), ("b", DataType::Str)],
+        ))
+        .unwrap();
+        for (a, b) in [
+            (Value::str("x"), Value::str("y")),
+            (Value::str("y"), Value::str("y")),
+            (Value::str("y"), Value::str("x")),
+            (Value::Null, Value::Null),
+            (Value::str("z"), Value::str("z")),
+        ] {
+            db.insert_into("T", vec![a, b]).unwrap();
+        }
+        let q = crate::parse::parse_query("SELECT a FROM T WHERE T.a = T.b", db.catalog());
+        let out = execute(&db, &q.unwrap(), &IoMeter::default()).unwrap();
+        assert_eq!(out.rows, vec![vec![Value::str("y")], vec![Value::str("z")]]);
+    }
+
+    #[test]
+    fn every_selection_kernel_agrees_with_eval() {
+        let big = (1i64 << 53) + 1;
+        let ints = [
+            None,
+            Some(i64::MIN),
+            Some(i64::MAX),
+            Some(big),
+            Some(-big),
+            Some(0),
+            Some(-1),
+            Some(7),
+        ];
+        let floats = [
+            Some(0.0),
+            None,
+            Some(-0.0),
+            Some(0.5),
+            Some(big as f64),
+            Some(-big as f64),
+            Some(-1.0),
+            Some(1e300),
+        ];
+        let strs = [
+            Some("a"),
+            Some(""),
+            None,
+            Some("b"),
+            Some("a"),
+            Some("ab"),
+            None,
+            Some("z"),
+        ];
+        let mut db = Database::with_block_capacity(3);
+        db.create_relation(RelationSchema::new(
+            "T",
+            vec![
+                ("id", DataType::Int),
+                ("i", DataType::Int),
+                ("f", DataType::Float),
+                ("s", DataType::Str),
+                ("n", DataType::Str),
+            ],
+        ))
+        .unwrap();
+        let mut rows = Vec::new();
+        for (id, ((i, f), s)) in ints.iter().zip(floats).zip(strs).enumerate() {
+            let row = vec![
+                Value::Int(id as i64),
+                i.map_or(Value::Null, Value::Int),
+                f.map_or(Value::Null, Value::float),
+                s.map_or(Value::Null, Value::str),
+                Value::Null,
+            ];
+            db.insert_into("T", row.clone()).unwrap();
+            rows.push(row);
+        }
+        let literals = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(big),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::float(0.0),
+            Value::float(-0.0),
+            Value::float(0.5),
+            Value::float((1i64 << 53) as f64),
+            Value::str("a"),
+            Value::str("absent"),
+            Value::str(""),
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let c = db.catalog();
+        let id = c.resolve("T", "id").unwrap();
+        let every_id = Predicate::Selection {
+            attr: id,
+            op: CmpOp::Ge,
+            value: Value::Int(i64::MIN),
+        };
+        for (col, name) in ["i", "f", "s", "n"].into_iter().enumerate() {
+            let attr = c.resolve("T", name).unwrap();
+            for literal in &literals {
+                for op in ops {
+                    let want: Tuple = rows
+                        .iter()
+                        .filter(|row| op.eval(&row[col + 1], literal))
+                        .map(|row| row[0].clone())
+                        .collect();
+                    let selection = Predicate::Selection {
+                        attr,
+                        op,
+                        value: literal.clone(),
+                    };
+                    // Alone, the selection walks whole columns; after a
+                    // selection every row passes, it narrows row ids.
+                    for predicates in [vec![selection.clone()], vec![every_id.clone(), selection]] {
+                        let q = ConjunctiveQuery {
+                            projection: vec![id],
+                            relations: vec![id.relation],
+                            predicates,
+                        };
+                        let out = execute(&db, &q, &IoMeter::default()).unwrap();
+                        let got: Tuple = out.rows.into_iter().flatten().collect();
+                        assert_eq!(got, want, "T.{name} {} {literal}", op.sql());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Joins `L` and `R` on `k` through the executor and by nested loop.
+    fn assert_keyed_join(left: &[(Option<i64>, &str)], right: &[(Option<i64>, &str)]) {
+        let db = keyed_db(left, right);
+        let q = QueryBuilder::from(db.catalog(), "L")
+            .unwrap()
+            .join("L", "k", "R", "k")
+            .unwrap()
+            .select("L", "v")
+            .unwrap()
+            .select("R", "v")
+            .unwrap()
+            .build();
+        let mut want: Vec<Tuple> = Vec::new();
+        for (lk, lv) in left {
+            for (rk, rv) in right {
+                if lk.is_some() && lk == rk {
+                    want.push(vec![Value::str(*lv), Value::str(*rv)]);
+                }
+            }
+        }
+        want.sort();
+        let out = execute(&db, &q, &IoMeter::default()).unwrap();
+        assert_eq!(out.rows, want);
+    }
+
+    #[test]
+    fn int_join_bitmaps_skip_absent_keys_without_overflow() {
+        let build = |keys: &[i64]| {
+            Build::new(keys.iter().copied(), |k, key: &mut i64| {
+                *key = k;
+                true
+            })
+        };
+        let hits = |b: &Build<i64>, k: i64| b.matches(&k).count();
+
+        // Keys spanning i64::MIN..=i64::MAX: hashed, but no bitmap.
+        let wide = [i64::MIN, i64::MAX, -5, 0, 3, 9, 11, 40, i64::MAX, -1 << 40];
+        let b = build(&wide);
+        assert!(matches!(b.heads, Heads::Hashed(_)) && b.present.is_none());
+        for (k, n) in [
+            (i64::MIN, 1),
+            (i64::MAX, 2),
+            (0, 1),
+            (1, 0),
+            (i64::MIN + 1, 0),
+        ] {
+            assert_eq!(hits(&b, k), n, "key {k}");
+        }
+
+        // Even keys 100..=120 take one word: probes below, in the gaps and
+        // above it miss on the bitmap, the keys themselves hit.
+        let dense: Vec<i64> = (100..=120).step_by(2).collect();
+        let b = build(&dense);
+        assert!(b.present.is_some());
+        for k in dense {
+            assert_eq!(hits(&b, k), 1, "key {k}");
+        }
+        for k in [i64::MIN, -1, 99, 101, 119, 121, 164, 1 << 40, i64::MAX] {
+            assert_eq!(hits(&b, k), 0, "key {k}");
+        }
+        // Nine rows take at most nine words: keys 0..=575, not 0..=576.
+        assert!(build(&[0, 1, 2, 3, 4, 5, 6, 7, 575]).present.is_some());
+        assert!(build(&[0, 1, 2, 3, 4, 5, 6, 7, 576]).present.is_none());
+
+        // The same through the executor, each side building in turn.
+        let names = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"];
+        let extremes: Vec<(Option<i64>, &str)> = [
+            Some(i64::MIN),
+            Some(i64::MAX),
+            None,
+            Some(-5),
+            Some(0),
+            Some(3),
+            Some(9),
+            Some(11),
+            Some(40),
+            Some(i64::MAX),
+            Some(-1 << 40),
+        ]
+        .into_iter()
+        .zip(names)
+        .collect();
+        let dense: Vec<(Option<i64>, &str)> = (100..=122).step_by(2).map(Some).zip(names).collect();
+        let probes: Vec<(Option<i64>, &str)> = [
+            i64::MIN,
+            -1,
+            0,
+            99,
+            100,
+            101,
+            110,
+            119,
+            122,
+            123,
+            1 << 40,
+            i64::MAX,
+            9,
+            -5,
+        ]
+        .into_iter()
+        .map(Some)
+        .chain([None])
+        .zip(names.iter().cycle().copied())
+        .collect();
+        for build_side in [&extremes, &dense] {
+            assert_keyed_join(build_side, &probes);
+            assert_keyed_join(&probes, build_side);
+        }
     }
 
     /// A personalized query whose first preference matches nothing.

@@ -145,19 +145,16 @@ pub fn explain(
             .relation(rel)
             .map(|s| s.name.clone())
             .unwrap_or_else(|_| "?".into());
-        let sels = query.selections_on(rel);
-        let mut single = ConjunctiveQuery {
+        let single = ConjunctiveQuery {
             projection: Vec::new(),
             relations: vec![rel],
-            predicates: Vec::new(),
+            predicates: query.selections_on(rel).cloned().collect(),
         };
-        for s in &sels {
-            single.predicates.push((*s).clone());
-        }
-        let op = if sels.is_empty() {
+        let op = if single.predicates.is_empty() {
             format!("SeqScan({name})")
         } else {
-            let conds: Vec<String> = sels
+            let conds: Vec<String> = single
+                .predicates
                 .iter()
                 .map(|p| crate::sql::predicate_sql(catalog, p))
                 .collect();
@@ -174,7 +171,7 @@ pub fn explain(
     let mut partial = ConjunctiveQuery {
         projection: Vec::new(),
         relations: vec![first],
-        predicates: query.selections_on(first).into_iter().cloned().collect(),
+        predicates: query.selections_on(first).cloned().collect(),
     };
     for &pos in &order[1..] {
         let rel = scans[pos];

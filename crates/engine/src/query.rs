@@ -177,12 +177,15 @@ impl ConjunctiveQuery {
         Ok(())
     }
 
-    /// Selection predicates on a given relation (for push-down).
-    pub fn selections_on(&self, relation: RelationId) -> Vec<&Predicate> {
-        self.predicates
-            .iter()
-            .filter(|p| matches!(p, Predicate::Selection { attr, .. } if attr.relation == relation))
-            .collect()
+    /// The predicates on `relation` alone, for push-down: its selections
+    /// and any join predicate whose two sides are both in it.
+    pub fn selections_on(&self, relation: RelationId) -> impl Iterator<Item = &Predicate> + '_ {
+        self.predicates.iter().filter(move |p| match p {
+            Predicate::Selection { attr, .. } => attr.relation == relation,
+            Predicate::Join { left, right } => {
+                left.relation == relation && right.relation == relation
+            }
+        })
     }
 
     /// Join predicates of the query.

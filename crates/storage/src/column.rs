@@ -4,7 +4,8 @@
 //! `f64` values, or `u32` codes into a per-column [`Dictionary`] of
 //! distinct strings, with NULL marked per row. An executor reads cells
 //! unboxed ([`Column::cell`]) and can evaluate a string predicate once per
-//! dictionary entry instead of once per row.
+//! dictionary entry instead of once per row, or look an equality literal up
+//! once ([`Dictionary::code`]) and compare codes.
 
 use crate::value::{DataType, Value};
 use std::collections::hash_map::Entry;
@@ -23,6 +24,11 @@ impl Dictionary {
     /// The entries, by code.
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The code of `s`, or `None` if no row holds it.
+    pub fn code(&self, s: &str) -> Option<u32> {
+        self.codes.get(s).copied()
     }
 
     /// The code of `s`, adding it on first sight.
@@ -174,6 +180,8 @@ mod tests {
         };
         assert_eq!(codes, &[0, 0, 1, 0]);
         assert_eq!(dict.values(), &[Value::str("drama"), Value::str("comedy")]);
+        assert_eq!(dict.code("comedy"), Some(1));
+        assert_eq!(dict.code("musical"), None);
         assert_eq!(c.nulls(), &[false, true, false, false]);
         assert_eq!(c.cell(1), Cell::Null);
         assert_eq!(c.cell(3).to_value(), Value::str("drama"));

@@ -5,8 +5,9 @@
 //!   apply the HAVING count — against the executor and ranked execution,
 //!   over seeded random
 //!   queries on a small hand-built database (NULL join keys, duplicate
-//!   matches, a two-column join, an INT = FLOAT join) and over
-//!   `CqpSystem`-built personalized queries on `MovieDbConfig::tiny`.
+//!   matches, a two-column join, an INT = FLOAT join, joins within one
+//!   relation, cross-type literals, build sides that hash their `INT` keys)
+//!   and over `CqpSystem`-built personalized queries on `MovieDbConfig::tiny`.
 //! * Golden digests (row count, cell hash, blocks read) of 640 personalized
 //!   queries at the benchmark's database scale, captured from the
 //!   row-cloning executor this one replaced.
@@ -183,7 +184,8 @@ fn assert_personalized_matches(db: &Database, pq: &PersonalizedQuery, what: &str
 
 /// Four relations over small domains with ~1 in 6 NULLs, so joins fan out
 /// (duplicate matches) and NULL keys appear on both sides of every join.
-/// Three tuples per block.
+/// P and Q hold enough rows that a join between them can build on more
+/// distinct `INT` keys than a linear search takes. Three tuples per block.
 fn edge_db(seed: u64) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::with_block_capacity(3);
@@ -225,7 +227,12 @@ fn edge_db(seed: u64) -> Database {
             .iter()
             .map(|a| a.ty)
             .collect();
-        for _ in 0..rng.gen_range(5..15usize) {
+        let rows = if matches!(name, "P" | "Q") {
+            16..40usize
+        } else {
+            5..15
+        };
+        for _ in 0..rng.gen_range(rows) {
             let row = types.iter().map(|ty| random_value(&mut rng, *ty)).collect();
             db.insert(id, row).unwrap();
         }
@@ -233,21 +240,35 @@ fn edge_db(seed: u64) -> Database {
     db
 }
 
+/// `INT`s are even numbers in -12..=22 (gaps, negative keys) and, one
+/// time in 50, a far outlier whose span no join bitmap covers.
 fn random_value(rng: &mut StdRng, ty: DataType) -> Value {
     if rng.gen_range(0..6u32) == 0 {
         return Value::Null;
     }
-    let v = rng.gen_range(0..4i64);
     match ty {
-        DataType::Int => Value::Int(v),
-        DataType::Float => Value::float(v as f64 / 2.0),
-        DataType::Str => Value::str(["a", "b", "c", "d"][v as usize]),
+        DataType::Int if rng.gen_range(0..50u32) == 0 => Value::Int(1 << 40),
+        DataType::Int => Value::Int(2 * rng.gen_range(-6..12i64)),
+        DataType::Float => Value::float(rng.gen_range(0..4i64) as f64 / 2.0),
+        DataType::Str => Value::str(["a", "b", "c", "d"][rng.gen_range(0..4usize)]),
     }
+}
+
+/// A selection literal: of the column's type, except one time in four of
+/// a type drawn independently, as `parse_query` accepts from the wire.
+fn random_literal(rng: &mut StdRng, ty: DataType) -> Value {
+    let ty = if rng.gen_range(0..4u32) == 0 {
+        [DataType::Int, DataType::Float, DataType::Str][rng.gen_range(0..3usize)]
+    } else {
+        ty
+    };
+    random_value(rng, ty)
 }
 
 /// Join edges of the edge database: (left, right) attribute pairs that
 /// must all hold. `P–Q` on two columns, `R.qk = S.f` compares INT with
-/// FLOAT and so never matches.
+/// FLOAT and so never matches. `P.id = P.k` and `R.qk = R.w` (INT = FLOAT
+/// again) join a relation to itself, so its scan must apply them.
 const EDGES: &[&[(&str, &str, &str, &str)]] = &[
     &[("P", "id", "Q", "pid")],
     &[("P", "id", "Q", "pid"), ("P", "k", "Q", "k")],
@@ -256,6 +277,8 @@ const EDGES: &[&[(&str, &str, &str, &str)]] = &[
     &[("P", "k", "R", "qk")],
     &[("R", "qk", "S", "f")],
     &[("P", "s", "S", "name")],
+    &[("P", "id", "P", "k")],
+    &[("R", "qk", "R", "w")],
 ];
 
 fn attr(db: &Database, rel: &str, a: &str) -> QualifiedAttr {
@@ -310,7 +333,7 @@ fn random_path(
         preds.push(Predicate::Selection {
             attr: QualifiedAttr::new(rel, a as u16),
             op,
-            value: random_value(rng, schema.attributes[a].ty),
+            value: random_literal(rng, schema.attributes[a].ty),
         });
     }
     preds
@@ -339,12 +362,43 @@ fn random_query(db: &Database, rng: &mut StdRng) -> ConjunctiveQuery {
     }
 }
 
+/// Whether `q` joins two relations on one `INT = INT` key with more than
+/// 8 distinct non-NULL keys on each filtered side, so that whichever side
+/// builds is hashed rather than searched linearly.
+fn hashes_an_int_join(db: &Database, q: &ConjunctiveQuery) -> bool {
+    let keys: Vec<_> = q
+        .joins()
+        .filter(|(l, r)| l.relation != r.relation)
+        .collect();
+    let [(l, r)] = keys[..] else {
+        return false;
+    };
+    let distinct = |key: QualifiedAttr| {
+        let table = db.table(key.relation).unwrap();
+        let mut values: Vec<Value> = table
+            .rows()
+            .filter(|row| {
+                q.selections_on(key.relation)
+                    .all(|p| holds(p, |qa| row[qa.attr.index()].clone()))
+            })
+            .map(|row| row[key.attr.index()].clone())
+            .filter(|v| matches!(v, Value::Int(_)))
+            .collect();
+        values.sort();
+        values.dedup();
+        values.len()
+    };
+    q.relations.len() == 2 && distinct(*l) > 8 && distinct(*r) > 8
+}
+
 #[test]
 fn random_conjunctive_queries_match_the_reference() {
+    let mut hashed = 0;
     for seed in 0..300u64 {
         let db = edge_db(seed / 30);
         let mut rng = StdRng::seed_from_u64(seed);
         let q = random_query(&db, &mut rng);
+        hashed += usize::from(hashes_an_int_join(&db, &q));
         let meter = IoMeter::new(1.0);
         let got = execute(&db, &q, &meter).unwrap();
         let sql = cqp_engine::sql::conjunctive_sql(db.catalog(), &q);
@@ -355,6 +409,7 @@ fn random_conjunctive_queries_match_the_reference() {
             "seed {seed}: {sql}"
         );
     }
+    assert!(hashed > 0, "no query hashed an INT join's build side");
 }
 
 #[test]
@@ -416,6 +471,16 @@ fn system_built_personalized_queries_match_the_reference() {
         }
     }
     assert_eq!(checked, 32);
+}
+
+#[test]
+fn same_relation_equality_matches_the_reference_on_the_movie_db() {
+    let db = generate_movie_db(&MovieDbConfig::tiny(1));
+    let sql = "SELECT mid, did FROM MOVIE WHERE MOVIE.mid = MOVIE.did";
+    let q = parse_query(sql, db.catalog()).unwrap();
+    let got = execute(&db, &q, &IoMeter::new(1.0)).unwrap();
+    assert_eq!(got.rows, reference_rows(&db, &q));
+    assert_eq!(got.len(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -286,8 +286,7 @@ fn run_query(
             );
             println!("SQL: {}", outcome.sql);
             if soft {
-                let space = system.preference_space(&query, profile, config);
-                match system.execute_ranked(&outcome, &space, 1, 1.0) {
+                match system.execute_ranked(&outcome, 1, 1.0) {
                     Ok(rows) => {
                         println!("{} row(s), ranked:", rows.len());
                         for r in rows.iter().take(10) {

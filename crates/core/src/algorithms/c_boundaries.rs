@@ -16,14 +16,13 @@
 
 use super::find_max_doi::c_find_max_doi;
 use super::prune::{Pruner, STATE_BYTES};
-use super::Solution;
+use super::{solve_two_phase, Solution};
 use crate::budget::CancelToken;
 use crate::cost_cache::{CacheHandle, SharedCostCache};
 use crate::instrument::Instrument;
 use crate::spaces::SpaceView;
 use crate::state::State;
 use crate::transitions::{horizontal, vertical_into, Neighbours};
-use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_prefs::ConjModel;
 use cqp_prefspace::PreferenceSpace;
@@ -31,45 +30,19 @@ use std::collections::VecDeque;
 
 /// Runs C-BOUNDARIES for Problem 2.
 pub fn solve(space: &PreferenceSpace, conj: ConjModel, cmax_blocks: u64) -> Solution {
-    solve_recorded(space, conj, cmax_blocks, &NoopRecorder)
+    let token = CancelToken::unlimited();
+    solve_budgeted(space, conj, cmax_blocks, &NoopRecorder, None, &token)
 }
 
-/// [`solve`] with one span and one [`Instrument`] per phase; counters are
+/// [`solve`] with one span and one [`Instrument`] per phase (counters are
 /// flushed to the recorder at each phase boundary and kept in
-/// [`Solution::phases`].
-pub fn solve_recorded(
-    space: &PreferenceSpace,
-    conj: ConjModel,
-    cmax_blocks: u64,
-    recorder: &dyn Recorder,
-) -> Solution {
-    solve_cached(space, conj, cmax_blocks, recorder, None)
-}
-
-/// [`solve_recorded`] with an optional batch-wide [`SharedCostCache`]:
-/// when given, phase 1 memoizes state costs through it so concurrent
-/// requests over the same preference space reuse each other's evaluations.
-/// Cached costs are exact, so the answer is identical either way.
-pub fn solve_cached(
-    space: &PreferenceSpace,
-    conj: ConjModel,
-    cmax_blocks: u64,
-    recorder: &dyn Recorder,
-    shared: Option<&SharedCostCache>,
-) -> Solution {
-    solve_budgeted(
-        space,
-        conj,
-        cmax_blocks,
-        recorder,
-        shared,
-        &CancelToken::unlimited(),
-    )
-}
-
-/// [`solve_cached`] polling `token` in both phases; on a trip the phase
-/// stops where it is and the best incumbent reachable from the boundaries
-/// found so far is returned (the dispatcher tags it degraded).
+/// [`Solution::phases`]), polling `token` in both phases; on a trip the
+/// phase stops where it is and the best incumbent reachable from the
+/// boundaries found so far is returned (the dispatcher tags it degraded).
+/// With a batch-wide [`SharedCostCache`], phase 1 memoizes state costs
+/// through it so concurrent requests over the same preference space reuse
+/// each other's evaluations. Cached costs are exact, so the answer is
+/// identical either way.
 pub fn solve_budgeted(
     space: &PreferenceSpace,
     conj: ConjModel,
@@ -79,41 +52,17 @@ pub fn solve_budgeted(
     token: &CancelToken,
 ) -> Solution {
     let view = SpaceView::cost(space, conj);
-    let eval = view.eval();
     let mut cache = match shared {
         Some(c) => CacheHandle::shared(c, &view),
         None => CacheHandle::local(),
     };
-
-    let mut p1 = Instrument::new();
-    let boundaries = {
-        let _span = span_guard(recorder, "find_boundaries");
-        let b = find_boundary_bounded(&view, cmax_blocks, &mut p1, &mut cache, token);
-        p1.boundaries_found = b.len() as u64;
-        p1.flush_to(recorder);
-        b
-    };
-
-    let mut p2 = Instrument::new();
-    let (prefs, _doi) = {
-        let _span = span_guard(recorder, "find_max_doi");
-        let r = c_find_max_doi(&view, &boundaries, &mut p2, token);
-        p2.flush_to(recorder);
-        r
-    };
-
-    let mut inst = p1;
-    inst.merge(&p2);
-    let mut sol = if prefs.is_empty() {
-        Solution {
-            instrument: inst,
-            ..Solution::empty(eval)
-        }
-    } else {
-        Solution::from_prefs(eval, prefs, inst)
-    };
-    sol.phases = vec![("find_boundaries", p1), ("find_max_doi", p2)];
-    sol
+    solve_two_phase(
+        view.eval(),
+        recorder,
+        "find_boundaries",
+        |inst| find_boundary_bounded(&view, cmax_blocks, inst, &mut cache, token),
+        |boundaries, inst| c_find_max_doi(&view, boundaries, inst, token).0,
+    )
 }
 
 /// Phase 1: `FINDBOUNDARY` (paper Figure 5).
@@ -121,23 +70,13 @@ pub fn find_boundary(view: &SpaceView<'_>, cmax: u64, inst: &mut Instrument) -> 
     // "Costs that may be re-used are cached" (Section 5.2.1): states
     // re-reached through different transition sequences skip re-evaluation.
     let mut cache = CacheHandle::local();
-    find_boundary_cached(view, cmax, inst, &mut cache)
+    find_boundary_bounded(view, cmax, inst, &mut cache, &CancelToken::unlimited())
 }
 
 /// [`find_boundary`] against a caller-provided cost cache (local or
-/// batch-shared).
-pub fn find_boundary_cached(
-    view: &SpaceView<'_>,
-    cmax: u64,
-    inst: &mut Instrument,
-    cache: &mut CacheHandle<'_>,
-) -> Vec<State> {
-    find_boundary_bounded(view, cmax, inst, cache, &CancelToken::unlimited())
-}
-
-/// [`find_boundary_cached`] polling `token` once per dequeued state. On a
-/// trip the queue is abandoned: the boundaries found so far are returned,
-/// each of which already satisfies the cost constraint.
+/// batch-shared), polling `token` once per dequeued state. On a trip the
+/// queue is abandoned: the boundaries found so far are returned, each of
+/// which already satisfies the cost constraint.
 pub fn find_boundary_bounded(
     view: &SpaceView<'_>,
     cmax: u64,
@@ -299,7 +238,8 @@ mod tests {
     fn phases_are_attributed_separately() {
         let space = fig6_space();
         let obs = cqp_obs::Obs::new();
-        let sol = solve_recorded(&space, ConjModel::NoisyOr, 185, &obs);
+        let token = CancelToken::unlimited();
+        let sol = solve_budgeted(&space, ConjModel::NoisyOr, 185, &obs, None, &token);
 
         // Per-phase instruments survive (no merge attribution loss) and
         // their merge reproduces the blended total.

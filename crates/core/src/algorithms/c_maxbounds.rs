@@ -12,13 +12,12 @@
 
 use super::find_max_doi::c_find_max_doi;
 use super::prune::{Pruner, STATE_BYTES};
-use super::Solution;
+use super::{solve_two_phase, Solution};
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
 use crate::spaces::SpaceView;
 use crate::state::State;
 use crate::transitions::{horizontal2, vertical_into, Neighbours};
-use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_prefs::ConjModel;
 use cqp_prefspace::PreferenceSpace;
@@ -26,30 +25,15 @@ use std::collections::VecDeque;
 
 /// Runs C-MAXBOUNDS for Problem 2.
 pub fn solve(space: &PreferenceSpace, conj: ConjModel, cmax_blocks: u64) -> Solution {
-    solve_recorded(space, conj, cmax_blocks, &NoopRecorder)
+    let token = CancelToken::unlimited();
+    solve_budgeted(space, conj, cmax_blocks, &NoopRecorder, &token)
 }
 
-/// [`solve`] with one span and one [`Instrument`] per phase; counters are
+/// [`solve`] with one span and one [`Instrument`] per phase (counters are
 /// flushed to the recorder at each phase boundary and kept in
-/// [`Solution::phases`].
-pub fn solve_recorded(
-    space: &PreferenceSpace,
-    conj: ConjModel,
-    cmax_blocks: u64,
-    recorder: &dyn Recorder,
-) -> Solution {
-    solve_budgeted(
-        space,
-        conj,
-        cmax_blocks,
-        recorder,
-        &CancelToken::unlimited(),
-    )
-}
-
-/// [`solve_recorded`] polling `token` in both phases; on a trip the best
-/// refinement over the maximal boundaries found so far is returned (the
-/// dispatcher tags it degraded).
+/// [`Solution::phases`]), polling `token` in both phases; on a trip the
+/// best refinement over the maximal boundaries found so far is returned
+/// (the dispatcher tags it degraded).
 pub fn solve_budgeted(
     space: &PreferenceSpace,
     conj: ConjModel,
@@ -58,45 +42,24 @@ pub fn solve_budgeted(
     token: &CancelToken,
 ) -> Solution {
     let view = SpaceView::cost(space, conj);
-    let eval = view.eval();
-
-    let mut p1 = Instrument::new();
-    let max_bounds = {
-        let _span = span_guard(recorder, "find_max_bounds");
-        let b = find_all_max_bounds_bounded(&view, cmax_blocks, &mut p1, token);
-        p1.boundaries_found = b.len() as u64;
-        p1.flush_to(recorder);
-        b
-    };
-
-    let mut p2 = Instrument::new();
-    let prefs = {
-        let _span = span_guard(recorder, "find_max_doi");
-        let (mut prefs, _doi) = c_find_max_doi(&view, &max_bounds, &mut p2, token);
-        if prefs.is_empty() {
-            // The growth loop never records bare seeds; a single feasible
-            // preference may still exist (the best one is the max-doi
-            // feasible singleton).
-            prefs = best_feasible_singleton(&view, cmax_blocks, &mut p2)
-                .map(|p| vec![p])
-                .unwrap_or_default();
-        }
-        p2.flush_to(recorder);
-        prefs
-    };
-
-    let mut inst = p1;
-    inst.merge(&p2);
-    let mut sol = if prefs.is_empty() {
-        Solution {
-            instrument: inst,
-            ..Solution::empty(eval)
-        }
-    } else {
-        Solution::from_prefs(eval, prefs, inst)
-    };
-    sol.phases = vec![("find_max_bounds", p1), ("find_max_doi", p2)];
-    sol
+    solve_two_phase(
+        view.eval(),
+        recorder,
+        "find_max_bounds",
+        |inst| find_all_max_bounds_bounded(&view, cmax_blocks, inst, token),
+        |max_bounds, inst| {
+            let (mut prefs, _doi) = c_find_max_doi(&view, max_bounds, inst, token);
+            if prefs.is_empty() {
+                // The growth loop never records bare seeds; a single
+                // feasible preference may still exist (the best one is the
+                // max-doi feasible singleton).
+                prefs = best_feasible_singleton(&view, cmax_blocks, inst)
+                    .map(|p| vec![p])
+                    .unwrap_or_default();
+            }
+            prefs
+        },
+    )
 }
 
 /// Phase 1: rounds of `FINDMAXBOUND` over seeds `c1, c2, …` (Figure 7).

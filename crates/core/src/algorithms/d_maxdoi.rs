@@ -15,14 +15,13 @@
 //! feasible after a swap would be unreachable and exactness would be lost.
 
 use super::prune::{Pruner, STATE_BYTES};
-use super::Solution;
+use super::{solve_two_phase, Solution};
 use crate::budget::CancelToken;
 use crate::instrument::Instrument;
 use crate::params::ParamEval;
 use crate::spaces::SpaceView;
 use crate::state::State;
 use crate::transitions::{horizontal, vertical_into, Neighbours};
-use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_prefs::{ConjModel, Doi};
 use cqp_prefspace::PreferenceSpace;
@@ -30,30 +29,15 @@ use std::collections::VecDeque;
 
 /// Runs D-MAXDOI for Problem 2.
 pub fn solve(space: &PreferenceSpace, conj: ConjModel, cmax_blocks: u64) -> Solution {
-    solve_recorded(space, conj, cmax_blocks, &NoopRecorder)
+    let token = CancelToken::unlimited();
+    solve_budgeted(space, conj, cmax_blocks, &NoopRecorder, &token)
 }
 
-/// [`solve`] with one span and one [`Instrument`] per phase; counters are
+/// [`solve`] with one span and one [`Instrument`] per phase (counters are
 /// flushed to the recorder at each phase boundary and kept in
-/// [`Solution::phases`].
-pub fn solve_recorded(
-    space: &PreferenceSpace,
-    conj: ConjModel,
-    cmax_blocks: u64,
-    recorder: &dyn Recorder,
-) -> Solution {
-    solve_budgeted(
-        space,
-        conj,
-        cmax_blocks,
-        recorder,
-        &CancelToken::unlimited(),
-    )
-}
-
-/// [`solve_recorded`] polling `token` in both phases; on a trip the best
-/// incumbent among the candidate solutions found so far is returned (the
-/// dispatcher tags it degraded).
+/// [`Solution::phases`]), polling `token` in both phases; on a trip the
+/// best incumbent among the candidate solutions found so far is returned
+/// (the dispatcher tags it degraded).
 pub fn solve_budgeted(
     space: &PreferenceSpace,
     conj: ConjModel,
@@ -62,37 +46,13 @@ pub fn solve_budgeted(
     token: &CancelToken,
 ) -> Solution {
     let view = SpaceView::doi(space, conj);
-    let eval = view.eval();
-
-    let mut p1 = Instrument::new();
-    let solutions = {
-        let _span = span_guard(recorder, "find_optimal");
-        let s = find_optimal_bounded(&view, cmax_blocks, &mut p1, token);
-        p1.boundaries_found = s.len() as u64;
-        p1.flush_to(recorder);
-        s
-    };
-
-    let mut p2 = Instrument::new();
-    let (prefs, _doi) = {
-        let _span = span_guard(recorder, "find_max_doi");
-        let r = d_find_max_doi(&view, &solutions, &mut p2, token);
-        p2.flush_to(recorder);
-        r
-    };
-
-    let mut inst = p1;
-    inst.merge(&p2);
-    let mut sol = if prefs.is_empty() {
-        Solution {
-            instrument: inst,
-            ..Solution::empty(eval)
-        }
-    } else {
-        Solution::from_prefs(eval, prefs, inst)
-    };
-    sol.phases = vec![("find_optimal", p1), ("find_max_doi", p2)];
-    sol
+    solve_two_phase(
+        view.eval(),
+        recorder,
+        "find_optimal",
+        |inst| find_optimal_bounded(&view, cmax_blocks, inst, token),
+        |solutions, inst| d_find_max_doi(&view, solutions, inst, token).0,
+    )
 }
 
 /// Phase 1: `FINDOPTIMAL` (Figure 9).

@@ -29,8 +29,10 @@ pub mod pareto;
 pub mod prune;
 
 use crate::budget::{CancelToken, DegradedInfo};
+use crate::cost_cache::SharedCostCache;
 use crate::instrument::Instrument;
 use crate::params::{ParamEval, QueryParams};
+use crate::state::State;
 use cqp_obs::record::span_guard;
 use cqp_obs::{NoopRecorder, Recorder};
 use cqp_prefs::{ConjModel, Doi};
@@ -238,45 +240,25 @@ pub fn solve_p2_recorded(
     algorithm: Algorithm,
     recorder: &dyn Recorder,
 ) -> Solution {
-    solve_p2_cached(space, conj, cmax_blocks, algorithm, recorder, None)
+    let token = CancelToken::unlimited();
+    solve_p2_budgeted(space, conj, cmax_blocks, algorithm, recorder, None, &token)
 }
 
-/// [`solve_p2_recorded`] with an optional batch-wide
-/// [`SharedCostCache`](crate::cost_cache::SharedCostCache). Only
-/// C-BOUNDARIES evaluates state costs through a cache, so it alone consults
-/// it; every other algorithm ignores the argument. Cached costs are exact —
-/// the answer is identical with or without sharing.
-pub fn solve_p2_cached(
-    space: &PreferenceSpace,
-    conj: ConjModel,
-    cmax_blocks: u64,
-    algorithm: Algorithm,
-    recorder: &dyn Recorder,
-    shared: Option<&crate::cost_cache::SharedCostCache>,
-) -> Solution {
-    solve_p2_budgeted(
-        space,
-        conj,
-        cmax_blocks,
-        algorithm,
-        recorder,
-        shared,
-        &CancelToken::unlimited(),
-    )
-}
-
-/// [`solve_p2_cached`] under a [`CancelToken`]: every state-space loop polls
-/// the token, and if it trips the solution returned is the best-so-far
-/// incumbent tagged [`Solution::degraded`]. The generic baselines
+/// [`solve_p2_recorded`] under a [`CancelToken`] and with an optional
+/// cross-request [`SharedCostCache`]. Every state-space loop polls the
+/// token, and if it trips the solution returned is the best-so-far
+/// incumbent tagged [`Solution::degraded`]; the generic baselines
 /// (annealing/tabu/genetic) run a fixed iteration budget of their own and
-/// ignore the token.
+/// ignore the token. Only C-BOUNDARIES evaluates state costs through a
+/// cache, so it alone consults `shared`. Cached costs are exact — the
+/// answer is identical with or without sharing.
 pub fn solve_p2_budgeted(
     space: &PreferenceSpace,
     conj: ConjModel,
     cmax_blocks: u64,
     algorithm: Algorithm,
     recorder: &dyn Recorder,
-    shared: Option<&crate::cost_cache::SharedCostCache>,
+    shared: Option<&SharedCostCache>,
     token: &CancelToken,
 ) -> Solution {
     let span = span_guard(recorder, algorithm.name());
@@ -329,5 +311,50 @@ pub fn solve_p2_budgeted(
         sol.instrument.states_examined,
     ));
     drop(span);
+    sol
+}
+
+/// The shared body of the two-phase searches (C-BOUNDARIES, C-MAXBOUNDS
+/// and D-MAXDOI): `phase1` collects the states phase 2 refines (boundaries,
+/// maximal boundaries or candidate solutions), `phase2` picks the selected
+/// P-indices from them. Each phase runs under its own span
+/// (`phase1_name`, then `find_max_doi`) with its own [`Instrument`],
+/// flushed to the recorder as the phase ends and kept in
+/// [`Solution::phases`]; [`Solution::instrument`] is their merge.
+pub(crate) fn solve_two_phase(
+    eval: &ParamEval<'_>,
+    recorder: &dyn Recorder,
+    phase1_name: &'static str,
+    phase1: impl FnOnce(&mut Instrument) -> Vec<State>,
+    phase2: impl FnOnce(&[State], &mut Instrument) -> Vec<usize>,
+) -> Solution {
+    let mut p1 = Instrument::new();
+    let found = {
+        let _span = span_guard(recorder, phase1_name);
+        let found = phase1(&mut p1);
+        p1.boundaries_found = found.len() as u64;
+        p1.flush_to(recorder);
+        found
+    };
+
+    let mut p2 = Instrument::new();
+    let prefs = {
+        let _span = span_guard(recorder, "find_max_doi");
+        let prefs = phase2(&found, &mut p2);
+        p2.flush_to(recorder);
+        prefs
+    };
+
+    let mut inst = p1;
+    inst.merge(&p2);
+    let mut sol = if prefs.is_empty() {
+        Solution {
+            instrument: inst,
+            ..Solution::empty(eval)
+        }
+    } else {
+        Solution::from_prefs(eval, prefs, inst)
+    };
+    sol.phases = vec![(phase1_name, p1), ("find_max_doi", p2)];
     sol
 }

@@ -9,9 +9,10 @@
 //! preference queries. This module caches solved instances and classifies
 //! each lookup into one of three tiers, or a miss:
 //!
-//! * **exact** — identical key: the stored [`Solution`] (plus constructed
-//!   query and SQL) is returned with zero search work, bit-identical to a
-//!   cold solve because it *is* the cold solve's output;
+//! * **exact** — identical key: the stored [`PersonalizationOutcome`]
+//!   (solution, constructed query and SQL) is returned with zero search
+//!   work, bit-identical to a cold solve because it *is* the cold solve's
+//!   output;
 //! * **warm** — same template/profile/config, different constraint values:
 //!   the cached preference space is reused (extraction skipped) and, for
 //!   branch-and-bound, a cached solution that is still feasible under the
@@ -32,10 +33,10 @@
 //! honest. Degraded (budget-tripped) solutions are never inserted — a
 //! cache must only ever serve full-fidelity optima.
 
-use crate::algorithms::{Algorithm, Solution};
+use crate::algorithms::Algorithm;
 use crate::params::QueryParams;
 use crate::problem::{Objective, ProblemSpec};
-use crate::solver::SolverConfig;
+use crate::solver::{PersonalizationOutcome, SolverConfig};
 use cqp_prefspace::PreferenceSpace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,27 +165,11 @@ impl VariantKey {
     }
 }
 
-/// One cached answer: everything `BatchItemResult` needs except latency.
-#[derive(Debug, Clone)]
-pub struct CachedAnswer {
-    /// The search outcome (never degraded — degraded solves are not
-    /// inserted).
-    pub solution: Solution,
-    /// The constructed personalized query.
-    pub query: cqp_engine::PersonalizedQuery,
-    /// The personalized query rendered as SQL.
-    pub sql: String,
-    /// Dois of the selected preferences, in `solution.prefs` order.
-    pub pref_dois: Vec<f64>,
-    /// `K` of the preference space the solve ran on.
-    pub space_k: usize,
-}
-
 #[derive(Debug)]
 struct Family {
     version: u64,
     space: PreferenceSpace,
-    variants: HashMap<VariantKey, CachedAnswer>,
+    variants: HashMap<VariantKey, PersonalizationOutcome>,
     last_used: u64,
 }
 
@@ -192,7 +177,7 @@ struct Family {
 #[derive(Debug)]
 pub enum Lookup {
     /// Identical key: serve the stored answer, zero search work.
-    Exact(CachedAnswer),
+    Exact(PersonalizationOutcome),
     /// Same family and version, new constraint values: reuse the space;
     /// `seed` (when present) is a cached solution proven feasible under
     /// the new constraints, usable as a branch-and-bound pruning bound.
@@ -343,7 +328,7 @@ impl AnswerCache {
         version: u64,
         variant: VariantKey,
         space: &PreferenceSpace,
-        answer: CachedAnswer,
+        answer: PersonalizationOutcome,
     ) {
         if answer.solution.degraded.is_some() {
             return;
@@ -496,11 +481,11 @@ mod tests {
         )
     }
 
-    fn answer_for(problem: &ProblemSpec, sp: &PreferenceSpace) -> CachedAnswer {
+    fn answer_for(problem: &ProblemSpec, sp: &PreferenceSpace) -> PersonalizationOutcome {
         let solution = branch_bound::solve(sp, ConjModel::NoisyOr, problem);
         let base = cqp_engine::ConjunctiveQuery::scan(cqp_storage::RelationId(0), Vec::new());
         let pq = crate::construct::construct(&base, sp, &[]).expect("empty construction");
-        CachedAnswer {
+        PersonalizationOutcome {
             pref_dois: solution.prefs.iter().map(|&i| sp.doi(i).value()).collect(),
             space_k: sp.k(),
             solution,

@@ -7,13 +7,15 @@
 //!
 //! * the [`Database`] and its [`DbStats`] are shared (`Arc`), analyzed
 //!   once — not per request;
-//! * each request runs the full pipeline (preference space → search →
-//!   construction) on whichever worker claims it, under a per-worker
-//!   span so `\trace` output keeps one subtree per worker;
-//! * cost evaluations of the boundary search flow through one
-//!   [`SharedCostCache`] (sharded, `Mutex`-per-shard), so concurrent
-//!   requests over the same preference space reuse each other's work — the
-//!   batch-level generalization of the paper's Section 5.2.1 cost memo;
+//! * each request runs [`CqpSystem`]'s one pipeline (preference space →
+//!   search → construction) on whichever worker claims it, under a
+//!   per-worker span so `\trace` output keeps one subtree per worker, then
+//!   optionally executes the query with retry-on-transient-failure;
+//! * the driver passes that pipeline one [`SharedCostCache`] (sharded,
+//!   `Mutex`-per-shard) through which C-BOUNDARIES evaluates P2 costs, so
+//!   concurrent requests over the same preference space reuse each other's
+//!   work — the batch-level generalization of the paper's Section 5.2.1
+//!   cost memo;
 //! * per-request latencies land in a [`Histogram`], reported as
 //!   p50/p95/p99 plus throughput in [`BatchStats`].
 //!
@@ -22,15 +24,13 @@
 //! the cost a private evaluation would compute — so `threads = N` is
 //! bit-identical to `threads = 1` (verified in `tests/parallel.rs`).
 
-use crate::algorithms::{exhaustive, solve_p2_budgeted, Algorithm, Solution};
-use crate::answer_cache::{AnswerCache, CachedAnswer, FamilyKey, Lookup, VariantKey};
-use crate::budget::CancelToken;
-use crate::construct::construct;
+use crate::algorithms::Solution;
+use crate::answer_cache::{AnswerCache, FamilyKey, Lookup, VariantKey};
 use crate::cost_cache::{EvictionPolicy, SharedCostCache};
 use crate::error::CqpError;
 use crate::params::QueryParams;
-use crate::problem::{ProblemKind, ProblemSpec};
-use crate::solver::{CqpSystem, SolverConfig, SolverError};
+use crate::problem::ProblemSpec;
+use crate::solver::{CqpSystem, PersonalizationOutcome, SolverConfig, SolverError};
 use cqp_engine::{execute_personalized, ConjunctiveQuery};
 use cqp_obs::metrics::Histogram;
 use cqp_obs::record::span_guard;
@@ -99,9 +99,8 @@ pub struct BatchItemResult {
     pub sql: String,
     /// `K` of the extracted preference space.
     pub space_k: usize,
-    /// Dois of the selected preferences, in [`Solution::prefs`] order —
-    /// what ranked execution (`execute_ranked`) scores rows against, kept
-    /// here so callers need not re-extract the preference space.
+    /// Dois of the selected preferences, in [`Solution::prefs`] order
+    /// ([`PersonalizationOutcome::pref_dois`]).
     pub pref_dois: Vec<f64>,
     /// Wall-clock latency of this request, microseconds.
     pub latency_us: u64,
@@ -112,6 +111,27 @@ pub struct BatchItemResult {
     /// Execution attempts that failed transiently before this request
     /// succeeded (0 when execution is off or succeeded first try).
     pub exec_retries: u32,
+}
+
+impl BatchItemResult {
+    /// The flat item for one pipeline outcome.
+    fn from_outcome(
+        outcome: PersonalizationOutcome,
+        latency_us: u64,
+        exec_rows: Option<usize>,
+        exec_retries: u32,
+    ) -> Self {
+        BatchItemResult {
+            solution: outcome.solution,
+            query: outcome.query,
+            sql: outcome.sql,
+            space_k: outcome.space_k,
+            pref_dois: outcome.pref_dois,
+            latency_us,
+            exec_rows,
+            exec_retries,
+        }
+    }
 }
 
 /// Aggregate figures for one batch run.
@@ -499,19 +519,8 @@ impl BatchDriver {
             Lookup::Exact(hit) => {
                 let latency_us = t.elapsed().as_micros() as u64;
                 recorder.observe("batch.latency_us", latency_us);
-                return Ok((
-                    BatchItemResult {
-                        solution: hit.solution,
-                        query: hit.query,
-                        sql: hit.sql,
-                        space_k: hit.space_k,
-                        pref_dois: hit.pref_dois,
-                        latency_us,
-                        exec_rows: None,
-                        exec_retries: 0,
-                    },
-                    CacheTier::Exact,
-                ));
+                let item = BatchItemResult::from_outcome(hit, latency_us, None, 0);
+                return Ok((item, CacheTier::Exact));
             }
             Lookup::Warm { space, seed } => (CacheTier::Warm, Some((space, seed))),
             Lookup::Repair { .. } => (CacheTier::Repair, None),
@@ -531,12 +540,12 @@ impl BatchDriver {
                 cache_req.profile_version,
                 variant,
                 &space,
-                CachedAnswer {
+                PersonalizationOutcome {
                     solution: item.solution.clone(),
                     query: item.query.clone(),
                     sql: item.sql.clone(),
-                    pref_dois: item.pref_dois.clone(),
                     space_k: item.space_k,
+                    pref_dois: item.pref_dois.clone(),
                 },
             );
             Ok(item)
@@ -630,15 +639,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl BatchDriver {
-    /// One request's pipeline: preference space → search (through `cache`
-    /// where the algorithm supports it, under the request's budget) →
-    /// query construction → optional metered execution with
-    /// retry-on-transient-failure. `warm` supplies a cached space (skipping
-    /// extraction) and optionally a warm-start bound, which is strict: it
-    /// can only shrink the branch-and-bound search, never change its
-    /// answer. Returns the item and the space it was solved on; the item's
-    /// `latency_us` is 0, and the caller stamps it (latency includes the
-    /// catch_unwind wrapper).
+    /// One request: [`CqpSystem`]'s pipeline (C-BOUNDARIES' P2 costs
+    /// through `cache`, under the request's budget), then optional metered
+    /// execution with retry-on-transient-failure. `warm` supplies a cached
+    /// space (skipping extraction) and optionally a warm-start bound, which
+    /// is strict: it can only shrink the branch-and-bound search, never
+    /// change its answer. Returns the item and the space it was solved on;
+    /// the item's `latency_us` is 0, and the caller stamps it (latency
+    /// includes the catch_unwind wrapper).
     fn serve_one(
         &self,
         cache: &SharedCostCache,
@@ -649,56 +657,15 @@ impl BatchDriver {
     ) -> Result<(BatchItemResult, PreferenceSpace), SolverError> {
         let _span = span_guard(recorder, "personalize");
         let system = CqpSystem::from_parts(&self.db, Arc::clone(&self.stats));
-        let (space, seed) = match warm {
-            Some(warm) => warm,
-            None => {
-                let _s = span_guard(recorder, "prefspace");
-                (
-                    system.preference_space(&req.query, &req.profile, &req.config),
-                    None,
-                )
-            }
-        };
-        if req.config.algorithm == Algorithm::Exhaustive && space.k() > exhaustive::MAX_EXHAUSTIVE_K
-        {
-            return Err(CqpError::SpaceTooLarge {
-                k: space.k(),
-                max: exhaustive::MAX_EXHAUSTIVE_K,
-            });
-        }
-        let solution = {
-            let _s = span_guard(recorder, "search");
-            // P2 through the cache-aware dispatcher: C-BOUNDARIES shares cost
-            // evaluations batch-wide, everything else is unchanged. A
-            // P2-shaped spec missing its cost bound takes the facade path
-            // like any other problem.
-            let cached_p2 = (req.problem.kind() == Some(ProblemKind::P2)
-                && req.config.algorithm != Algorithm::BranchBound)
-                .then_some(req.problem.constraints.cost_max_blocks)
-                .flatten();
-            match cached_p2 {
-                Some(cmax) => {
-                    let token = CancelToken::for_budget(&req.config.budget);
-                    solve_p2_budgeted(
-                        &space,
-                        req.config.conj,
-                        cmax,
-                        req.config.algorithm,
-                        recorder,
-                        Some(cache),
-                        &token,
-                    )
-                }
-                None => {
-                    system.search_warm_recorded(&space, &req.problem, &req.config, seed, recorder)
-                }
-            }
-        };
-        let pq = {
-            let _s = span_guard(recorder, "construct");
-            construct(&req.query, &space, &solution.prefs)?
-        };
-        let sql = cqp_engine::sql::personalized_sql(self.db.catalog(), &pq);
+        let (outcome, space) = system.pipeline(
+            &req.query,
+            &req.profile,
+            &req.problem,
+            &req.config,
+            warm,
+            Some(cache),
+            recorder,
+        )?;
 
         let mut exec_rows = None;
         let mut exec_retries = 0u32;
@@ -709,7 +676,7 @@ impl BatchDriver {
                 if let Some(plan) = &self.fault_plan {
                     meter = meter.with_fault_plan(Arc::clone(plan));
                 }
-                match execute_personalized(&self.db, &pq, &meter) {
+                match execute_personalized(&self.db, &outcome.query, &meter) {
                     Ok(out) => {
                         exec_rows = Some(out.len());
                         break;
@@ -734,21 +701,7 @@ impl BatchDriver {
                 }
             }
         }
-        let pref_dois = solution
-            .prefs
-            .iter()
-            .map(|&i| space.doi(i).value())
-            .collect();
-        let item = BatchItemResult {
-            solution,
-            query: pq,
-            sql,
-            space_k: space.k(),
-            pref_dois,
-            latency_us: 0,
-            exec_rows,
-            exec_retries,
-        };
+        let item = BatchItemResult::from_outcome(outcome, 0, exec_rows, exec_retries);
         Ok((item, space))
     }
 }
@@ -756,6 +709,7 @@ impl BatchDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::Algorithm;
     use cqp_engine::QueryBuilder;
     use cqp_storage::{DataType, RelationSchema, Value};
 

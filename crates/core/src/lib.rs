@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::algorithms::pareto::{pareto_frontier, ParetoPoint};
     pub use crate::algorithms::{solve_p2, solve_p2_recorded, Algorithm, Solution};
     pub use crate::answer_cache::{
-        AnswerCache, CacheCounters, CachedAnswer, FamilyKey, Lookup, VariantKey, PROFILE_SCOPE_SEP,
+        AnswerCache, CacheCounters, FamilyKey, Lookup, VariantKey, PROFILE_SCOPE_SEP,
     };
     pub use crate::batch::{
         BatchDriver, BatchItemResult, BatchRequest, CacheRequest, CacheTier, RetryPolicy,

@@ -3,12 +3,21 @@
 //! `User query + profile + search context → Preference Space → Parameter
 //! Estimation → CQP State Space Search → Personalized Query Construction →
 //! Query Execution`. [`CqpSystem`] wires the modules of this workspace into
-//! that pipeline.
+//! that pipeline, and holds its only copy: [`CqpSystem::personalize`] and
+//! the batch driver's request path ([`crate::batch`]) both run one
+//! crate-private prefspace → search → construct function. The driver hands
+//! it its shared P2 cost cache, plus the cached preference space and
+//! warm-start bound of an answer-cache warm hit; the facade passes none of
+//! them.
 
-use crate::algorithms::{self, general, solve_p2_budgeted, Algorithm, Solution};
+use crate::algorithms::{
+    branch_bound, exhaustive, general, solve_p2_budgeted, Algorithm, Solution,
+};
 use crate::budget::{Budget, CancelToken};
 use crate::construct::construct;
+use crate::cost_cache::SharedCostCache;
 use crate::error::CqpError;
+use crate::params::QueryParams;
 use crate::problem::{ProblemKind, ProblemSpec};
 use cqp_engine::{
     execute_personalized, execute_personalized_recorded, ConjunctiveQuery, ExecOutput,
@@ -21,7 +30,6 @@ use cqp_prefs::{ConjModel, Profile};
 use cqp_prefspace::{extract, ExtractConfig, PreferenceSpace};
 use cqp_storage::{Database, DbStats, IoMeter};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How much hardware parallelism a search may use.
 ///
@@ -100,7 +108,8 @@ impl Default for SolverConfig {
 /// validation share one type with construction and execution failures.
 pub type SolverError = CqpError;
 
-/// The result of a personalization request.
+/// The result of a personalization request: what the answer cache stores
+/// and what every request path returns.
 #[derive(Debug, Clone)]
 pub struct PersonalizationOutcome {
     /// The selected preferences and their estimated parameters.
@@ -111,10 +120,10 @@ pub struct PersonalizationOutcome {
     pub sql: String,
     /// Number of preferences the Preference Space produced (`K`).
     pub space_k: usize,
-    /// Wall-clock time spent extracting the preference space, seconds.
-    pub prefspace_secs: f64,
-    /// Wall-clock time spent in state-space search, seconds.
-    pub search_secs: f64,
+    /// Dois of the selected preferences, in [`Solution::prefs`] order —
+    /// what ranked execution ([`CqpSystem::execute_ranked`]) scores rows
+    /// against, kept so callers need not re-extract the preference space.
+    pub pref_dois: Vec<f64>,
 }
 
 /// The CQP system: a database plus its statistics, ready to personalize
@@ -192,9 +201,8 @@ impl<'a> CqpSystem<'a> {
     }
 
     /// [`CqpSystem::personalize`] under a `personalize` span with nested
-    /// `prefspace` / `search` / `construct` phases. The outcome's wall-clock
-    /// fields are unchanged; the recorder additionally sees per-phase spans
-    /// and the `solver.*` counters.
+    /// `prefspace` / `search` / `construct` phases; the recorder also sees
+    /// the `solver.*` counters.
     pub fn personalize_recorded(
         &self,
         query: &ConjunctiveQuery,
@@ -204,153 +212,65 @@ impl<'a> CqpSystem<'a> {
         recorder: &dyn Recorder,
     ) -> Result<PersonalizationOutcome, SolverError> {
         let _run = span_guard(recorder, "personalize");
+        self.pipeline(query, profile, problem, config, None, None, recorder)
+            .map(|(outcome, _)| outcome)
+    }
 
-        let t0 = Instant::now();
-        let space = {
-            let _span = span_guard(recorder, "prefspace");
-            let space = self.preference_space(query, profile, config);
-            recorder.add("solver.prefspace_k", space.k() as u64);
-            space
+    /// The one prefspace → search → construct pipeline. `reuse` supplies an
+    /// already-extracted space (skipping extraction and its `prefspace`
+    /// span) and optionally a warm-start bound for branch-and-bound, which
+    /// must be feasible under `problem`; `shared` routes C-BOUNDARIES' cost
+    /// evaluations through a cross-request cache. Neither changes the
+    /// answer. Returns the outcome and the space it was solved on.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn pipeline(
+        &self,
+        query: &ConjunctiveQuery,
+        profile: &Profile,
+        problem: &ProblemSpec,
+        config: &SolverConfig,
+        reuse: Option<(PreferenceSpace, Option<QueryParams>)>,
+        shared: Option<&SharedCostCache>,
+        recorder: &dyn Recorder,
+    ) -> Result<(PersonalizationOutcome, PreferenceSpace), SolverError> {
+        let (space, warm) = match reuse {
+            Some(reuse) => reuse,
+            None => {
+                let _span = span_guard(recorder, "prefspace");
+                (self.preference_space(query, profile, config), None)
+            }
         };
-        let prefspace_secs = t0.elapsed().as_secs_f64();
-
         // The exhaustive oracle enumerates 2^K subsets and asserts on
         // oversized spaces; turn that into a typed rejection so one
         // oversized request cannot abort a batch.
-        if config.algorithm == Algorithm::Exhaustive
-            && space.k() > algorithms::exhaustive::MAX_EXHAUSTIVE_K
-        {
+        if config.algorithm == Algorithm::Exhaustive && space.k() > exhaustive::MAX_EXHAUSTIVE_K {
             return Err(CqpError::SpaceTooLarge {
                 k: space.k(),
-                max: algorithms::exhaustive::MAX_EXHAUSTIVE_K,
+                max: exhaustive::MAX_EXHAUSTIVE_K,
             });
         }
-
-        let t1 = Instant::now();
         let solution = {
             let _span = span_guard(recorder, "search");
-            self.search_recorded(&space, problem, config, recorder)
+            search_recorded(&space, problem, config, warm, shared, recorder)
         };
-        let search_secs = t1.elapsed().as_secs_f64();
-
-        let _span = span_guard(recorder, "construct");
-        let pq = construct(query, &space, &solution.prefs)?;
+        let pq = {
+            let _span = span_guard(recorder, "construct");
+            construct(query, &space, &solution.prefs)?
+        };
         let sql = cqp_engine::sql::personalized_sql(self.db.catalog(), &pq);
-        Ok(PersonalizationOutcome {
+        let pref_dois = solution
+            .prefs
+            .iter()
+            .map(|&i| space.doi(i).value())
+            .collect();
+        let outcome = PersonalizationOutcome {
             solution,
             query: pq,
             sql,
             space_k: space.k(),
-            prefspace_secs,
-            search_secs,
-        })
-    }
-
-    /// State-space search only (no construction) — used by benchmarks.
-    pub fn search(
-        &self,
-        space: &PreferenceSpace,
-        problem: &ProblemSpec,
-        config: &SolverConfig,
-    ) -> Solution {
-        self.search_recorded(space, problem, config, &NoopRecorder)
-    }
-
-    /// [`CqpSystem::search`] with spans and `solver.*` counters. One
-    /// [`CancelToken`] derived from `config.budget` is shared by every
-    /// search path (and every pool worker in the partitioned ones); a
-    /// tripped token tags the returned incumbent [`Solution::degraded`].
-    pub fn search_recorded(
-        &self,
-        space: &PreferenceSpace,
-        problem: &ProblemSpec,
-        config: &SolverConfig,
-        recorder: &dyn Recorder,
-    ) -> Solution {
-        let token = CancelToken::for_budget(&config.budget);
-        if config.algorithm == Algorithm::BranchBound {
-            let _span = span_guard(recorder, "BranchBound");
-            let mut sol = if config.parallelism.threads > 1 {
-                let pool = config.parallelism.pool();
-                algorithms::branch_bound::solve_partitioned_bounded(
-                    space,
-                    config.conj,
-                    problem,
-                    &pool,
-                    &token,
-                )
-            } else {
-                algorithms::branch_bound::solve_bounded(space, config.conj, problem, &token)
-            };
-            sol.degraded = token.degraded_info();
-            sol.instrument.flush_to(recorder);
-            return sol;
-        }
-        if problem.kind() == Some(ProblemKind::P2) {
-            // P2 specs built via `ProblemSpec::p2` always carry their cost
-            // bound; a hand-rolled spec without one falls through to the
-            // general search instead of panicking.
-            if let Some(cmax) = problem.constraints.cost_max_blocks {
-                if config.algorithm == Algorithm::Exhaustive && config.parallelism.threads > 1 {
-                    let _span = span_guard(recorder, "Exhaustive");
-                    let pool = config.parallelism.pool();
-                    let mut sol = algorithms::exhaustive::solve_partitioned_bounded(
-                        space,
-                        config.conj,
-                        &ProblemSpec::p2(cmax),
-                        &pool,
-                        &token,
-                    );
-                    sol.degraded = token.degraded_info();
-                    sol.instrument.flush_to(recorder);
-                    return sol;
-                }
-                return solve_p2_budgeted(
-                    space,
-                    config.conj,
-                    cmax,
-                    config.algorithm,
-                    recorder,
-                    None,
-                    &token,
-                );
-            }
-        }
-        let _span = span_guard(recorder, "general");
-        let mut sol = general::solve_bounded(space, config.conj, problem, &token);
-        sol.degraded = token.degraded_info();
-        sol.instrument.flush_to(recorder);
-        sol
-    }
-
-    /// [`CqpSystem::search_recorded`] seeded with a warm-start bound from a
-    /// previously solved instance over the same space (cross-request answer
-    /// cache, warm tier). Only the branch-and-bound path can exploit the
-    /// seed; every other algorithm dispatches exactly like
-    /// [`CqpSystem::search_recorded`], so the returned solution is always
-    /// bit-identical to a cold search — the seed only shrinks the states
-    /// visited.
-    ///
-    /// The caller must guarantee `warm` is feasible under `problem` (the
-    /// answer cache checks this before handing out a seed).
-    pub fn search_warm_recorded(
-        &self,
-        space: &PreferenceSpace,
-        problem: &ProblemSpec,
-        config: &SolverConfig,
-        warm: Option<crate::params::QueryParams>,
-        recorder: &dyn Recorder,
-    ) -> Solution {
-        if config.algorithm != Algorithm::BranchBound || warm.is_none() {
-            return self.search_recorded(space, problem, config, recorder);
-        }
-        let token = CancelToken::for_budget(&config.budget);
-        let _span = span_guard(recorder, "BranchBound");
-        let mut sol =
-            algorithms::branch_bound::solve_bounded_warm(space, config.conj, problem, &token, warm);
-        sol.degraded = token.degraded_info();
-        sol.instrument.flush_to(recorder);
-        sol
+            pref_dois,
+        };
+        Ok((outcome, space))
     }
 
     /// Executes a personalized query on the database, returning the rows
@@ -379,23 +299,6 @@ impl<'a> CqpSystem<'a> {
         Ok((out, meter.blocks_read(), meter.elapsed_ms()))
     }
 
-    /// Computes the full (doi, cost) Pareto frontier for a query/profile
-    /// pair — the paper's multi-objective extension (Section 8). Each point
-    /// can be turned into a query via [`crate::construct::construct`].
-    pub fn pareto_menu(
-        &self,
-        query: &ConjunctiveQuery,
-        profile: &Profile,
-        constraints: &crate::problem::Constraints,
-        config: &SolverConfig,
-    ) -> (PreferenceSpace, Vec<algorithms::pareto::ParetoPoint>) {
-        let space = self.preference_space(query, profile, config);
-        let mut inst = crate::instrument::Instrument::new();
-        let frontier =
-            algorithms::pareto::pareto_frontier(&space, config.conj, constraints, &mut inst);
-        (space, frontier)
-    }
-
     /// Executes a personalization outcome in *ranked* mode: rows that
     /// satisfy at least `min_satisfied` of the selected preferences,
     /// ordered by the doi of the preferences each row satisfies
@@ -403,26 +306,88 @@ impl<'a> CqpSystem<'a> {
     pub fn execute_ranked(
         &self,
         outcome: &PersonalizationOutcome,
-        space: &PreferenceSpace,
         min_satisfied: usize,
         ms_per_block: f64,
     ) -> Result<Vec<cqp_engine::RankedRow>, SolverError> {
-        let dois: Vec<f64> = outcome
-            .solution
-            .prefs
-            .iter()
-            .map(|&i| space.doi(i).value())
-            .collect();
         let meter = IoMeter::new(ms_per_block);
         let rows = cqp_engine::execute_ranked(
             self.db,
             &outcome.query,
-            &dois,
+            &outcome.pref_dois,
             cqp_engine::Matching::AtLeast(min_satisfied),
             &meter,
         )?;
         Ok(rows)
     }
+}
+
+/// The search dispatcher, under one [`CancelToken`] derived from
+/// `config.budget` and shared by every search path (and every pool worker
+/// in the partitioned ones); a tripped token tags the returned incumbent
+/// [`Solution::degraded`].
+///
+/// * Branch-and-bound on any problem, seeded with `warm` when given and
+///   otherwise partitioned across `config.parallelism` when it is wider
+///   than one thread.
+/// * Problem 2 with its cost bound: Exhaustive is partitioned likewise;
+///   every other algorithm runs through [`solve_p2_budgeted`], whose
+///   C-BOUNDARIES memoizes costs in `shared` when given.
+/// * Everything else: the Section 6 general search.
+fn search_recorded(
+    space: &PreferenceSpace,
+    problem: &ProblemSpec,
+    config: &SolverConfig,
+    warm: Option<QueryParams>,
+    shared: Option<&SharedCostCache>,
+    recorder: &dyn Recorder,
+) -> Solution {
+    let token = CancelToken::for_budget(&config.budget);
+    let partition = config.parallelism.threads > 1;
+    let conj = config.conj;
+    // P2 specs built via `ProblemSpec::p2` always carry their cost bound; a
+    // hand-rolled spec without one falls through to the general search
+    // instead of panicking.
+    let p2_cmax = (problem.kind() == Some(ProblemKind::P2))
+        .then_some(problem.constraints.cost_max_blocks)
+        .flatten();
+    match (config.algorithm, p2_cmax) {
+        (Algorithm::BranchBound, _) => traced(recorder, "BranchBound", &token, || {
+            if partition && warm.is_none() {
+                let pool = config.parallelism.pool();
+                branch_bound::solve_partitioned_bounded(space, conj, problem, &pool, &token)
+            } else {
+                branch_bound::solve_bounded_warm(space, conj, problem, &token, warm)
+            }
+        }),
+        (Algorithm::Exhaustive, Some(cmax)) if partition => {
+            traced(recorder, "Exhaustive", &token, || {
+                let pool = config.parallelism.pool();
+                let p2 = ProblemSpec::p2(cmax);
+                exhaustive::solve_partitioned_bounded(space, conj, &p2, &pool, &token)
+            })
+        }
+        (algorithm, Some(cmax)) => {
+            solve_p2_budgeted(space, conj, cmax, algorithm, recorder, shared, &token)
+        }
+        (_, None) => traced(recorder, "general", &token, || {
+            general::solve_bounded(space, conj, problem, &token)
+        }),
+    }
+}
+
+/// Runs `solve` under a span named `name`, then tags a degraded incumbent
+/// and flushes its counters inside that span.
+fn traced(
+    recorder: &dyn Recorder,
+    name: &'static str,
+    token: &CancelToken,
+    solve: impl FnOnce() -> Solution,
+) -> Solution {
+    let _span = span_guard(recorder, name);
+    let mut sol = solve();
+    sol.degraded = token.degraded_info();
+    sol.instrument.flush_to(recorder);
+    sol
 }
 
 #[cfg(test)]
@@ -569,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn pareto_menu_and_ranked_execution_via_facade() {
+    fn ranked_execution_via_facade() {
         let db = movie_db();
         let system = CqpSystem::new(&db);
         let base = QueryBuilder::from(db.catalog(), "MOVIE")
@@ -579,24 +544,21 @@ mod tests {
             .build();
         let profile = Profile::paper_figure1(db.catalog()).unwrap();
         let config = SolverConfig::default();
-        let (space, frontier) = system.pareto_menu(
-            &base,
-            &profile,
-            &crate::problem::Constraints {
-                size_min: 0.0,
-                ..Default::default()
-            },
-            &config,
-        );
-        assert_eq!(space.k(), 2);
-        assert!(!frontier.is_empty());
         // Ranked execution of a P2 outcome: soft matching returns at least
         // as many rows as the strict conjunction.
         let outcome = system
             .personalize(&base, &profile, &ProblemSpec::p2(100), &config)
             .unwrap();
+        let space = system.preference_space(&base, &profile, &config);
+        let dois: Vec<f64> = outcome
+            .solution
+            .prefs
+            .iter()
+            .map(|&i| space.doi(i).value())
+            .collect();
+        assert_eq!(outcome.pref_dois, dois);
         let strict = system.execute(&outcome.query, 1.0).unwrap().0;
-        let soft = system.execute_ranked(&outcome, &space, 1, 1.0).unwrap();
+        let soft = system.execute_ranked(&outcome, 1, 1.0).unwrap();
         assert!(soft.len() >= strict.len());
         for w in soft.windows(2) {
             assert!(w[0].doi >= w[1].doi);

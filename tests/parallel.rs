@@ -127,28 +127,25 @@ fn batch_threads4_bit_identical_to_threads1_for_all_paper_algorithms() {
 
 #[test]
 fn partitioned_exact_solvers_match_sequential_through_solver_config() {
-    let db = movie_db();
+    let db = Arc::new(movie_db());
     let base = QueryBuilder::from(db.catalog(), "MOVIE")
         .unwrap()
         .select("MOVIE", "title")
         .unwrap()
         .build();
     let profile = Profile::paper_figure1(db.catalog()).unwrap();
+    let driver = BatchDriver::new(Arc::clone(&db), 1);
     for algorithm in [Algorithm::Exhaustive, Algorithm::BranchBound] {
+        let config = |threads| SolverConfig {
+            algorithm,
+            parallelism: Parallelism::new(threads),
+            ..Default::default()
+        };
         let mut solutions = Vec::new();
         for threads in [1usize, 4] {
             let system = CqpSystem::new(&db);
             let outcome = system
-                .personalize(
-                    &base,
-                    &profile,
-                    &ProblemSpec::p2(100),
-                    &SolverConfig {
-                        algorithm,
-                        parallelism: Parallelism::new(threads),
-                        ..Default::default()
-                    },
-                )
+                .personalize(&base, &profile, &ProblemSpec::p2(100), &config(threads))
                 .expect("solve");
             solutions.push((
                 outcome.solution.prefs.clone(),
@@ -156,9 +153,28 @@ fn partitioned_exact_solvers_match_sequential_through_solver_config() {
                 outcome.solution.cost_blocks,
             ));
         }
+        // The driver runs the same pipeline, so it partitions at 4 threads
+        // too.
+        let item = driver
+            .submit(BatchRequest {
+                query: base.clone(),
+                profile: profile.clone(),
+                problem: ProblemSpec::p2(100),
+                config: config(4),
+            })
+            .expect("submit");
+        solutions.push((
+            item.solution.prefs.clone(),
+            item.solution.doi.value(),
+            item.solution.cost_blocks,
+        ));
         assert_eq!(
             solutions[0], solutions[1],
             "{algorithm:?} diverged between 1 and 4 threads"
+        );
+        assert_eq!(
+            solutions[0], solutions[2],
+            "{algorithm:?} diverged between the facade and the driver at 4 threads"
         );
     }
 }

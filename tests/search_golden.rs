@@ -199,13 +199,14 @@ fn golden_lines() -> Vec<String> {
                     &sol,
                 ));
             }
-            let sol = cqp_core::algorithms::solve_p2_cached(
+            let sol = cqp_core::algorithms::solve_p2_budgeted(
                 &space,
                 conj,
                 cmax,
                 Algorithm::CBoundaries,
                 &NoopRecorder,
                 Some(&shared),
+                &CancelToken::unlimited(),
             );
             lines.push(digest(&format!("{name} c_boundaries/shared c{cmax}"), &sol));
         }
@@ -283,13 +284,14 @@ fn golden_lines() -> Vec<String> {
             let sol = solve_p2(&space, conj, 200, algo);
             lines.push(digest(&format!("{name} {} c200", algo.wire_name()), &sol));
         }
-        let sol = cqp_core::algorithms::solve_p2_cached(
+        let sol = cqp_core::algorithms::solve_p2_budgeted(
             &space,
             conj,
             200,
             Algorithm::CBoundaries,
             &NoopRecorder,
             Some(&shared),
+            &CancelToken::unlimited(),
         );
         lines.push(digest(&format!("{name} c_boundaries/shared c200"), &sol));
         for (p, spec) in problems() {

@@ -38,13 +38,18 @@
 //!             zero lost acked writes by the consistency checker
 //!             (BENCH_partition.json)
 //!
-//! --threads N fans the fig12 grid cells and the batch driver across N
-//! work-stealing workers (default 1 = sequential).
+//! --threads N fans the cells of the Figure 12-14 sweeps and the generic
+//! ablation, and the batch driver, across N work-stealing workers
+//! (default 1 = sequential).
 //! ```
+//!
+//! Each experiment returns its [`Output`]s; [`write`] is the only code that
+//! puts tables, run reports and `BENCH_*.json` documents on disk.
 
-use cqp_bench::experiments::{self, FIG12_ALGORITHMS};
+use cqp_bench::csvout;
+use cqp_bench::experiments::{self, Cell, CsvRow, FIG12_ALGORITHMS, FIG14_ALGORITHMS};
 use cqp_bench::load::{run_load, run_load_targets, LoadConfig, LoadReport};
-use cqp_bench::{build_workload, csvout, harness::Scale, Workload};
+use cqp_bench::{build_workload, harness::Scale, Workload};
 use cqp_core::algorithms::{c_boundaries, c_maxbounds, Algorithm};
 use cqp_core::batch::{BatchDriver, BatchRequest, RetryPolicy};
 use cqp_core::budget::Budget;
@@ -54,10 +59,44 @@ use cqp_obs::reqtrace::fold_traces;
 use cqp_obs::{Json, Obs, RunReport};
 use cqp_prefs::{ConjModel, Doi};
 use cqp_prefspace::{ExtractConfig, PrefParams, PreferenceSpace};
+use cqp_server::http::ClientResponse;
 use cqp_storage::{FaultMode, FaultPlan};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// One experiment: it reads the workload and the command line's knobs and
+/// returns what [`write`] puts under `--out`.
+type Run = fn(&Ctx) -> Vec<Output>;
+
+/// Every experiment, in run order: its name, the other command-line names
+/// that select it (`all` selects every one) and its run.
+const EXPERIMENTS: [(&str, &[&str], Run); 18] = [
+    ("fig12a", &["fig12"], fig12a),
+    ("fig12b", &["fig12"], fig12b),
+    ("fig12c", &["fig12", "fig12d"], fig12c),
+    ("fig13a", &[], fig13a),
+    ("fig13b", &[], fig13b),
+    ("fig14a", &[], fig14a),
+    ("fig14b", &[], fig14b),
+    ("fig15", &[], fig15),
+    ("table1", &[], table1),
+    ("table2", &[], table2_example),
+    ("fig6", &[], fig6_trace),
+    ("fig8", &[], fig8_trace),
+    ("ablate", &[], ablations),
+    ("resilience", &[], resilience),
+    ("obs", &[], obs_experiment),
+    ("recovery", &[], recovery),
+    ("cluster", &[], cluster_experiment),
+    ("partition", &[], partition_experiment),
+];
+
+/// Whether the command-line name `arg` selects the experiment `name`.
+fn selects(arg: &str, name: &str, aliases: &[&str]) -> bool {
+    arg == "all" || arg == name || aliases.contains(&arg)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -96,13 +135,13 @@ fn main() {
     if names.is_empty() {
         names.push("all".to_owned());
     }
-    if let Some(unknown) = names
-        .iter()
-        .find(|n| !EXPERIMENTS.iter().any(|e| runs(n, e)))
-    {
+    if let Some(unknown) = names.iter().find(|n| {
+        !EXPERIMENTS
+            .iter()
+            .any(|(name, aliases, _)| selects(n, name, aliases))
+    }) {
         die(&format!("unknown experiment `{unknown}`"));
     }
-    let wants = |experiment: &str| names.iter().any(|n| runs(n, experiment));
 
     // The paper sweeps K in [10, 40]; the exact doi-space algorithms are
     // exponential in practice (that is Figure 12's point), so the default
@@ -112,7 +151,6 @@ fn main() {
     } else {
         vec![10, 13, 16, 20]
     };
-    let percents: Vec<u32> = (1..=10).map(|i| i * 10).collect();
 
     println!("== CQP reproduction — scale `{}` ==", scale.name);
     let cmax_desc = match scale.cmax_supreme_frac {
@@ -130,98 +168,23 @@ fn main() {
         w.db.total_blocks(),
         w.db.catalog().len()
     );
-
-    if wants("fig12a") {
-        fig12a(&w, &ks, full_k, threads, &out);
-    }
-    if wants("fig12b") {
-        fig12b(&w, &ks, &out);
-    }
-    if wants("fig12c") {
-        fig12cd(&w, &percents, full_k, threads, &out);
-    }
-    if wants("fig13a") {
-        fig13a(&w, &ks, full_k, &out);
-    }
-    if wants("fig13b") {
-        fig13b(&w, &percents, full_k, &out);
-    }
-    if wants("fig14a") {
-        fig14a(&w, &ks, &out);
-    }
-    if wants("fig14b") {
-        fig14b(&w, &percents, &out);
-    }
-    if wants("fig15") {
-        fig15(&w, &ks, &out);
-    }
-    if wants("table1") {
-        table1(&w, &out);
-    }
-    if wants("table2") {
-        table2_example();
-    }
-    if wants("fig6") {
-        fig6_trace();
-    }
-    if wants("fig8") {
-        fig8_trace();
-    }
-    if wants("ablate") {
-        ablations(&w, &ks, &out);
-    }
-    if wants("resilience") {
-        resilience(&w, threads, &out);
-    }
-    if wants("obs") {
-        obs_experiment(&w, threads, &out);
-    }
-    if wants("recovery") {
-        recovery(&w, &out);
-    }
-    if wants("cluster") {
-        cluster_experiment(&out);
-    }
-    if wants("partition") {
-        partition_experiment(&out);
+    let ctx = Ctx {
+        w,
+        ks,
+        percents: (1..=10).map(|i| i * 10).collect(),
+        full_k,
+        threads,
+        out,
+    };
+    for (name, aliases, run) in &EXPERIMENTS {
+        if names.iter().any(|n| selects(n, name, aliases)) {
+            write(&ctx.out, run(&ctx));
+        }
     }
     println!(
         "\nCSV and .report.jsonl run-reports written under {}",
-        out.display()
+        ctx.out.display()
     );
-}
-
-/// Every experiment, in the order `main` runs them.
-const EXPERIMENTS: [&str; 18] = [
-    "fig12a",
-    "fig12b",
-    "fig12c",
-    "fig13a",
-    "fig13b",
-    "fig14a",
-    "fig14b",
-    "fig15",
-    "table1",
-    "table2",
-    "fig6",
-    "fig8",
-    "ablate",
-    "resilience",
-    "obs",
-    "recovery",
-    "cluster",
-    "partition",
-];
-
-/// Whether the command-line name `name` runs `experiment`: by its own
-/// name, as `all`, or through an alias.
-fn runs(name: &str, experiment: &str) -> bool {
-    match name {
-        "all" => true,
-        "fig12" => experiment.starts_with("fig12"),
-        "fig12d" => experiment == "fig12c",
-        _ => name == experiment,
-    }
 }
 
 fn die(msg: &str) -> ! {
@@ -229,19 +192,118 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Writes `BENCH_<name>.json` under `out`, and only there, so a run from a
-/// checkout leaves the committed files alone.
-fn write_bench(out: &Path, name: &str, doc: &Json) {
+/// What an experiment reads: the workload and the command line's knobs.
+struct Ctx {
+    w: Workload,
+    /// The K sweep of Figures 12–15.
+    ks: Vec<usize>,
+    /// The cmax sweep, in % of Supreme Cost.
+    percents: Vec<u32>,
+    full_k: bool,
+    threads: usize,
+    out: PathBuf,
+}
+
+impl Ctx {
+    /// Algorithms tractable at `k`; the exact doi-space ones are capped
+    /// unless --full-k (their blow-up IS the paper's headline result, but
+    /// at K=40 it can take minutes — Figure 12(a) reports ~900 s in 2005).
+    fn algorithms(&self, k: usize) -> Vec<Algorithm> {
+        if self.full_k || k <= 16 {
+            FIG12_ALGORITHMS.to_vec()
+        } else {
+            vec![
+                Algorithm::CBoundaries,
+                Algorithm::CMaxBounds,
+                Algorithm::DHeurDoi,
+            ]
+        }
+    }
+
+    /// The K sweep of Figures 12(a) and 13(a).
+    fn k_cells(&self) -> Vec<Cell> {
+        Cell::k_sweep(&self.ks, |k| self.algorithms(k))
+    }
+
+    /// The cmax sweep of Figures 12(c) and 13(b), at K = 20.
+    fn percent_cells(&self) -> Vec<Cell> {
+        Cell::percent_sweep(20, &self.percents, &self.algorithms(20))
+    }
+}
+
+/// One thing an experiment hands [`write`].
+enum Output {
+    /// `<name>.csv` (header, then one line per row) and
+    /// `<name>.report.jsonl`; the title and the CSV lines also go to
+    /// stdout.
+    Table {
+        name: String,
+        title: String,
+        csv: String,
+        reports: Vec<RunReport>,
+    },
+    /// `<name>.report.jsonl` alone.
+    Reports(&'static str, Vec<RunReport>),
+    /// `BENCH_<name>.json`: `experiment` first, then these members.
+    Bench(&'static str, Vec<(&'static str, Json)>),
+    /// Any other file under `--out`, written as is.
+    File(&'static str, String),
+}
+
+/// A table of `rows` with their run reports.
+fn table<R: CsvRow>(
+    name: impl Into<String>,
+    title: impl Into<String>,
+    (rows, reports): (Vec<R>, Vec<RunReport>),
+) -> Output {
+    Output::Table {
+        name: name.into(),
+        title: title.into(),
+        csv: csvout::render(&rows),
+        reports,
+    }
+}
+
+/// Writes one experiment's outputs under `out`, and only there, so a run
+/// from a checkout leaves the committed files alone.
+fn write(out: &Path, outputs: Vec<Output>) {
     std::fs::create_dir_all(out).expect("results dir");
+    for output in outputs {
+        match output {
+            Output::Table {
+                name,
+                title,
+                csv,
+                reports,
+            } => {
+                println!("--- {title} ---\n{csv}");
+                csvout::write(out, &name, &csv).expect("CSV write");
+                write_reports(out, &name, &reports);
+            }
+            Output::Reports(name, reports) => write_reports(out, name, &reports),
+            Output::Bench(name, members) => write_bench(out, name, members),
+            Output::File(name, contents) => {
+                std::fs::write(out.join(name), contents).expect("file write")
+            }
+        }
+    }
+}
+
+/// Writes `BENCH_<name>.json`, whose first member names the experiment.
+fn write_bench(out: &Path, name: &str, members: Vec<(&str, Json)>) {
+    let doc = Json::obj(
+        std::iter::once(("experiment", Json::from(name)))
+            .chain(members)
+            .collect(),
+    );
     let path = out.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, doc.render()).expect("bench write");
     println!("{} written", path.display());
 }
 
-/// Writes the run-report lines for one experiment next to its CSV, as
-/// `<name>.report.jsonl` (truncated first, so reruns don't accumulate).
+/// Writes `<name>.report.jsonl` (truncated first, so reruns don't
+/// accumulate).
 fn write_reports(out: &Path, name: &str, reports: &[RunReport]) {
-    std::fs::create_dir_all(out).expect("results dir");
     let path = out.join(format!("{name}.report.jsonl"));
     let _ = std::fs::remove_file(&path);
     for r in reports {
@@ -249,192 +311,94 @@ fn write_reports(out: &Path, name: &str, reports: &[RunReport]) {
     }
 }
 
-/// Algorithms tractable at every K; the exact doi-space ones are capped
-/// unless --full-k (their blow-up IS the paper's headline result, but at
-/// K=40 it can take minutes — Figure 12(a) reports ~900 s in 2005).
-fn algos_for(k: usize, full_k: bool) -> Vec<Algorithm> {
-    if full_k || k <= 16 {
-        FIG12_ALGORITHMS.to_vec()
-    } else {
-        vec![
-            Algorithm::CBoundaries,
-            Algorithm::CMaxBounds,
-            Algorithm::DHeurDoi,
-        ]
-    }
+fn fig12a(c: &Ctx) -> Vec<Output> {
+    let swept = experiments::fig12a(&c.w, &c.k_cells(), c.threads);
+    vec![table(
+        "fig12a",
+        "Figure 12(a): CQP optimization time vs K",
+        swept,
+    )]
 }
 
-fn print_time_series(title: &str, rows: &[experiments::AlgoTimeRow], x_label: &str) {
-    println!("--- {title} ---");
-    println!(
-        "{x_label:>6}  {:<16} {:>12} {:>12}",
-        "algorithm", "seconds", "states"
+fn fig12b(c: &Ctx) -> Vec<Output> {
+    let swept = experiments::fig12b(&c.w, &c.ks);
+    vec![table(
+        "fig12b",
+        "Figure 12(b): Preference-Space time vs K",
+        swept,
+    )]
+}
+
+/// Figure 12(c) and its zoom on the two fast algorithms, Figure 12(d).
+fn fig12c(c: &Ctx) -> Vec<Output> {
+    let (rows, reports) = experiments::fig12c(&c.w, &c.percent_cells(), c.threads);
+    let zoomed = |algorithm: &str| matches!(algorithm, "C_MaxBounds" | "D_HeurDoi");
+    let zoom = (
+        rows.iter()
+            .filter(|r| zoomed(r.algorithm))
+            .cloned()
+            .collect(),
+        reports
+            .iter()
+            .filter(|r| zoomed(&r.label))
+            .cloned()
+            .collect(),
     );
-    for r in rows {
-        println!(
-            "{:>6}  {:<16} {:>12.6} {:>12.1}",
-            r.x, r.algorithm, r.seconds, r.states
-        );
-    }
-    println!();
+    vec![
+        table(
+            "fig12c",
+            "Figure 12(c): optimization time vs cmax (% Supreme Cost), K=20",
+            (rows, reports),
+        ),
+        table(
+            "fig12d",
+            "Figure 12(d): zoom on C_MaxBounds / D_HeurDoi",
+            zoom,
+        ),
+    ]
 }
 
-/// The fig12a grid as explicit `(K, algorithm)` cells, preserving the
-/// sequential row order.
-fn fig12a_cells(ks: &[usize], full_k: bool) -> Vec<(usize, Algorithm)> {
-    ks.iter()
-        .flat_map(|&k| algos_for(k, full_k).into_iter().map(move |a| (k, a)))
-        .collect()
+fn fig13a(c: &Ctx) -> Vec<Output> {
+    let swept = experiments::fig13a(&c.w, &c.k_cells(), c.threads);
+    vec![table(
+        "fig13a",
+        "Figure 13(a): memory requirements vs K",
+        swept,
+    )]
 }
 
-fn fig12a(w: &Workload, ks: &[usize], full_k: bool, threads: usize, out: &Path) {
-    let mut reports = Vec::new();
-    let rows = experiments::fig12a_parallel(w, &fig12a_cells(ks, full_k), threads, &mut reports);
-    print_time_series("Figure 12(a): CQP optimization time vs K", &rows, "K");
-    csvout::write_times(out, "fig12a", &rows).expect("CSV write");
-    write_reports(out, "fig12a", &reports);
+fn fig13b(c: &Ctx) -> Vec<Output> {
+    let swept = experiments::fig13b(&c.w, &c.percent_cells(), c.threads);
+    let title = "Figure 13(b): memory requirements vs cmax (% Supreme Cost)";
+    vec![table("fig13b", title, swept)]
 }
 
-fn fig12b(w: &Workload, ks: &[usize], out: &Path) {
-    let mut reports = Vec::new();
-    let rows = experiments::fig12b_reported(w, ks, &mut reports);
-    println!("--- Figure 12(b): Preference-Space time vs K ---");
-    println!("{:>6}  {:<16} {:>12}", "K", "variant", "seconds");
-    for r in &rows {
-        println!("{:>6}  {:<16} {:>12.6}", r.k, r.variant, r.seconds);
-    }
-    println!();
-    csvout::write_prefsel(out, "fig12b", &rows).expect("CSV write");
-    write_reports(out, "fig12b", &reports);
+fn fig14a(c: &Ctx) -> Vec<Output> {
+    let cells = Cell::k_sweep(&c.ks, |_| FIG14_ALGORITHMS.to_vec());
+    let swept = experiments::fig14a(&c.w, &cells, ConjModel::NoisyOr, c.threads);
+    vec![table("fig14a", "Figure 14(a): quality gap vs K", swept)]
 }
 
-fn fig12cd(w: &Workload, percents: &[u32], full_k: bool, threads: usize, out: &Path) {
-    let k = 20;
-    let mut reports = Vec::new();
-    let rows =
-        experiments::fig12c_parallel(w, k, percents, &algos_for(k, full_k), threads, &mut reports);
-    print_time_series(
-        "Figure 12(c): optimization time vs cmax (% Supreme Cost), K=20",
-        &rows,
-        "%",
-    );
-    csvout::write_times(out, "fig12c", &rows).expect("CSV write");
-    write_reports(out, "fig12c", &reports);
-    // Figure 12(d) is the zoom on the two fast algorithms.
-    let zoom: Vec<_> = rows
-        .iter()
-        .filter(|r| r.algorithm == "C_MaxBounds" || r.algorithm == "D_HeurDoi")
-        .cloned()
-        .collect();
-    let zoom_reports: Vec<_> = reports
-        .iter()
-        .filter(|r| r.label == "C_MaxBounds" || r.label == "D_HeurDoi")
-        .cloned()
-        .collect();
-    print_time_series("Figure 12(d): zoom on C_MaxBounds / D_HeurDoi", &zoom, "%");
-    csvout::write_times(out, "fig12d", &zoom).expect("CSV write");
-    write_reports(out, "fig12d", &zoom_reports);
+fn fig14b(c: &Ctx) -> Vec<Output> {
+    let cells = Cell::percent_sweep(20, &c.percents, &FIG14_ALGORITHMS);
+    let swept = experiments::fig14b(&c.w, &cells, ConjModel::NoisyOr, c.threads);
+    let title = "Figure 14(b): quality gap vs cmax (% Supreme Cost)";
+    vec![table("fig14b", title, swept)]
 }
 
-fn fig13a(w: &Workload, ks: &[usize], full_k: bool, out: &Path) {
-    let mut rows = Vec::new();
-    let mut reports = Vec::new();
-    for &k in ks {
-        rows.extend(experiments::fig13a_reported(
-            w,
-            &[k],
-            &algos_for(k, full_k),
-            &mut reports,
-        ));
-    }
-    println!("--- Figure 13(a): memory requirements vs K ---");
-    println!("{:>6}  {:<16} {:>12}", "K", "algorithm", "KBytes");
-    for r in &rows {
-        println!("{:>6}  {:<16} {:>12.3}", r.x, r.algorithm, r.kbytes);
-    }
-    println!();
-    csvout::write_memory(out, "fig13a", &rows).expect("CSV write");
-    write_reports(out, "fig13a", &reports);
+fn fig15(c: &Ctx) -> Vec<Output> {
+    let swept = experiments::fig15(&c.w, &c.ks);
+    vec![table("fig15", "Figure 15: cost-model validation", swept)]
 }
 
-fn fig13b(w: &Workload, percents: &[u32], full_k: bool, out: &Path) {
-    let k = 20;
-    let mut reports = Vec::new();
-    let rows = experiments::fig13b_reported(w, k, percents, &algos_for(k, full_k), &mut reports);
-    println!("--- Figure 13(b): memory requirements vs cmax (% Supreme Cost) ---");
-    println!("{:>6}  {:<16} {:>12}", "%", "algorithm", "KBytes");
-    for r in &rows {
-        println!("{:>6}  {:<16} {:>12.3}", r.x, r.algorithm, r.kbytes);
-    }
-    println!();
-    csvout::write_memory(out, "fig13b", &rows).expect("CSV write");
-    write_reports(out, "fig13b", &reports);
-}
-
-fn print_quality(title: &str, rows: &[experiments::QualityRow], x_label: &str) {
-    println!("--- {title} ---");
-    println!("{x_label:>6}  {:<16} {:>16}", "algorithm", "gap (x1e-7)");
-    for r in rows {
-        println!(
-            "{:>6}  {:<16} {:>16.3}",
-            r.x,
-            r.algorithm,
-            r.quality_gap * 1e7
-        );
-    }
-    println!();
-}
-
-fn fig14a(w: &Workload, ks: &[usize], out: &Path) {
-    let mut reports = Vec::new();
-    let rows = experiments::fig14a_reported(w, ks, ConjModel::NoisyOr, &mut reports);
-    print_quality("Figure 14(a): quality gap vs K", &rows, "K");
-    csvout::write_quality(out, "fig14a", &rows).expect("CSV write");
-    write_reports(out, "fig14a", &reports);
-}
-
-fn fig14b(w: &Workload, percents: &[u32], out: &Path) {
-    let mut reports = Vec::new();
-    let rows = experiments::fig14b_reported(w, 20, percents, ConjModel::NoisyOr, &mut reports);
-    print_quality(
-        "Figure 14(b): quality gap vs cmax (% Supreme Cost)",
-        &rows,
-        "%",
-    );
-    csvout::write_quality(out, "fig14b", &rows).expect("CSV write");
-    write_reports(out, "fig14b", &reports);
-}
-
-fn fig15(w: &Workload, ks: &[usize], out: &Path) {
-    let mut reports = Vec::new();
-    let rows = experiments::fig15_reported(w, ks, &mut reports);
-    println!("--- Figure 15: cost-model validation ---");
-    println!("{:>6} {:>16} {:>16}", "K", "estimated (ms)", "real (ms)");
-    for r in &rows {
-        println!("{:>6} {:>16.2} {:>16.2}", r.k, r.estimated_ms, r.real_ms);
-    }
-    println!();
-    csvout::write_costmodel(out, "fig15", &rows).expect("CSV write");
-    write_reports(out, "fig15", &reports);
-}
-
-fn table1(w: &Workload, out: &Path) {
-    let mut reports = Vec::new();
-    let rows = experiments::table1_reported(w, 20, &mut reports);
-    println!("--- Table 1: the six CQP problems (K=20, first pair) ---");
-    for r in &rows {
-        println!(
-            "P{}: {:<55} found={} doi={:.4} cost={:.0}ms size={:.1} |PU|={} exact-match={}",
-            r.problem, r.spec, r.found, r.doi, r.cost_ms, r.size_rows, r.prefs, r.matches_exact
-        );
-    }
-    println!();
-    csvout::write_problems(out, "table1", &rows).expect("CSV write");
-    write_reports(out, "table1", &reports);
+fn table1(c: &Ctx) -> Vec<Output> {
+    let swept = experiments::table1(&c.w, 20);
+    let title = "Table 1: the six CQP problems (K=20, first pair)";
+    vec![table("table1", title, swept)]
 }
 
 /// The worked example of Tables 2 and 3.
-fn table2_example() {
+fn table2_example(_: &Ctx) -> Vec<Output> {
     println!("--- Tables 2/3: worked example ---");
     let space = PreferenceSpace::synthetic(
         vec![
@@ -477,6 +441,7 @@ fn table2_example() {
         println!("  group {size}: {}", states.join(" "));
     }
     println!();
+    Vec::new()
 }
 
 fn fig6_fixture() -> PreferenceSpace {
@@ -495,7 +460,7 @@ fn fig6_fixture() -> PreferenceSpace {
     )
 }
 
-fn fig6_trace() {
+fn fig6_trace(_: &Ctx) -> Vec<Output> {
     println!("--- Figure 6: FINDBOUNDARY on the paper's example (cmax=185) ---");
     let space = fig6_fixture();
     let view = SpaceView::cost(&space, ConjModel::NoisyOr);
@@ -510,9 +475,10 @@ fn fig6_trace() {
             .join(", ")
     );
     println!("states examined: {}\n", inst.states_examined);
+    Vec::new()
 }
 
-fn fig8_trace() {
+fn fig8_trace(_: &Ctx) -> Vec<Output> {
     println!("--- Figure 8: C-MAXBOUNDS on the paper's example (cmax=185) ---");
     let space = fig6_fixture();
     let view = SpaceView::cost(&space, ConjModel::NoisyOr);
@@ -526,104 +492,40 @@ fn fig8_trace() {
             .join(", ")
     );
     println!("states examined: {}\n", inst.states_examined);
+    Vec::new()
 }
 
-fn ablations(w: &Workload, ks: &[usize], out: &Path) {
-    println!("--- Ablation: specialized vs generic search (K=20) ---");
-    let mut generic_reports = Vec::new();
-    let rows = experiments::ablation_generic_reported(w, 20, &mut generic_reports);
-    println!(
-        "{:<16} {:>12} {:>12} {:>16}",
-        "algorithm", "seconds", "states", "gap (x1e-7)"
-    );
-    let mut times = Vec::new();
-    let mut quals = Vec::new();
-    for (t, q) in rows {
-        println!(
-            "{:<16} {:>12.6} {:>12.1} {:>16.3}",
-            t.algorithm,
-            t.seconds,
-            t.states,
-            q.quality_gap * 1e7
-        );
-        times.push(t);
-        quals.push(q);
-    }
-    csvout::write_times(out, "ablation_generic_time", &times).expect("CSV write");
-    csvout::write_quality(out, "ablation_generic_quality", &quals).expect("CSV write");
-    write_reports(out, "ablation_generic_time", &generic_reports);
-    write_reports(out, "ablation_generic_quality", &generic_reports);
-    println!();
-
-    println!("--- Ablation: conjunction model r ---");
-    for (model, rows, reports) in experiments::ablation_doi_model_reported(w, ks) {
-        let worst = rows.iter().map(|r| r.quality_gap).fold(0.0, f64::max);
-        println!("{model:<12} worst heuristic gap = {:.3e}", worst);
-        csvout::write_quality(out, &format!("ablation_doimodel_{model}"), &rows)
-            .expect("CSV write");
-        write_reports(out, &format!("ablation_doimodel_{model}"), &reports);
-    }
-    println!();
-
-    println!("--- Ablation: annealing budget (steps vs gap x1e-7) ---");
-    let mut annealing_reports = Vec::new();
-    let rows = experiments::ablation_annealing_budget_reported(
-        w,
-        20,
-        &[250, 1000, 4000, 16000],
-        &mut annealing_reports,
-    );
-    for r in &rows {
-        println!(
-            "steps {:>7}: {:>10.6}s  gap(x1e-7) {:>10.3}",
-            r.x, r.seconds, r.states
-        );
-    }
-    csvout::write_times(out, "ablation_annealing_budget", &rows).expect("CSV write");
-    write_reports(out, "ablation_annealing_budget", &annealing_reports);
-    println!();
-
-    println!("--- Ablation: block capacity (cost-model robustness) ---");
-    let mut blocksize_reports = Vec::new();
-    let rows = experiments::ablation_block_size_reported(
-        &[16, 32, 64, 128, 256],
-        10,
-        &mut blocksize_reports,
-    );
-    println!(
-        "{:>10} {:>14} {:>14} {:>16}",
-        "tuples/blk", "estimated ms", "I/O ms", "heuristic gap"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>14.1} {:>14.1} {:>16.6}",
-            r.block_capacity, r.estimated_ms, r.measured_io_ms, r.heuristic_gap
-        );
-        assert!(
-            (r.estimated_ms - r.measured_io_ms).abs() < 1e-9,
-            "block-level identity must hold at every capacity"
-        );
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{:.3},{:.3},{:.9}",
-                r.block_capacity, r.estimated_ms, r.measured_io_ms, r.heuristic_gap
-            )
-        })
-        .collect();
-    std::fs::create_dir_all(out).expect("results dir");
-    std::fs::write(
-        out.join("ablation_block_size.csv"),
-        format!(
-            "block_capacity,estimated_ms,measured_io_ms,heuristic_gap\n{}\n",
-            lines.join("\n")
+fn ablations(c: &Ctx) -> Vec<Output> {
+    let (rows, reports) = experiments::ablation_generic(&c.w, 20, c.threads);
+    let (times, gaps): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+    let title = "Ablation: specialized vs generic search (K=20)";
+    let mut outputs = vec![
+        table(
+            "ablation_generic_time",
+            format!("{title}: time"),
+            (times, reports.clone()),
         ),
-    )
-    .expect("CSV write");
-    write_reports(out, "ablation_block_size", &blocksize_reports);
-    println!();
+        table(
+            "ablation_generic_quality",
+            format!("{title}: quality gap"),
+            (gaps, reports),
+        ),
+    ];
+    for (model, rows, reports) in experiments::ablation_doi_model(&c.w, &c.ks, c.threads) {
+        let title = format!("Ablation: conjunction model r = {model}");
+        outputs.push(table(
+            format!("ablation_doimodel_{model}"),
+            title,
+            (rows, reports),
+        ));
+    }
+    let budgets = experiments::ablation_annealing_budget(&c.w, 20, &[250, 1000, 4000, 16000]);
+    let title = "Ablation: annealing budget (x = steps, states = gap x1e-7)";
+    outputs.push(table("ablation_annealing_budget", title, budgets));
+    let capacities = experiments::ablation_block_size(&[16, 32, 64, 128, 256], 10);
+    let title = "Ablation: block capacity (cost-model robustness)";
+    outputs.push(table("ablation_block_size", title, capacities));
+    outputs
 }
 
 /// Serving-resilience experiment: (1) a 64-request batch under a seeded
@@ -632,7 +534,8 @@ fn ablations(w: &Workload, ks: &[usize], out: &Path) {
 /// `resilience.report.jsonl`; (2) a deadline sweep over the five paper
 /// algorithms measuring degradation rates, the serving-time face of the
 /// paper's exact-vs-heuristic tradeoff (Figures 12–13).
-fn resilience(w: &Workload, threads: usize, out: &Path) {
+fn resilience(c: &Ctx) -> Vec<Output> {
+    let (w, threads) = (&c.w, c.threads);
     let batch_k = 20;
     let mut pool = Vec::new();
     for (profile, query) in w.pairs() {
@@ -659,7 +562,7 @@ fn resilience(w: &Workload, threads: usize, out: &Path) {
     }
     if pool.is_empty() {
         println!("--- resilience: workload produced no requests, skipping ---\n");
-        return;
+        return Vec::new();
     }
     let requests: Vec<BatchRequest> = (0..64).map(|i| pool[i % pool.len()].clone()).collect();
     let db = Arc::new(w.db.clone());
@@ -705,13 +608,7 @@ fn resilience(w: &Workload, threads: usize, out: &Path) {
 
     // (2) Deadline sweep: per paper algorithm, what fraction of requests
     // comes back degraded as the budget shrinks to nothing?
-    println!("\n--- resilience: deadline sweep (degraded requests / 64) ---");
-    println!(
-        "{:<16} {:>12} {:>12} {:>12}",
-        "algorithm", "0 ms", "5 ms", "unlimited"
-    );
     for algo in Algorithm::PAPER {
-        let mut rates = Vec::new();
         for deadline_ms in [Some(0u64), Some(5), None] {
             let budget = match deadline_ms {
                 Some(ms) => Budget::with_deadline_ms(ms),
@@ -739,26 +636,16 @@ fn resilience(w: &Workload, threads: usize, out: &Path) {
                 Some(ms) => format!("deadline_{ms}ms_{}", algo.name()),
                 None => format!("deadline_unlimited_{}", algo.name()),
             };
+            println!("{label}: {} of {} degraded", s.degraded, s.requests);
             reports.push(
                 RunReport::from_obs("resilience", &label, &obs)
                     .with_field("degraded", s.degraded)
                     .with_field("requests", s.requests as u64),
             );
-            rates.push(s.degraded);
         }
-        println!(
-            "{:<16} {:>9}/64 {:>9}/64 {:>9}/64",
-            algo.name(),
-            rates[0],
-            rates[1],
-            rates[2]
-        );
     }
-    write_reports(out, "resilience", &reports);
-    println!(
-        "\nresilience.report.jsonl written under {}\n",
-        out.display()
-    );
+    println!();
+    vec![Output::Reports("resilience", reports)]
 }
 
 /// Observability experiment: what does tracing cost, and what does a
@@ -773,11 +660,9 @@ fn resilience(w: &Workload, threads: usize, out: &Path) {
 /// of `/debug/traces?id=` — the captured degraded trace embedded in
 /// `BENCH_obs.json` — plus the whole ring as a Chrome trace-event file
 /// (`trace_chrome.json`, loadable in `chrome://tracing` / Perfetto).
-fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
-    use std::io::{BufReader, Write};
-    use std::net::TcpStream;
-
-    let clients = threads.max(2);
+fn obs_experiment(c: &Ctx) -> Vec<Output> {
+    let w = &c.w;
+    let clients = c.threads.max(2);
     let cmax = w.scale.cmax_blocks;
     let queries: Vec<String> = w
         .queries
@@ -925,10 +810,7 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
     // One deadline-tripped request with a client-chosen trace ID, then its
     // span tree back out of the debug endpoint.
     let http_get = |path: &str| -> String {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let head = format!("GET {path} HTTP/1.1\r\nhost: b\r\nconnection: close\r\n\r\n");
-        stream.write_all(head.as_bytes()).expect("write");
-        let resp = cqp_server::http::parse_response(&mut BufReader::new(stream)).expect("response");
+        let resp = http(addr, "GET", path, &[], None).expect("GET response");
         assert_eq!(resp.status, 200, "GET {path}: {}", resp.body_text());
         resp.body_text()
     };
@@ -941,24 +823,21 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
          \"algorithm\":\"branch_bound\",\"deadline_ms\":0}}",
         Json::Str(queries[0].clone()).render(),
     );
-    {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let head = format!(
-            "POST /personalize HTTP/1.1\r\nhost: b\r\nconnection: close\r\n\
-             x-cqp-trace-id: {trace_id}\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes()).expect("write head");
-        stream.write_all(body.as_bytes()).expect("write body");
-        let resp = cqp_server::http::parse_response(&mut BufReader::new(stream)).expect("response");
-        assert_eq!(resp.status, 200, "probe: {}", resp.body_text());
-        assert_eq!(
-            resp.header("x-cqp-trace-id").map(str::to_string),
-            Some(format!("{:0>16}", trace_id)),
-            "probe response must echo the trace ID"
-        );
-    }
     let padded = format!("{:0>16}", trace_id);
+    let probe = http(
+        addr,
+        "POST",
+        "/personalize",
+        &[("x-cqp-trace-id", trace_id)],
+        Some(&body),
+    )
+    .expect("probe response");
+    assert_eq!(probe.status, 200, "probe: {}", probe.body_text());
+    assert_eq!(
+        probe.header("x-cqp-trace-id"),
+        Some(padded.as_str()),
+        "probe response must echo the trace ID"
+    );
     let trace_doc = cqp_server::json::parse(&http_get(&format!("/debug/traces?id={trace_id}")))
         .expect("trace JSON");
     let span_paths: Vec<Json> = trace_doc
@@ -1007,8 +886,6 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
 
     // The whole ring as a Chrome trace-event artifact.
     let chrome = http_get("/debug/traces?format=chrome");
-    std::fs::create_dir_all(out).expect("results dir");
-    std::fs::write(out.join("trace_chrome.json"), &chrome).expect("chrome write");
     let slo = handle.state().telemetry.slo.snapshot();
     handle.stop();
 
@@ -1028,20 +905,11 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
         sampled_overhead * 100.0,
         full_overhead * 100.0
     );
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("obs".into())),
+    let doc = vec![
         ("scale", Json::Str(w.scale.name.to_string())),
         ("clients", Json::from(clients as u64)),
         ("seed", Json::from(42u64)),
-        (
-            "modes",
-            Json::Obj(
-                mode_docs
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            ),
-        ),
+        ("modes", Json::obj(mode_docs)),
         (
             "overhead",
             Json::obj(vec![
@@ -1066,13 +934,13 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
             ]),
         ),
         ("degraded_trace", degraded_trace),
-    ]);
-    write_bench(out, "obs", &doc);
-    write_reports(out, "obs", &reports);
-    println!(
-        "Chrome trace at {}\n",
-        out.join("trace_chrome.json").display()
-    );
+    ];
+    println!();
+    vec![
+        Output::File("trace_chrome.json", chrome),
+        Output::Bench("obs", doc),
+        Output::Reports("obs", reports),
+    ]
 }
 
 /// Recovery experiment: the crash-safety face of the serving layer.
@@ -1087,7 +955,7 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
 /// (4) deterministic circuit-breaker trip/half-open/close counts under
 /// first-K injected faults. Emits `BENCH_recovery.json` plus a
 /// `recovery.report.jsonl` run report in `out`.
-fn recovery(w: &Workload, out: &Path) {
+fn recovery(c: &Ctx) -> Vec<Output> {
     use cqp_core::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
     use cqp_server::http::parse_response;
     use cqp_server::server::Phase;
@@ -1095,6 +963,7 @@ fn recovery(w: &Workload, out: &Path) {
     use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
 
+    let w = &c.w;
     let catalog = w.db.catalog();
     let seed: u64 = 0x5E55_10F5;
     let n_ops = 240usize;
@@ -1116,8 +985,7 @@ fn recovery(w: &Workload, out: &Path) {
 
     // (1) Write burst through the durable store, then crash replicas of
     // its log at seeded offsets and diff each replay.
-    std::fs::create_dir_all(out).expect("results dir");
-    let wal_root = out.join("recovery-wal");
+    let wal_root = c.out.join("recovery-wal");
     let _ = std::fs::remove_dir_all(&wal_root);
     let burst_dir = wal_root.join("burst");
     let (store, fresh) = SessionStore::recover(8, &burst_dir, catalog).expect("fresh store");
@@ -1207,16 +1075,16 @@ fn recovery(w: &Workload, out: &Path) {
             .expect("head");
         let mut conn_idle = TcpStream::connect(addr).expect("conn_idle");
         conn_idle
-            .set_read_timeout(Some(std::time::Duration::from_millis(3_000)))
+            .set_read_timeout(Some(Duration::from_millis(3_000)))
             .expect("idle timeout");
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
         let t0 = Instant::now();
         let drainer = std::thread::spawn(move || {
             let mut handle = handle;
-            handle.shutdown(std::time::Duration::from_millis(5_000))
+            handle.shutdown(Duration::from_millis(5_000))
         });
         while state.phase() == Phase::Live {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
         conn_mid.write_all(b"body").expect("body");
         let resp = parse_response(&mut BufReader::new(&mut conn_mid)).expect("mid response");
@@ -1283,7 +1151,7 @@ fn recovery(w: &Workload, out: &Path) {
     for i in 0..8 {
         if i >= 5 {
             // Let the cooldown lapse so the next submit is the probe.
-            std::thread::sleep(std::time::Duration::from_millis(70));
+            std::thread::sleep(Duration::from_millis(70));
         }
         match driver.submit_recorded(req(), &obs) {
             Ok(_) => ok += 1,
@@ -1308,8 +1176,7 @@ fn recovery(w: &Workload, out: &Path) {
         breaker.state().as_str()
     );
 
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("recovery".into())),
+    let doc = vec![
         ("scale", Json::Str(w.scale.name.to_string())),
         ("seed", Json::from(seed)),
         (
@@ -1361,41 +1228,46 @@ fn recovery(w: &Workload, out: &Path) {
                 ("final_state", Json::Str(breaker.state().as_str().into())),
             ]),
         ),
-    ]);
+    ];
     let report = RunReport::from_obs("recovery", "summary", &obs)
         .with_field("records_written", n_ops as u64)
         .with_field("replays_exact", replays_exact as u64)
         .with_field("drain_graceful", graceful as u64)
         .with_field("breaker_opened", opened);
-    write_bench(out, "recovery", &doc);
-    write_reports(out, "recovery", &[report]);
     let _ = std::fs::remove_dir_all(&wal_root);
     println!();
+    vec![
+        Output::Bench("recovery", doc),
+        Output::Reports("recovery", vec![report]),
+    ]
 }
 
-/// One bench-side HTTP request over a fresh connection.
-fn cluster_http(
-    addr: std::net::SocketAddr,
+/// The experiments' one-shot HTTP client: one request over a fresh
+/// connection (`connection: close`), with extra request headers (the
+/// partition legs stamp `x-cqp-epoch`, the obs probe `x-cqp-trace-id`) and
+/// an optional body, sent with its `content-length`.
+fn http(
+    addr: SocketAddr,
     method: &str,
     path: &str,
+    headers: &[(&str, &str)],
     body: Option<&str>,
-) -> std::io::Result<cqp_server::http::ClientResponse> {
+) -> std::io::Result<ClientResponse> {
     use std::io::{BufReader, Write};
-    let stream = std::net::TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(20)))?;
+    let stream = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
+    stream.set_read_timeout(Some(Duration::from_secs(20)))?;
     stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
     let mut head = format!("{method} {path} HTTP/1.1\r\nhost: bench\r\nconnection: close\r\n");
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
     if let Some(b) = body {
         head.push_str(&format!("content-length: {}\r\n", b.len()));
     }
     head.push_str("\r\n");
     let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    writer.write_all(&payload)?;
-    writer.flush()?;
+    payload.extend_from_slice(body.unwrap_or_default().as_bytes());
+    (&stream).write_all(&payload)?;
     cqp_server::http::parse_response(&mut BufReader::new(stream))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
@@ -1429,14 +1301,18 @@ fn cluster_burst_op(seed: u64, round: u64, i: u64) -> (String, String) {
     let user = USERS[(r % USERS.len() as u64) as usize];
     let genre = GENRES[((r >> 8) % GENRES.len() as u64) as usize];
     let year = 1970 + ((r >> 16) % 50);
-    let text = format!(
+    (user.to_string(), profile_wire(user, genre, year))
+}
+
+/// A profile's wire text: it likes `genre` films and films from `year` on.
+fn profile_wire(user: &str, genre: &str, year: u64) -> String {
+    format!(
         "# cqp-profile v1\n\
          profile {user}\n\
          join 0.9 MOVIE.mid GENRE.mid\n\
          select 0.8 GENRE.genre eq \"{genre}\"\n\
          select 0.6 MOVIE.year ge {year}\n"
-    );
-    (user.to_string(), text)
+    )
 }
 
 fn cluster_personalize_body(user: &str, sql: &str) -> String {
@@ -1465,8 +1341,8 @@ struct ClusterRound {
 /// acknowledged sequence.
 fn cluster_audit_round(
     db: &Arc<cqp_storage::Database>,
-    primary_addr: std::net::SocketAddr,
-    follower_addr: std::net::SocketAddr,
+    primary_addr: SocketAddr,
+    follower_addr: SocketAddr,
     kill: &mut dyn FnMut(),
     seed: u64,
     round: u64,
@@ -1476,10 +1352,11 @@ fn cluster_audit_round(
     let mut acked: Vec<(String, String)> = Vec::new();
     for i in 0..total {
         let (user, text) = cluster_burst_op(seed, round, i);
-        match cluster_http(
+        match http(
             primary_addr,
             "POST",
             &format!("/profiles/{user}"),
+            &[],
             Some(&text),
         ) {
             Ok(resp) if resp.status == 200 => acked.push((user, text)),
@@ -1492,7 +1369,7 @@ fn cluster_audit_round(
         }
     }
     let promoted =
-        cluster_http(follower_addr, "POST", "/admin/promote", Some("")).expect("promote follower");
+        http(follower_addr, "POST", "/admin/promote", &[], Some("")).expect("promote follower");
     assert_eq!(promoted.status, 200, "{}", promoted.body_text());
 
     // A fresh single-node reference replays the same acknowledged writes;
@@ -1507,10 +1384,11 @@ fn cluster_audit_round(
     )
     .expect("reference server");
     for (user, text) in &acked {
-        let resp = cluster_http(
+        let resp = http(
             reference.addr(),
             "POST",
             &format!("/profiles/{user}"),
+            &[],
             Some(text),
         )
         .expect("reference upsert");
@@ -1520,10 +1398,21 @@ fn cluster_audit_round(
     let mut lost = 0u64;
     let mut mismatches = 0u64;
     for user in &users {
-        let on_follower = cluster_http(follower_addr, "GET", &format!("/profiles/{user}"), None);
-        let on_reference =
-            cluster_http(reference.addr(), "GET", &format!("/profiles/{user}"), None)
-                .expect("reference read");
+        let on_follower = http(
+            follower_addr,
+            "GET",
+            &format!("/profiles/{user}"),
+            &[],
+            None,
+        );
+        let on_reference = http(
+            reference.addr(),
+            "GET",
+            &format!("/profiles/{user}"),
+            &[],
+            None,
+        )
+        .expect("reference read");
         match on_follower {
             Ok(resp) if resp.status == 200 && resp.body == on_reference.body => {}
             _ => lost += 1,
@@ -1533,13 +1422,13 @@ fn cluster_audit_round(
             "SELECT title FROM MOVIE WHERE MOVIE.year >= 1990",
         ] {
             let body = cluster_personalize_body(user, sql);
-            let f = cluster_http(follower_addr, "POST", "/personalize", Some(&body))
+            let f = http(follower_addr, "POST", "/personalize", &[], Some(&body))
                 .expect("follower personalize");
-            let r = cluster_http(reference.addr(), "POST", "/personalize", Some(&body))
+            let r = http(reference.addr(), "POST", "/personalize", &[], Some(&body))
                 .expect("reference personalize");
             assert_eq!(f.status, 200, "{}", f.body_text());
             assert_eq!(r.status, 200, "{}", r.body_text());
-            let strip = |resp: &cqp_server::http::ClientResponse| {
+            let strip = |resp: &ClientResponse| {
                 cluster_strip(
                     cqp_server::json::parse(&resp.body_text()).expect("personalize JSON"),
                     &["latency_us", "cache"],
@@ -1566,11 +1455,7 @@ fn cluster_spawn_serverd(
     bin: &Path,
     wal_dir: &Path,
     role_args: &[&str],
-) -> (
-    std::process::Child,
-    std::net::SocketAddr,
-    Option<std::net::SocketAddr>,
-) {
+) -> (std::process::Child, SocketAddr, Option<SocketAddr>) {
     use std::io::BufRead;
     let mut child = std::process::Command::new(bin)
         .args(["--addr", "127.0.0.1:0", "--seed", "7", "--seed-users", "0"])
@@ -1607,14 +1492,8 @@ fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> LoadR
     let addr = cluster.router.addr();
     let users: Vec<String> = (0..12).map(|i| format!("user{i:03}")).collect();
     for user in &users {
-        let text = format!(
-            "# cqp-profile v1\n\
-             profile {user}\n\
-             join 0.9 MOVIE.mid GENRE.mid\n\
-             select 0.8 GENRE.genre eq \"comedy\"\n\
-             select 0.6 MOVIE.year ge 1990\n"
-        );
-        let resp = cluster_http(addr, "POST", &format!("/profiles/{user}"), Some(&text))
+        let text = profile_wire(user, "comedy", 1990);
+        let resp = http(addr, "POST", &format!("/profiles/{user}"), &[], Some(&text))
             .expect("seed profile");
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
@@ -1657,14 +1536,14 @@ fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> LoadR
 /// 3. **Ring balance** — placement spread of 10k users over 4 groups.
 ///
 /// Emits `BENCH_cluster.json` in `out`.
-fn cluster_experiment(out: &Path) {
+fn cluster_experiment(c: &Ctx) -> Vec<Output> {
     use cqp_cluster::{Ring, RoutingPolicy};
     use cqp_datagen::{generate_movie_db, MovieDbConfig};
 
     println!("--- cluster: failover audit + divergent routing + ring balance ---");
     let seed = 7u64;
     let rounds = 3u64;
-    let root = out.join("cluster-wal");
+    let root = c.out.join("cluster-wal");
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("cluster wal root");
     let db = Arc::new(generate_movie_db(&MovieDbConfig::tiny(seed)));
@@ -1805,8 +1684,7 @@ fn cluster_experiment(out: &Path) {
         max as f64 / min.max(1) as f64
     );
 
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("cluster".into())),
+    let doc = vec![
         ("seed", Json::from(seed)),
         ("mode", Json::Str(mode.into())),
         (
@@ -1844,60 +1722,22 @@ fn cluster_experiment(out: &Path) {
                 ("load_ratio", Json::from(max as f64 / min.max(1) as f64)),
             ]),
         ),
-    ]);
-    write_bench(out, "cluster", &doc);
+    ];
     let _ = std::fs::remove_dir_all(&root);
     println!();
-}
-
-/// [`cluster_http`] with extra request headers (the partition legs stamp
-/// `x-cqp-epoch` to play the newer-primary side of a split brain).
-fn partition_http(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: Option<&str>,
-) -> std::io::Result<cqp_server::http::ClientResponse> {
-    use std::io::{BufReader, Write};
-    let stream = std::net::TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(20)))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: bench\r\nconnection: close\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!(
-        "content-length: {}\r\n\r\n",
-        body.map_or(0, str::len)
-    ));
-    let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    writer.write_all(&payload)?;
-    writer.flush()?;
-    cqp_server::http::parse_response(&mut BufReader::new(stream))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    vec![Output::Bench("cluster", doc)]
 }
 
 /// Writes `user`'s profile through `addr`; a 200 records the ack (version
 /// and epoch from the response body) into `log`. Transport errors and
 /// refusals return normally — in a partition schedule only acks count.
 fn partition_acked_write(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     user: &str,
     log: &cqp_cluster::AckLog,
-) -> std::io::Result<cqp_server::http::ClientResponse> {
-    let text = format!(
-        "# cqp-profile v1\n\
-         profile {user}\n\
-         join 0.9 MOVIE.mid GENRE.mid\n\
-         select 0.8 GENRE.genre eq \"comedy\"\n\
-         select 0.6 MOVIE.year ge 1990\n"
-    );
-    let resp = partition_http(addr, "POST", &format!("/profiles/{user}"), &[], Some(&text))?;
+) -> std::io::Result<ClientResponse> {
+    let text = profile_wire(user, "comedy", 1990);
+    let resp = http(addr, "POST", &format!("/profiles/{user}"), &[], Some(&text))?;
     if resp.status == 200 {
         let body = cqp_server::json::parse(&resp.body_text())
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -1909,20 +1749,20 @@ fn partition_acked_write(
 }
 
 /// Polls `f` until it returns true or `timeout` elapses.
-fn partition_wait(timeout: std::time::Duration, mut f: impl FnMut() -> bool) -> bool {
+fn partition_wait(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
     let t0 = Instant::now();
     while t0.elapsed() < timeout {
         if f() {
             return true;
         }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
     }
     false
 }
 
 /// A replica's `/healthz/ready` role, read directly ("?" on any failure).
-fn partition_role(addr: std::net::SocketAddr) -> String {
-    cluster_http(addr, "GET", "/healthz/ready", None)
+fn partition_role(addr: SocketAddr) -> String {
+    http(addr, "GET", "/healthz/ready", &[], None)
         .ok()
         .and_then(|resp| cqp_server::json::parse(&resp.body_text()).ok())
         .and_then(|j| j.get("role").and_then(|r| r.as_str().map(str::to_string)))
@@ -1961,8 +1801,8 @@ fn partition_split_brain_leg(root: &Path, seed: u64) -> PartitionLeg {
         nemesis.primary_http.set_fault(Fault::Partition);
         nemesis.repl.set_fault(Fault::Partition);
     }
-    let promoted = partition_wait(std::time::Duration::from_secs(20), || {
-        cluster_http(router_addr, "GET", "/router/stats", None)
+    let promoted = partition_wait(Duration::from_secs(20), || {
+        http(router_addr, "GET", "/router/stats", &[], None)
             .ok()
             .and_then(|s| cqp_server::json::parse(&s.body_text()).ok())
             .and_then(|j| j.get("failovers").and_then(Json::as_u64))
@@ -1970,7 +1810,7 @@ fn partition_split_brain_leg(root: &Path, seed: u64) -> PartitionLeg {
     });
     assert!(promoted, "router never failed over the partitioned primary");
     for user in &users {
-        let ok = partition_wait(std::time::Duration::from_secs(10), || {
+        let ok = partition_wait(Duration::from_secs(10), || {
             partition_acked_write(router_addr, user, &acks)
                 .map(|r| r.status == 200)
                 .unwrap_or(false)
@@ -1982,7 +1822,7 @@ fn partition_split_brain_leg(root: &Path, seed: u64) -> PartitionLeg {
     // reach it directly. The first write carrying the new epoch fences
     // it; every refusal is what the experiment exists to count.
     let old_primary = cluster.groups[0].primary.addr();
-    let stats = cluster_http(router_addr, "GET", "/router/stats", None).expect("router stats");
+    let stats = http(router_addr, "GET", "/router/stats", &[], None).expect("router stats");
     let new_epoch = cqp_server::json::parse(&stats.body_text())
         .ok()
         .and_then(|j| j.get("groups")?.as_array()?.first()?.get("epoch")?.as_u64())
@@ -1993,7 +1833,7 @@ fn partition_split_brain_leg(root: &Path, seed: u64) -> PartitionLeg {
     let mut stale_acks = 0u64;
     for user in &users {
         let text = format!("# cqp-profile v1\nprofile {user}\nselect 0.5 MOVIE.year ge 2000\n");
-        let resp = partition_http(
+        let resp = http(
             old_primary,
             "POST",
             &format!("/profiles/{user}"),
@@ -2016,7 +1856,7 @@ fn partition_split_brain_leg(root: &Path, seed: u64) -> PartitionLeg {
         nemesis.primary_http.heal();
         nemesis.repl.heal();
     }
-    let healed = partition_wait(std::time::Duration::from_secs(10), || {
+    let healed = partition_wait(Duration::from_secs(10), || {
         partition_acked_write(router_addr, &users[0], &acks)
             .map(|r| r.status == 200)
             .unwrap_or(false)
@@ -2095,7 +1935,7 @@ fn partition_churn_leg(root: &Path, seed: u64) -> PartitionLeg {
             attempted += 1;
             let _ = partition_acked_write(router_addr, user, &acks);
         }
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(30));
     }
     {
         let nemesis = cluster.groups[0].nemesis.as_mut().expect("nemesis cluster");
@@ -2103,7 +1943,7 @@ fn partition_churn_leg(root: &Path, seed: u64) -> PartitionLeg {
         nemesis.primary_http.heal();
         nemesis.repl.heal();
     }
-    let healed = partition_wait(std::time::Duration::from_secs(10), || {
+    let healed = partition_wait(Duration::from_secs(10), || {
         partition_acked_write(router_addr, &users[0], &acks)
             .map(|r| r.status == 200)
             .unwrap_or(false)
@@ -2162,10 +2002,10 @@ fn partition_churn_leg(root: &Path, seed: u64) -> PartitionLeg {
 /// Emits `BENCH_partition.json` in `out`; its
 /// top-level `lost_acked_writes`, `split_brain_divergence`, and
 /// `fenced_write_rejections` fields are CI's shape gate.
-fn partition_experiment(out: &Path) {
+fn partition_experiment(c: &Ctx) -> Vec<Output> {
     println!("--- partition: split-brain fencing + seeded churn audit ---");
     let seed = 0xC0FFEE_u64;
-    let root = out.join("partition-wal");
+    let root = c.out.join("partition-wal");
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("partition wal root");
 
@@ -2184,8 +2024,7 @@ fn partition_experiment(out: &Path) {
         "no write ever hit the fence — schedule is vacuous"
     );
 
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str("partition".into())),
+    let doc = vec![
         ("seed", Json::from(seed)),
         ("acked_writes", Json::from(split.acked + churn.acked)),
         ("lost_acked_writes", Json::from(lost as u64)),
@@ -2193,8 +2032,8 @@ fn partition_experiment(out: &Path) {
         ("order_violations", Json::from(order as u64)),
         ("fenced_write_rejections", Json::from(fenced)),
         ("schedules", Json::Arr(vec![split.detail, churn.detail])),
-    ]);
-    write_bench(out, "partition", &doc);
+    ];
     let _ = std::fs::remove_dir_all(&root);
     println!();
+    vec![Output::Bench("partition", doc)]
 }

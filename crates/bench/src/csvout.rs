@@ -1,104 +1,41 @@
-//! Minimal CSV emission for the experiment rows.
+//! The one CSV writer for experiment tables: a header, then one line per
+//! row, each rendered through [`CsvRow`].
 //!
 //! No external dependency: the rows are flat numeric records, so hand
 //! rolling the writer keeps the workspace inside the approved crate set.
 
-use crate::experiments::{
-    AlgoTimeRow, CostModelRow, MemoryRow, PrefSelRow, ProblemRow, QualityRow,
-};
-use std::fs;
-use std::io::Write;
+use crate::experiments::CsvRow;
 use std::path::Path;
 
-/// Writes lines to `dir/name.csv`, creating the directory as needed.
-fn write_lines(dir: &Path, name: &str, header: &str, lines: &[String]) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let mut f = fs::File::create(dir.join(format!("{name}.csv")))?;
-    writeln!(f, "{header}")?;
-    for l in lines {
-        writeln!(f, "{l}")?;
-    }
-    Ok(())
+/// `rows` as CSV text: `R::HEADER`, then one line per row.
+pub fn render<R: CsvRow>(rows: &[R]) -> String {
+    std::iter::once(R::HEADER.to_string())
+        .chain(rows.iter().map(R::csv))
+        .map(|line| line + "\n")
+        .collect()
 }
 
-/// Writes algorithm-time rows.
-pub fn write_times(dir: &Path, name: &str, rows: &[AlgoTimeRow]) -> std::io::Result<()> {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{},{},{:.9},{:.1}", r.x, r.algorithm, r.seconds, r.states))
-        .collect();
-    write_lines(dir, name, "x,algorithm,seconds,states", &lines)
-}
-
-/// Writes memory rows.
-pub fn write_memory(dir: &Path, name: &str, rows: &[MemoryRow]) -> std::io::Result<()> {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{},{},{:.4}", r.x, r.algorithm, r.kbytes))
-        .collect();
-    write_lines(dir, name, "x,algorithm,kbytes", &lines)
-}
-
-/// Writes quality rows.
-pub fn write_quality(dir: &Path, name: &str, rows: &[QualityRow]) -> std::io::Result<()> {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{},{},{:.12}", r.x, r.algorithm, r.quality_gap))
-        .collect();
-    write_lines(dir, name, "x,algorithm,quality_gap", &lines)
-}
-
-/// Writes preference-selection rows.
-pub fn write_prefsel(dir: &Path, name: &str, rows: &[PrefSelRow]) -> std::io::Result<()> {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{},{},{:.9}", r.k, r.variant, r.seconds))
-        .collect();
-    write_lines(dir, name, "k,variant,seconds", &lines)
-}
-
-/// Writes cost-model rows.
-pub fn write_costmodel(dir: &Path, name: &str, rows: &[CostModelRow]) -> std::io::Result<()> {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{},{:.3},{:.3}", r.k, r.estimated_ms, r.real_ms))
-        .collect();
-    write_lines(dir, name, "k,estimated_ms,real_ms", &lines)
-}
-
-/// Writes Table 1 rows.
-pub fn write_problems(dir: &Path, name: &str, rows: &[ProblemRow]) -> std::io::Result<()> {
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},\"{}\",{},{:.6},{:.1},{:.2},{},{}",
-                r.problem, r.spec, r.found, r.doi, r.cost_ms, r.size_rows, r.prefs, r.matches_exact
-            )
-        })
-        .collect();
-    write_lines(
-        dir,
-        name,
-        "problem,spec,found,doi,cost_ms,size_rows,prefs,matches_exact",
-        &lines,
-    )
+/// Writes `csv` to `dir/name.csv`, creating the directory as needed.
+pub fn write(dir: &Path, name: &str, csv: &str) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(dir.join(format!("{name}.csv")), csv)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::AlgoTimeRow;
 
     #[test]
     fn writes_csv_files() {
-        let dir = std::env::temp_dir().join("cqp_csv_test");
+        let dir = std::env::temp_dir().join(format!("cqp_csv_test_{}", std::process::id()));
         let rows = vec![AlgoTimeRow {
             x: 10.0,
             algorithm: "C_MaxBounds",
             seconds: 0.001,
             states: 42.0,
         }];
-        write_times(&dir, "t", &rows).unwrap();
+        write(&dir, "t", &render(&rows)).unwrap();
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert!(content.starts_with("x,algorithm,seconds,states"));
         assert!(content.contains("C_MaxBounds"));

@@ -1,10 +1,17 @@
 //! One function per table/figure of the paper's evaluation (Section 7),
 //! plus the ablations called out in DESIGN.md.
 //!
-//! Every function returns plain row structs so the `reproduce` binary can
-//! print paper-style series and the CSV writer can persist them. All
-//! averages follow the paper's methodology: each data point is the mean
-//! over the workload's profile × query pairs.
+//! Every function returns plain row structs together with their
+//! [`RunReport`] lines, so the `reproduce` binary can write each table as
+//! CSV (through [`CsvRow`]) next to its run reports. All averages
+//! follow the paper's methodology: each data point is the mean over the
+//! workload's profile × query pairs.
+//!
+//! Figures 12(a)/(c), 13(a)/(b), 14(a)/(b) and the generic-baseline
+//! ablation apply one design: for each sweep point (`K`, or `cmax` as a
+//! percentage of Supreme Cost) and each algorithm, average one measurement
+//! over the pairs. Each of those data points is a [`Cell`], and one
+//! pool-backed `sweep` runs them all.
 
 use crate::harness::{span_secs, supreme_cost_blocks, timed_span, Workload};
 use cqp_core::algorithms::{generic, solve_p2, solve_p2_recorded, Algorithm, Solution};
@@ -27,6 +34,21 @@ pub const FIG12_ALGORITHMS: [Algorithm; 5] = [
     Algorithm::DHeurDoi,
 ];
 
+/// The heuristic algorithms evaluated for quality in Figure 14.
+pub const FIG14_ALGORITHMS: [Algorithm; 3] = [
+    Algorithm::DHeurDoi,
+    Algorithm::CMaxBounds,
+    Algorithm::DSingleMaxDoi,
+];
+
+/// One row of an experiment's CSV table.
+pub trait CsvRow {
+    /// The table's header line.
+    const HEADER: &'static str;
+    /// This row as one CSV line.
+    fn csv(&self) -> String;
+}
+
 /// A time measurement for one algorithm at one sweep position.
 #[derive(Debug, Clone)]
 pub struct AlgoTimeRow {
@@ -40,6 +62,16 @@ pub struct AlgoTimeRow {
     pub states: f64,
 }
 
+impl CsvRow for AlgoTimeRow {
+    const HEADER: &'static str = "x,algorithm,seconds,states";
+    fn csv(&self) -> String {
+        format!(
+            "{},{},{:.9},{:.1}",
+            self.x, self.algorithm, self.seconds, self.states
+        )
+    }
+}
+
 /// A memory measurement (Figure 13).
 #[derive(Debug, Clone)]
 pub struct MemoryRow {
@@ -49,6 +81,13 @@ pub struct MemoryRow {
     pub algorithm: &'static str,
     /// Mean peak tracked memory in KBytes.
     pub kbytes: f64,
+}
+
+impl CsvRow for MemoryRow {
+    const HEADER: &'static str = "x,algorithm,kbytes";
+    fn csv(&self) -> String {
+        format!("{},{},{:.4}", self.x, self.algorithm, self.kbytes)
+    }
 }
 
 /// A quality measurement (Figure 14): `doi_optimal − doi_found`.
@@ -62,6 +101,13 @@ pub struct QualityRow {
     pub quality_gap: f64,
 }
 
+impl CsvRow for QualityRow {
+    const HEADER: &'static str = "x,algorithm,quality_gap";
+    fn csv(&self) -> String {
+        format!("{},{},{:.12}", self.x, self.algorithm, self.quality_gap)
+    }
+}
+
 /// A preference-selection timing (Figure 12(b)).
 #[derive(Debug, Clone)]
 pub struct PrefSelRow {
@@ -73,6 +119,13 @@ pub struct PrefSelRow {
     pub seconds: f64,
 }
 
+impl CsvRow for PrefSelRow {
+    const HEADER: &'static str = "k,variant,seconds";
+    fn csv(&self) -> String {
+        format!("{},{},{:.9}", self.k, self.variant, self.seconds)
+    }
+}
+
 /// A cost-model validation point (Figure 15).
 #[derive(Debug, Clone)]
 pub struct CostModelRow {
@@ -82,6 +135,13 @@ pub struct CostModelRow {
     pub estimated_ms: f64,
     /// Measured execution time, ms (simulated I/O + actual CPU).
     pub real_ms: f64,
+}
+
+impl CsvRow for CostModelRow {
+    const HEADER: &'static str = "k,estimated_ms,real_ms";
+    fn csv(&self) -> String {
+        format!("{},{:.3},{:.3}", self.k, self.estimated_ms, self.real_ms)
+    }
 }
 
 /// One solved problem of Table 1.
@@ -105,12 +165,57 @@ pub struct ProblemRow {
     pub matches_exact: bool,
 }
 
+impl CsvRow for ProblemRow {
+    const HEADER: &'static str = "problem,spec,found,doi,cost_ms,size_rows,prefs,matches_exact";
+    fn csv(&self) -> String {
+        format!(
+            "{},\"{}\",{},{:.6},{:.1},{:.2},{},{}",
+            self.problem,
+            self.spec,
+            self.found,
+            self.doi,
+            self.cost_ms,
+            self.size_rows,
+            self.prefs,
+            self.matches_exact
+        )
+    }
+}
+
+/// A cost-model robustness point: one block capacity.
+#[derive(Debug, Clone)]
+pub struct BlockSizeRow {
+    /// Tuples per block.
+    pub block_capacity: usize,
+    /// Estimated execution time of the all-K personalized query (ms).
+    pub estimated_ms: f64,
+    /// Simulated I/O actually charged by the executor (ms).
+    pub measured_io_ms: f64,
+    /// Quality gap of C-MAXBOUNDS vs the exact optimum at 50% Supreme.
+    pub heuristic_gap: f64,
+}
+
+impl CsvRow for BlockSizeRow {
+    const HEADER: &'static str = "block_capacity,estimated_ms,measured_io_ms,heuristic_gap";
+    fn csv(&self) -> String {
+        format!(
+            "{},{:.3},{:.3},{:.9}",
+            self.block_capacity, self.estimated_ms, self.measured_io_ms, self.heuristic_gap
+        )
+    }
+}
+
 fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
+}
+
+/// How far `found` falls short of the `optimal` doi (never negative).
+fn gap(optimal: &Solution, found: &Solution) -> f64 {
+    (optimal.doi.value() - found.doi.value()).max(0.0)
 }
 
 /// Pre-extracts the spaces of every pair at a given `K` (shared across
@@ -134,67 +239,331 @@ fn solve_timed(
     (sol, span_secs(obs, algo.name()) - before)
 }
 
-/// Figure 12(a): CQP optimization time as a function of `K`.
-pub fn fig12a(w: &Workload, ks: &[usize], algorithms: &[Algorithm]) -> Vec<AlgoTimeRow> {
-    fig12a_reported(w, ks, algorithms, &mut Vec::new())
+/// One `(sweep point, algorithm)` data point of Figures 12–14.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell {
+    /// Preferences extracted per pair.
+    pub k: usize,
+    /// The budget: `None` binds the scale's rule
+    /// ([`crate::Scale::cmax_for`]), `Some(p)` binds `p`% of each space's
+    /// Supreme Cost.
+    pub percent: Option<u32>,
+    /// The algorithm solved at this point.
+    pub algorithm: Algorithm,
 }
 
-/// [`fig12a`] collecting one [`RunReport`] per (K, algorithm) cell.
-pub fn fig12a_reported(
-    w: &Workload,
-    ks: &[usize],
-    algorithms: &[Algorithm],
-    reports: &mut Vec<RunReport>,
-) -> Vec<AlgoTimeRow> {
-    let mut rows = Vec::new();
-    for &k in ks {
-        let spaces = spaces_at_k(w, k);
-        for &algo in algorithms {
-            let obs = Obs::new();
-            let mut secs = Vec::new();
-            let mut states = Vec::new();
-            for space in &spaces {
-                let (sol, t) = solve_timed(
-                    &obs,
-                    space,
-                    ConjModel::NoisyOr,
-                    w.scale.cmax_for(space),
-                    algo,
-                );
-                secs.push(t);
-                states.push(sol.instrument.states_examined as f64);
-            }
-            rows.push(AlgoTimeRow {
-                x: k as f64,
-                algorithm: algo.name(),
-                seconds: mean(&secs),
-                states: mean(&states),
-            });
-            reports.push(
-                RunReport::from_obs("fig12a", algo.name(), &obs)
-                    .with_field("k", k as u64)
-                    .with_field("runs", spaces.len() as u64)
-                    .with_field("mean_seconds", mean(&secs)),
-            );
+impl Cell {
+    /// The K sweep: for each `k` in order, one cell per algorithm that
+    /// `algorithms(k)` lists, at the scale's budget.
+    pub fn k_sweep(ks: &[usize], algorithms: impl Fn(usize) -> Vec<Algorithm>) -> Vec<Cell> {
+        ks.iter()
+            .flat_map(|&k| {
+                algorithms(k).into_iter().map(move |algorithm| Cell {
+                    k,
+                    percent: None,
+                    algorithm,
+                })
+            })
+            .collect()
+    }
+
+    /// The cmax sweep at fixed `k`: for each percent of Supreme Cost in
+    /// order, one cell per algorithm.
+    pub fn percent_sweep(k: usize, percents: &[u32], algorithms: &[Algorithm]) -> Vec<Cell> {
+        percents
+            .iter()
+            .flat_map(|&pct| {
+                algorithms.iter().map(move |&algorithm| Cell {
+                    k,
+                    percent: Some(pct),
+                    algorithm,
+                })
+            })
+            .collect()
+    }
+
+    /// The row's x value: the percent on a cmax sweep, else `K`.
+    fn x(&self) -> f64 {
+        self.percent.map_or(self.k as f64, f64::from)
+    }
+
+    /// This cell's budget on one space.
+    fn cmax(&self, w: &Workload, space: &PreferenceSpace) -> u64 {
+        match self.percent {
+            Some(pct) => supreme_cost_blocks(space) * pct as u64 / 100,
+            None => w.scale.cmax_for(space),
         }
     }
-    rows
+}
+
+/// Runs every cell on a `threads`-wide work-stealing pool (one thread runs
+/// inline). Each distinct `K`'s spaces are extracted once and shared by
+/// that `K`'s cells. Each cell gets a fresh [`Obs`]: `measure` runs on
+/// every space at the cell's budget, and `finish` turns the per-component
+/// means into the cell's row and completes its report, which arrives
+/// labelled with the algorithm and carrying `percent_supreme` (on a cmax
+/// sweep) and `k`. Rows and reports come back in cell order.
+fn sweep<const N: usize, R: Send>(
+    w: &Workload,
+    experiment: &str,
+    cells: &[Cell],
+    threads: usize,
+    measure: impl Fn(&Obs, &PreferenceSpace, u64, Algorithm) -> [f64; N] + Sync,
+    finish: impl Fn(&Cell, [f64; N], RunReport) -> (R, RunReport) + Sync,
+) -> (Vec<R>, Vec<RunReport>) {
+    let pool = ThreadPool::new(threads);
+    let mut ks: Vec<usize> = Vec::new();
+    for cell in cells {
+        if !ks.contains(&cell.k) {
+            ks.push(cell.k);
+        }
+    }
+    let spaces_by_k: Vec<Vec<PreferenceSpace>> = pool.map(ks.clone(), |_, k| spaces_at_k(w, k));
+    pool.map(cells.to_vec(), |_, cell| {
+        let ki = ks
+            .iter()
+            .position(|&k| k == cell.k)
+            .expect("every K is extracted");
+        let spaces = &spaces_by_k[ki];
+        let obs = Obs::new();
+        let samples: Vec<[f64; N]> = spaces
+            .iter()
+            .map(|space| measure(&obs, space, cell.cmax(w, space), cell.algorithm))
+            .collect();
+        let means =
+            std::array::from_fn(|i| mean(&samples.iter().map(|s| s[i]).collect::<Vec<_>>()));
+        let mut report = RunReport::from_obs(experiment, cell.algorithm.name(), &obs);
+        if let Some(pct) = cell.percent {
+            report = report.with_field("percent_supreme", pct as u64);
+        }
+        finish(&cell, means, report.with_field("k", cell.k as u64))
+    })
+    .into_iter()
+    .unzip()
+}
+
+/// Mean solve seconds and states per cell (Figures 12(a) and 12(c)).
+fn time_sweep(
+    w: &Workload,
+    experiment: &str,
+    cells: &[Cell],
+    threads: usize,
+) -> (Vec<AlgoTimeRow>, Vec<RunReport>) {
+    sweep(
+        w,
+        experiment,
+        cells,
+        threads,
+        |obs, space, cmax, algorithm| {
+            let (sol, secs) = solve_timed(obs, space, ConjModel::NoisyOr, cmax, algorithm);
+            [secs, sol.instrument.states_examined as f64]
+        },
+        |cell, [seconds, states], report| {
+            let row = AlgoTimeRow {
+                x: cell.x(),
+                algorithm: cell.algorithm.name(),
+                seconds,
+                states,
+            };
+            let report = report
+                .with_field("runs", w.num_pairs() as u64)
+                .with_field("mean_seconds", seconds);
+            (row, report)
+        },
+    )
+}
+
+/// Figure 12(a): CQP optimization time as a function of `K`.
+pub fn fig12a(w: &Workload, cells: &[Cell], threads: usize) -> (Vec<AlgoTimeRow>, Vec<RunReport>) {
+    time_sweep(w, "fig12a", cells, threads)
+}
+
+/// Figures 12(c)/(d): optimization time as a function of `cmax`, expressed
+/// as a percentage of each space's Supreme Cost, at fixed `K`.
+pub fn fig12c(w: &Workload, cells: &[Cell], threads: usize) -> (Vec<AlgoTimeRow>, Vec<RunReport>) {
+    time_sweep(w, "fig12c", cells, threads)
+}
+
+/// Mean peak tracked memory per cell (Figure 13); each report's
+/// `solver.peak_bytes` histogram holds min/mean/max peaks over the cell's
+/// runs.
+fn memory_sweep(
+    w: &Workload,
+    experiment: &str,
+    cells: &[Cell],
+    threads: usize,
+) -> (Vec<MemoryRow>, Vec<RunReport>) {
+    sweep(
+        w,
+        experiment,
+        cells,
+        threads,
+        |obs, space, cmax, algorithm| {
+            let sol = solve_p2_recorded(space, ConjModel::NoisyOr, cmax, algorithm, obs);
+            [sol.instrument.peak_kbytes()]
+        },
+        |cell, [kbytes], report| {
+            let row = MemoryRow {
+                x: cell.x(),
+                algorithm: cell.algorithm.name(),
+                kbytes,
+            };
+            let report = report
+                .with_field("runs", w.num_pairs() as u64)
+                .with_field("mean_kbytes", kbytes);
+            (row, report)
+        },
+    )
+}
+
+/// Figure 13(a): peak memory as a function of `K`.
+pub fn fig13a(w: &Workload, cells: &[Cell], threads: usize) -> (Vec<MemoryRow>, Vec<RunReport>) {
+    memory_sweep(w, "fig13a", cells, threads)
+}
+
+/// Figure 13(b): peak memory as a function of `cmax` (% of Supreme Cost).
+pub fn fig13b(w: &Workload, cells: &[Cell], threads: usize) -> (Vec<MemoryRow>, Vec<RunReport>) {
+    memory_sweep(w, "fig13b", cells, threads)
+}
+
+/// Mean quality gap per cell against C-BOUNDARIES (Figure 14). Only the
+/// heuristic under evaluation is recorded; the reference runs unrecorded
+/// so its counters don't pollute the cell.
+fn quality_sweep(
+    w: &Workload,
+    experiment: &str,
+    cells: &[Cell],
+    conj: ConjModel,
+    threads: usize,
+) -> (Vec<QualityRow>, Vec<RunReport>) {
+    sweep(
+        w,
+        experiment,
+        cells,
+        threads,
+        |obs, space, cmax, algorithm| {
+            let optimal = solve_p2(space, conj, cmax, Algorithm::CBoundaries);
+            let found = solve_p2_recorded(space, conj, cmax, algorithm, obs);
+            [gap(&optimal, &found)]
+        },
+        |cell, [quality_gap], report| {
+            let row = QualityRow {
+                x: cell.x(),
+                algorithm: cell.algorithm.name(),
+                quality_gap,
+            };
+            let report = report
+                .with_field("conj", format!("{conj:?}"))
+                .with_field("runs", w.num_pairs() as u64)
+                .with_field("mean_gap", quality_gap);
+            (row, report)
+        },
+    )
+}
+
+/// Figure 14(a): quality gap vs `K`.
+pub fn fig14a(
+    w: &Workload,
+    cells: &[Cell],
+    conj: ConjModel,
+    threads: usize,
+) -> (Vec<QualityRow>, Vec<RunReport>) {
+    quality_sweep(w, "fig14a", cells, conj, threads)
+}
+
+/// Figure 14(b): quality gap vs `cmax` (% of Supreme Cost) at fixed `K`.
+pub fn fig14b(
+    w: &Workload,
+    cells: &[Cell],
+    conj: ConjModel,
+    threads: usize,
+) -> (Vec<QualityRow>, Vec<RunReport>) {
+    quality_sweep(w, "fig14b", cells, conj, threads)
+}
+
+/// Ablation: the paper's specialized algorithms vs the generic baselines
+/// (simulated annealing, tabu, genetic) on time and quality at fixed `K`,
+/// one report per algorithm.
+pub fn ablation_generic(
+    w: &Workload,
+    k: usize,
+    threads: usize,
+) -> (Vec<(AlgoTimeRow, QualityRow)>, Vec<RunReport>) {
+    let cells = Cell::k_sweep(&[k], |_| {
+        vec![
+            Algorithm::CBoundaries,
+            Algorithm::CMaxBounds,
+            Algorithm::DHeurDoi,
+            Algorithm::BranchBound,
+            Algorithm::Annealing,
+            Algorithm::Tabu,
+            Algorithm::Genetic,
+        ]
+    });
+    sweep(
+        w,
+        "ablation_generic",
+        &cells,
+        threads,
+        |obs, space, cmax, algorithm| {
+            let optimal = solve_p2(space, ConjModel::NoisyOr, cmax, Algorithm::CBoundaries);
+            let (sol, secs) = solve_timed(obs, space, ConjModel::NoisyOr, cmax, algorithm);
+            [
+                secs,
+                sol.instrument.states_examined as f64,
+                gap(&optimal, &sol),
+            ]
+        },
+        |cell, [seconds, states, quality_gap], report| {
+            let (x, algorithm) = (cell.x(), cell.algorithm.name());
+            let rows = (
+                AlgoTimeRow {
+                    x,
+                    algorithm,
+                    seconds,
+                    states,
+                },
+                QualityRow {
+                    x,
+                    algorithm,
+                    quality_gap,
+                },
+            );
+            let report = report
+                .with_field("runs", w.num_pairs() as u64)
+                .with_field("mean_seconds", seconds)
+                .with_field("mean_gap", quality_gap);
+            (rows, report)
+        },
+    )
+}
+
+/// Ablation: quality gaps under alternative conjunction models `r`
+/// (Section 7.2.3's remark that a different model "would still exhibit the
+/// same growing trends but might have resulted in larger differences").
+/// Each model reruns Figure 14(a), so its report lines keep `fig14a` as
+/// their experiment tag, qualified by the `conj` field.
+pub fn ablation_doi_model(
+    w: &Workload,
+    ks: &[usize],
+    threads: usize,
+) -> Vec<(String, Vec<QualityRow>, Vec<RunReport>)> {
+    let cells = Cell::k_sweep(ks, |_| FIG14_ALGORITHMS.to_vec());
+    [ConjModel::NoisyOr, ConjModel::Max, ConjModel::Quadrature]
+        .into_iter()
+        .map(|conj| {
+            let (rows, reports) = fig14a(w, &cells, conj, threads);
+            (format!("{conj:?}"), rows, reports)
+        })
+        .collect()
 }
 
 /// Figure 12(b): Preference-Space module time as a function of `K`, for
 /// doi-only output (`D_PrefSelTime`) vs full `D`/`C`/`S` output
-/// (`C_PrefSelTime`).
-pub fn fig12b(w: &Workload, ks: &[usize]) -> Vec<PrefSelRow> {
-    fig12b_reported(w, ks, &mut Vec::new())
-}
-
-/// [`fig12b`] collecting one [`RunReport`] per (K, variant) cell.
-pub fn fig12b_reported(
-    w: &Workload,
-    ks: &[usize],
-    reports: &mut Vec<RunReport>,
-) -> Vec<PrefSelRow> {
+/// (`C_PrefSelTime`), one report per (K, variant).
+pub fn fig12b(w: &Workload, ks: &[usize]) -> (Vec<PrefSelRow>, Vec<RunReport>) {
     let mut rows = Vec::new();
+    let mut reports = Vec::new();
     for &k in ks {
         for (variant, with_cost) in [("D_PrefSelTime", false), ("C_PrefSelTime", true)] {
             let obs = Obs::new();
@@ -216,384 +585,23 @@ pub fn fig12b_reported(
             );
         }
     }
-    rows
-}
-
-/// [`fig12a_reported`] with the `(K, algorithm)` grid cells fanned across a
-/// work-stealing pool. `cells` fixes the row order (cells come back in
-/// input order regardless of which worker ran them); each cell gets its own
-/// [`Obs`], so cell timings and reports are attributed exactly as in the
-/// sequential run. With `threads == 1` the pool inlines and this *is* the
-/// sequential run.
-pub fn fig12a_parallel(
-    w: &Workload,
-    cells: &[(usize, Algorithm)],
-    threads: usize,
-    reports: &mut Vec<RunReport>,
-) -> Vec<AlgoTimeRow> {
-    let pool = ThreadPool::new(threads);
-    // Extract each distinct K's spaces once (shared across that K's cells),
-    // itself fanned over the pool.
-    let mut distinct_ks: Vec<usize> = Vec::new();
-    for &(k, _) in cells {
-        if !distinct_ks.contains(&k) {
-            distinct_ks.push(k);
-        }
-    }
-    let spaces_by_k: Vec<Vec<PreferenceSpace>> =
-        pool.map(distinct_ks.clone(), |_, k| spaces_at_k(w, k));
-
-    let out = pool.map(cells.to_vec(), |_, (k, algo)| {
-        let ki = distinct_ks.iter().position(|&d| d == k).unwrap();
-        let spaces = &spaces_by_k[ki];
-        let obs = Obs::new();
-        let mut secs = Vec::new();
-        let mut states = Vec::new();
-        for space in spaces {
-            let (sol, t) = solve_timed(
-                &obs,
-                space,
-                ConjModel::NoisyOr,
-                w.scale.cmax_for(space),
-                algo,
-            );
-            secs.push(t);
-            states.push(sol.instrument.states_examined as f64);
-        }
-        let row = AlgoTimeRow {
-            x: k as f64,
-            algorithm: algo.name(),
-            seconds: mean(&secs),
-            states: mean(&states),
-        };
-        let report = RunReport::from_obs("fig12a", algo.name(), &obs)
-            .with_field("k", k as u64)
-            .with_field("runs", spaces.len() as u64)
-            .with_field("mean_seconds", mean(&secs));
-        (row, report)
-    });
-    let mut rows = Vec::new();
-    for (row, report) in out {
-        rows.push(row);
-        reports.push(report);
-    }
-    rows
-}
-
-/// Figures 12(c)/(d): optimization time as a function of `cmax`, expressed
-/// as a percentage of each space's Supreme Cost, at fixed `K`.
-pub fn fig12c(
-    w: &Workload,
-    k: usize,
-    percents: &[u32],
-    algorithms: &[Algorithm],
-) -> Vec<AlgoTimeRow> {
-    fig12c_reported(w, k, percents, algorithms, &mut Vec::new())
-}
-
-/// [`fig12c`] collecting one [`RunReport`] per (percent, algorithm) cell.
-pub fn fig12c_reported(
-    w: &Workload,
-    k: usize,
-    percents: &[u32],
-    algorithms: &[Algorithm],
-    reports: &mut Vec<RunReport>,
-) -> Vec<AlgoTimeRow> {
-    let spaces = spaces_at_k(w, k);
-    let mut rows = Vec::new();
-    for &pct in percents {
-        for &algo in algorithms {
-            let obs = Obs::new();
-            let mut secs = Vec::new();
-            let mut states = Vec::new();
-            for space in &spaces {
-                let cmax = supreme_cost_blocks(space) * pct as u64 / 100;
-                let (sol, t) = solve_timed(&obs, space, ConjModel::NoisyOr, cmax, algo);
-                secs.push(t);
-                states.push(sol.instrument.states_examined as f64);
-            }
-            rows.push(AlgoTimeRow {
-                x: pct as f64,
-                algorithm: algo.name(),
-                seconds: mean(&secs),
-                states: mean(&states),
-            });
-            reports.push(
-                RunReport::from_obs("fig12c", algo.name(), &obs)
-                    .with_field("percent_supreme", pct as u64)
-                    .with_field("k", k as u64)
-                    .with_field("runs", spaces.len() as u64)
-                    .with_field("mean_seconds", mean(&secs)),
-            );
-        }
-    }
-    rows
-}
-
-/// [`fig12c_reported`] with the `(percent, algorithm)` grid cells fanned
-/// across a work-stealing pool; row/report order matches the sequential
-/// run, and `threads == 1` inlines to it.
-pub fn fig12c_parallel(
-    w: &Workload,
-    k: usize,
-    percents: &[u32],
-    algorithms: &[Algorithm],
-    threads: usize,
-    reports: &mut Vec<RunReport>,
-) -> Vec<AlgoTimeRow> {
-    let pool = ThreadPool::new(threads);
-    let spaces = spaces_at_k(w, k);
-    let cells: Vec<(u32, Algorithm)> = percents
-        .iter()
-        .flat_map(|&pct| algorithms.iter().map(move |&a| (pct, a)))
-        .collect();
-    let out = pool.map(cells, |_, (pct, algo)| {
-        let obs = Obs::new();
-        let mut secs = Vec::new();
-        let mut states = Vec::new();
-        for space in &spaces {
-            let cmax = supreme_cost_blocks(space) * pct as u64 / 100;
-            let (sol, t) = solve_timed(&obs, space, ConjModel::NoisyOr, cmax, algo);
-            secs.push(t);
-            states.push(sol.instrument.states_examined as f64);
-        }
-        let row = AlgoTimeRow {
-            x: pct as f64,
-            algorithm: algo.name(),
-            seconds: mean(&secs),
-            states: mean(&states),
-        };
-        let report = RunReport::from_obs("fig12c", algo.name(), &obs)
-            .with_field("percent_supreme", pct as u64)
-            .with_field("k", k as u64)
-            .with_field("runs", spaces.len() as u64)
-            .with_field("mean_seconds", mean(&secs));
-        (row, report)
-    });
-    let mut rows = Vec::new();
-    for (row, report) in out {
-        rows.push(row);
-        reports.push(report);
-    }
-    rows
-}
-
-/// Figure 13(a): peak memory as a function of `K`.
-pub fn fig13a(w: &Workload, ks: &[usize], algorithms: &[Algorithm]) -> Vec<MemoryRow> {
-    fig13a_reported(w, ks, algorithms, &mut Vec::new())
-}
-
-/// [`fig13a`] collecting one [`RunReport`] per (K, algorithm) cell; the
-/// report's `solver.peak_bytes` histogram holds min/mean/max peaks over the
-/// cell's runs.
-pub fn fig13a_reported(
-    w: &Workload,
-    ks: &[usize],
-    algorithms: &[Algorithm],
-    reports: &mut Vec<RunReport>,
-) -> Vec<MemoryRow> {
-    let mut rows = Vec::new();
-    for &k in ks {
-        let spaces = spaces_at_k(w, k);
-        for &algo in algorithms {
-            let obs = Obs::new();
-            let kbytes: Vec<f64> = spaces
-                .iter()
-                .map(|space| {
-                    solve_p2_recorded(
-                        space,
-                        ConjModel::NoisyOr,
-                        w.scale.cmax_for(space),
-                        algo,
-                        &obs,
-                    )
-                    .instrument
-                    .peak_kbytes()
-                })
-                .collect();
-            rows.push(MemoryRow {
-                x: k as f64,
-                algorithm: algo.name(),
-                kbytes: mean(&kbytes),
-            });
-            reports.push(
-                RunReport::from_obs("fig13a", algo.name(), &obs)
-                    .with_field("k", k as u64)
-                    .with_field("runs", spaces.len() as u64)
-                    .with_field("mean_kbytes", mean(&kbytes)),
-            );
-        }
-    }
-    rows
-}
-
-/// Figure 13(b): peak memory as a function of `cmax` (% of Supreme Cost).
-pub fn fig13b(
-    w: &Workload,
-    k: usize,
-    percents: &[u32],
-    algorithms: &[Algorithm],
-) -> Vec<MemoryRow> {
-    fig13b_reported(w, k, percents, algorithms, &mut Vec::new())
-}
-
-/// [`fig13b`] collecting one [`RunReport`] per (percent, algorithm) cell.
-pub fn fig13b_reported(
-    w: &Workload,
-    k: usize,
-    percents: &[u32],
-    algorithms: &[Algorithm],
-    reports: &mut Vec<RunReport>,
-) -> Vec<MemoryRow> {
-    let spaces = spaces_at_k(w, k);
-    let mut rows = Vec::new();
-    for &pct in percents {
-        for &algo in algorithms {
-            let obs = Obs::new();
-            let kbytes: Vec<f64> = spaces
-                .iter()
-                .map(|space| {
-                    let cmax = supreme_cost_blocks(space) * pct as u64 / 100;
-                    solve_p2_recorded(space, ConjModel::NoisyOr, cmax, algo, &obs)
-                        .instrument
-                        .peak_kbytes()
-                })
-                .collect();
-            rows.push(MemoryRow {
-                x: pct as f64,
-                algorithm: algo.name(),
-                kbytes: mean(&kbytes),
-            });
-            reports.push(
-                RunReport::from_obs("fig13b", algo.name(), &obs)
-                    .with_field("percent_supreme", pct as u64)
-                    .with_field("k", k as u64)
-                    .with_field("runs", spaces.len() as u64)
-                    .with_field("mean_kbytes", mean(&kbytes)),
-            );
-        }
-    }
-    rows
-}
-
-/// The heuristic algorithms evaluated for quality in Figure 14.
-pub const FIG14_ALGORITHMS: [Algorithm; 3] = [
-    Algorithm::DHeurDoi,
-    Algorithm::CMaxBounds,
-    Algorithm::DSingleMaxDoi,
-];
-
-/// Figure 14(a): quality gap vs `K`.
-pub fn fig14a(w: &Workload, ks: &[usize], conj: ConjModel) -> Vec<QualityRow> {
-    fig14a_reported(w, ks, conj, &mut Vec::new())
-}
-
-/// [`fig14a`] collecting one [`RunReport`] per (K, algorithm) cell. Only
-/// the heuristic under evaluation is recorded; the C-BOUNDARIES reference
-/// runs unrecorded so its counters don't pollute the cell.
-pub fn fig14a_reported(
-    w: &Workload,
-    ks: &[usize],
-    conj: ConjModel,
-    reports: &mut Vec<RunReport>,
-) -> Vec<QualityRow> {
-    let mut rows = Vec::new();
-    for &k in ks {
-        let spaces = spaces_at_k(w, k);
-        for algo in FIG14_ALGORITHMS {
-            let obs = Obs::new();
-            let gaps: Vec<f64> = spaces
-                .iter()
-                .map(|space| {
-                    let optimal =
-                        solve_p2(space, conj, w.scale.cmax_for(space), Algorithm::CBoundaries);
-                    let found = solve_p2_recorded(space, conj, w.scale.cmax_for(space), algo, &obs);
-                    (optimal.doi.value() - found.doi.value()).max(0.0)
-                })
-                .collect();
-            rows.push(QualityRow {
-                x: k as f64,
-                algorithm: algo.name(),
-                quality_gap: mean(&gaps),
-            });
-            reports.push(
-                RunReport::from_obs("fig14a", algo.name(), &obs)
-                    .with_field("k", k as u64)
-                    .with_field("conj", format!("{conj:?}"))
-                    .with_field("runs", spaces.len() as u64)
-                    .with_field("mean_gap", mean(&gaps)),
-            );
-        }
-    }
-    rows
-}
-
-/// Figure 14(b): quality gap vs `cmax` (% of Supreme Cost) at fixed `K`.
-pub fn fig14b(w: &Workload, k: usize, percents: &[u32], conj: ConjModel) -> Vec<QualityRow> {
-    fig14b_reported(w, k, percents, conj, &mut Vec::new())
-}
-
-/// [`fig14b`] collecting one [`RunReport`] per (percent, algorithm) cell.
-pub fn fig14b_reported(
-    w: &Workload,
-    k: usize,
-    percents: &[u32],
-    conj: ConjModel,
-    reports: &mut Vec<RunReport>,
-) -> Vec<QualityRow> {
-    let spaces = spaces_at_k(w, k);
-    let mut rows = Vec::new();
-    for &pct in percents {
-        for algo in FIG14_ALGORITHMS {
-            let obs = Obs::new();
-            let gaps: Vec<f64> = spaces
-                .iter()
-                .map(|space| {
-                    let cmax = supreme_cost_blocks(space) * pct as u64 / 100;
-                    let optimal = solve_p2(space, conj, cmax, Algorithm::CBoundaries);
-                    let found = solve_p2_recorded(space, conj, cmax, algo, &obs);
-                    (optimal.doi.value() - found.doi.value()).max(0.0)
-                })
-                .collect();
-            rows.push(QualityRow {
-                x: pct as f64,
-                algorithm: algo.name(),
-                quality_gap: mean(&gaps),
-            });
-            reports.push(
-                RunReport::from_obs("fig14b", algo.name(), &obs)
-                    .with_field("percent_supreme", pct as u64)
-                    .with_field("k", k as u64)
-                    .with_field("conj", format!("{conj:?}"))
-                    .with_field("runs", spaces.len() as u64)
-                    .with_field("mean_gap", mean(&gaps)),
-            );
-        }
-    }
-    rows
+    (rows, reports)
 }
 
 /// Figure 15: estimated vs measured execution time of the personalized
-/// query integrating all `K` extracted preferences.
+/// query integrating all `K` extracted preferences, one report per `K`.
 ///
 /// "Estimated" is the paper's Formula 11 (`b × Σ blocks`); "measured"
 /// executes the constructed union/having query on the engine, charging the
 /// same `b` per block actually read and adding the real CPU time — the
 /// residual gap is exactly the group-by/union work the model neglects.
-pub fn fig15(w: &Workload, ks: &[usize]) -> Vec<CostModelRow> {
-    fig15_reported(w, ks, &mut Vec::new())
-}
-
-/// [`fig15`] collecting one [`RunReport`] per `K`; the executor and the
-/// I/O meter feed the cell `Obs`, so each report carries the engine scan
-/// counters and the physical `storage.blocks_read` totals.
-pub fn fig15_reported(
-    w: &Workload,
-    ks: &[usize],
-    reports: &mut Vec<RunReport>,
-) -> Vec<CostModelRow> {
+/// The executor and the I/O meter feed the cell `Obs`, so each report
+/// carries the engine scan counters and the physical
+/// `storage.blocks_read` totals.
+pub fn fig15(w: &Workload, ks: &[usize]) -> (Vec<CostModelRow>, Vec<RunReport>) {
     let model = CostModel::new(&w.stats);
     let mut rows = Vec::new();
+    let mut reports = Vec::new();
     for &k in ks {
         let obs = Arc::new(Obs::new());
         let mut est = Vec::new();
@@ -624,19 +632,14 @@ pub fn fig15_reported(
                 .with_field("mean_real_ms", mean(&real)),
         );
     }
-    rows
+    (rows, reports)
 }
 
 /// Table 1: solve all six CQP problems on the workload's first pair and
-/// check each against exact branch-and-bound.
-pub fn table1(w: &Workload, k: usize) -> Vec<ProblemRow> {
-    table1_reported(w, k, &mut Vec::new())
-}
-
-/// [`table1`] collecting one [`RunReport`] for the whole table: each
-/// problem solves inside its own `p<N>` span and flushes its transition
-/// counters to the shared registry.
-pub fn table1_reported(w: &Workload, k: usize, reports: &mut Vec<RunReport>) -> Vec<ProblemRow> {
+/// check each against exact branch-and-bound. One report covers the whole
+/// table: each problem solves inside its own `p<N>` span and flushes its
+/// transition counters to the shared registry.
+pub fn table1(w: &Workload, k: usize) -> (Vec<ProblemRow>, Vec<RunReport>) {
     const PROBLEM_SPANS: [&str; 6] = ["p1", "p2", "p3", "p4", "p5", "p6"];
     let obs = Obs::new();
     let (p, q) = w.pairs().next().expect("non-empty workload");
@@ -706,150 +709,39 @@ pub fn table1_reported(w: &Workload, k: usize, reports: &mut Vec<RunReport>) -> 
             }
         })
         .collect();
-    reports.push(RunReport::from_obs("table1", "general_solve", &obs).with_field("k", k as u64));
-    rows
-}
-
-/// Ablation: the paper's specialized algorithms vs the generic baselines
-/// (simulated annealing, tabu, genetic) on time and quality at fixed `K`.
-pub fn ablation_generic(w: &Workload, k: usize) -> Vec<(AlgoTimeRow, QualityRow)> {
-    ablation_generic_reported(w, k, &mut Vec::new())
-}
-
-/// [`ablation_generic`] collecting one [`RunReport`] per algorithm.
-pub fn ablation_generic_reported(
-    w: &Workload,
-    k: usize,
-    reports: &mut Vec<RunReport>,
-) -> Vec<(AlgoTimeRow, QualityRow)> {
-    let spaces = spaces_at_k(w, k);
-    let algos: Vec<Algorithm> = vec![
-        Algorithm::CBoundaries,
-        Algorithm::CMaxBounds,
-        Algorithm::DHeurDoi,
-        Algorithm::BranchBound,
-        Algorithm::Annealing,
-        Algorithm::Tabu,
-        Algorithm::Genetic,
-    ];
-    let mut rows = Vec::new();
-    for algo in algos {
-        let obs = Obs::new();
-        let mut secs = Vec::new();
-        let mut gaps = Vec::new();
-        let mut states = Vec::new();
-        for space in &spaces {
-            let optimal = solve_p2(
-                space,
-                ConjModel::NoisyOr,
-                w.scale.cmax_for(space),
-                Algorithm::CBoundaries,
-            );
-            let (sol, t) = solve_timed(
-                &obs,
-                space,
-                ConjModel::NoisyOr,
-                w.scale.cmax_for(space),
-                algo,
-            );
-            secs.push(t);
-            states.push(sol.instrument.states_examined as f64);
-            gaps.push((optimal.doi.value() - sol.doi.value()).max(0.0));
-        }
-        reports.push(
-            RunReport::from_obs("ablation_generic", algo.name(), &obs)
-                .with_field("k", k as u64)
-                .with_field("runs", spaces.len() as u64)
-                .with_field("mean_seconds", mean(&secs))
-                .with_field("mean_gap", mean(&gaps)),
-        );
-        rows.push((
-            AlgoTimeRow {
-                x: k as f64,
-                algorithm: algo.name(),
-                seconds: mean(&secs),
-                states: mean(&states),
-            },
-            QualityRow {
-                x: k as f64,
-                algorithm: algo.name(),
-                quality_gap: mean(&gaps),
-            },
-        ));
-    }
-    rows
-}
-
-/// Ablation: quality gaps under alternative conjunction models `r`
-/// (Section 7.2.3's remark that a different model "would still exhibit the
-/// same growing trends but might have resulted in larger differences").
-pub fn ablation_doi_model(w: &Workload, ks: &[usize]) -> Vec<(String, Vec<QualityRow>)> {
-    ablation_doi_model_reported(w, ks)
-        .into_iter()
-        .map(|(model, rows, _)| (model, rows))
-        .collect()
-}
-
-/// [`ablation_doi_model`] returning the per-model [`RunReport`] lines too
-/// (the lines keep `fig14a` as their experiment tag, qualified by the
-/// `conj` field).
-pub fn ablation_doi_model_reported(
-    w: &Workload,
-    ks: &[usize],
-) -> Vec<(String, Vec<QualityRow>, Vec<RunReport>)> {
-    [ConjModel::NoisyOr, ConjModel::Max, ConjModel::Quadrature]
-        .into_iter()
-        .map(|conj| {
-            let mut reports = Vec::new();
-            let rows = fig14a_reported(w, ks, conj, &mut reports);
-            (format!("{conj:?}"), rows, reports)
-        })
-        .collect()
+    let report = RunReport::from_obs("table1", "general_solve", &obs).with_field("k", k as u64);
+    (rows, vec![report])
 }
 
 /// Ablation: generic-baseline tuning — how the annealing step budget
 /// trades time for quality (supports the Related Work claim that generic
-/// methods need far more work for comparable quality).
-pub fn ablation_annealing_budget(w: &Workload, k: usize, budgets: &[usize]) -> Vec<AlgoTimeRow> {
-    ablation_annealing_budget_reported(w, k, budgets, &mut Vec::new())
-}
-
-/// [`ablation_annealing_budget`] collecting one [`RunReport`] per budget.
-pub fn ablation_annealing_budget_reported(
+/// methods need far more work for comparable quality), one report per
+/// budget.
+pub fn ablation_annealing_budget(
     w: &Workload,
     k: usize,
     budgets: &[usize],
-    reports: &mut Vec<RunReport>,
-) -> Vec<AlgoTimeRow> {
+) -> (Vec<AlgoTimeRow>, Vec<RunReport>) {
     let spaces = spaces_at_k(w, k);
     let mut rows = Vec::new();
+    let mut reports = Vec::new();
     for &steps in budgets {
         let obs = Obs::new();
         let mut secs = Vec::new();
         let mut gaps = Vec::new();
         for space in &spaces {
-            let optimal = solve_p2(
-                space,
-                ConjModel::NoisyOr,
-                w.scale.cmax_for(space),
-                Algorithm::CBoundaries,
-            );
+            let cmax = w.scale.cmax_for(space);
+            let optimal = solve_p2(space, ConjModel::NoisyOr, cmax, Algorithm::CBoundaries);
             let cfg = generic::annealing::AnnealingConfig {
                 steps,
                 ..Default::default()
             };
             let (sol, t) = timed_span(&obs, "SimAnnealing", || {
-                generic::annealing::solve_p2_with(
-                    space,
-                    ConjModel::NoisyOr,
-                    w.scale.cmax_for(space),
-                    0xC0FFEE,
-                    cfg,
-                )
+                generic::annealing::solve_p2_with(space, ConjModel::NoisyOr, cmax, 0xC0FFEE, cfg)
             });
             sol.instrument.flush_to(&obs);
             secs.push(t);
-            gaps.push((optimal.doi.value() - sol.doi.value()).max(0.0));
+            gaps.push(gap(&optimal, &sol));
         }
         rows.push(AlgoTimeRow {
             x: steps as f64,
@@ -865,39 +757,17 @@ pub fn ablation_annealing_budget_reported(
                 .with_field("mean_gap", mean(&gaps)),
         );
     }
-    rows
-}
-
-/// A cost-model robustness point: one block capacity.
-#[derive(Debug, Clone)]
-pub struct BlockSizeRow {
-    /// Tuples per block.
-    pub block_capacity: usize,
-    /// Estimated execution time of the all-K personalized query (ms).
-    pub estimated_ms: f64,
-    /// Simulated I/O actually charged by the executor (ms).
-    pub measured_io_ms: f64,
-    /// Quality gap of C-MAXBOUNDS vs the exact optimum at 50% Supreme.
-    pub heuristic_gap: f64,
+    (rows, reports)
 }
 
 /// Ablation: the paper's cost model counts *blocks*, so its absolute
 /// numbers scale with the page size — but the block-level identity
 /// (estimate = blocks read) and the algorithms' relative behaviour must
-/// hold at any capacity. Sweeps the tuples-per-block knob.
-pub fn ablation_block_size(capacities: &[usize], k: usize) -> Vec<BlockSizeRow> {
-    ablation_block_size_reported(capacities, k, &mut Vec::new())
-}
-
-/// [`ablation_block_size`] collecting one [`RunReport`] per capacity; the
-/// executor feeds the cell `Obs` so `storage.blocks_read` shrinks as the
-/// block grows, while the row counters stay put.
-pub fn ablation_block_size_reported(
-    capacities: &[usize],
-    k: usize,
-    reports: &mut Vec<RunReport>,
-) -> Vec<BlockSizeRow> {
-    use cqp_core::construct::construct;
+/// hold at any capacity. Sweeps the tuples-per-block knob, asserting the
+/// identity at each, with one report per capacity: the executor feeds the
+/// cell `Obs`, so `storage.blocks_read` shrinks as the block grows while
+/// the row counters stay put.
+pub fn ablation_block_size(capacities: &[usize], k: usize) -> (Vec<BlockSizeRow>, Vec<RunReport>) {
     capacities
         .iter()
         .map(|&cap| {
@@ -942,14 +812,16 @@ pub fn ablation_block_size_reported(
                 block_capacity: cap,
                 estimated_ms: model.personalized_ms(&pq),
                 measured_io_ms: meter.elapsed_ms(),
-                heuristic_gap: (exact.doi.value() - heur.doi.value()).max(0.0),
+                heuristic_gap: gap(&exact, &heur),
             };
-            reports.push(
-                RunReport::from_obs("ablation_block_size", "block-capacity sweep", &obs)
-                    .with_field("block_capacity", cap as u64)
-                    .with_field("k", k as u64),
+            assert!(
+                (row.estimated_ms - row.measured_io_ms).abs() < 1e-9,
+                "block-level identity must hold at every capacity"
             );
-            row
+            let report = RunReport::from_obs("ablation_block_size", "block-capacity sweep", &obs)
+                .with_field("block_capacity", cap as u64)
+                .with_field("k", k as u64);
+            (row, report)
         })
-        .collect()
+        .unzip()
 }

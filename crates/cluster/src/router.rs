@@ -1037,14 +1037,18 @@ fn local_json(status: u16, body: Json) -> ClientResponse {
     }
 }
 
-/// A locally generated error in the backend's `ApiError` wire shape.
+/// A locally generated error in the backend's `ApiError` wire shape,
+/// `{"error": {"code", "message"}}`.
 fn local_error(status: u16, code: &'static str, message: impl Into<String>) -> ClientResponse {
     local_json(
         status,
-        Json::obj(vec![
-            ("error", Json::from(code)),
-            ("message", Json::from(message.into())),
-        ]),
+        Json::obj(vec![(
+            "error",
+            Json::obj(vec![
+                ("code", Json::from(code)),
+                ("message", Json::from(message.into())),
+            ]),
+        )]),
     )
 }
 

@@ -261,8 +261,7 @@ pub fn solve_p2_budgeted(
     shared: Option<&SharedCostCache>,
     token: &CancelToken,
 ) -> Solution {
-    let span = span_guard(recorder, algorithm.name());
-    let mut sol = match algorithm {
+    let sol = traced(recorder, algorithm.name(), token, || match algorithm {
         Algorithm::Exhaustive => exhaustive::solve_bounded(
             space,
             conj,
@@ -287,22 +286,7 @@ pub fn solve_p2_budgeted(
         Algorithm::Annealing => generic::annealing::solve_p2(space, conj, cmax_blocks, 0xC0FFEE),
         Algorithm::Tabu => generic::tabu::solve_p2(space, conj, cmax_blocks, 0xC0FFEE),
         Algorithm::Genetic => generic::genetic::solve_p2(space, conj, cmax_blocks, 0xC0FFEE),
-    };
-    sol.degraded = token.degraded_info();
-    // Two-phase algorithms flush per phase; everything else flushes its
-    // blended total here, inside the algorithm span.
-    if sol.phases.is_empty() {
-        sol.instrument.flush_to(recorder);
-    }
-    if let Some(d) = &sol.degraded {
-        recorder.add("solver.degraded", 1);
-        recorder.event(format_args!(
-            "{}: degraded ({}) after {} states",
-            algorithm.name(),
-            d.reason.name(),
-            d.states_visited,
-        ));
-    }
+    });
     recorder.event(format_args!(
         "{}: doi={:.4} cost={} states={}",
         algorithm.name(),
@@ -310,7 +294,34 @@ pub fn solve_p2_budgeted(
         sol.cost_blocks,
         sol.instrument.states_examined,
     ));
-    drop(span);
+    sol
+}
+
+/// Runs `solve` under a span named `name` and tags a degraded incumbent
+/// from `token`. Every dispatched search ends here, so this is the one
+/// place that counts `solver.degraded` and logs why. Two-phase algorithms
+/// flush their counters per phase; everything else flushes its blended
+/// total here, inside the span.
+pub(crate) fn traced(
+    recorder: &dyn Recorder,
+    name: &'static str,
+    token: &CancelToken,
+    solve: impl FnOnce() -> Solution,
+) -> Solution {
+    let _span = span_guard(recorder, name);
+    let mut sol = solve();
+    sol.degraded = token.degraded_info();
+    if sol.phases.is_empty() {
+        sol.instrument.flush_to(recorder);
+    }
+    if let Some(d) = &sol.degraded {
+        recorder.add("solver.degraded", 1);
+        recorder.event(format_args!(
+            "{name}: degraded ({}) after {} states",
+            d.reason.name(),
+            d.states_visited,
+        ));
+    }
     sol
 }
 

@@ -23,9 +23,11 @@
 //! oversized spaces) say nothing about downstream health and must be
 //! recorded as successes or not at all.
 //!
-//! All transitions are counted in lock-free counters and mirrored to a
-//! [`Recorder`] (`breaker.opened` / `breaker.half_open` / `breaker.closed`
-//! counters, `breaker.state` gauge) so `/metrics` can expose them.
+//! All transitions are counted in lock-free counters
+//! ([`CircuitBreaker::counters`]) and the trips and closes are mirrored to
+//! a [`Recorder`] as `breaker.opened` / `breaker.closed` counters. The
+//! state itself is read from [`CircuitBreaker::state`]; `/metrics` exports
+//! it as the one `cqp_breaker_state` gauge.
 //!
 //! [`CqpError::is_transient`]: crate::error::CqpError::is_transient
 
@@ -182,7 +184,7 @@ impl CircuitBreaker {
     /// Reports the outcome of an admitted request. Callers should pass
     /// `success=false` only for transient faults — a client fault says
     /// nothing about downstream health. Transitions are mirrored to
-    /// `recorder` as `breaker.*` counters and the `breaker.state` gauge.
+    /// `recorder` as `breaker.*` counters.
     pub fn record(&self, success: bool, recorder: &dyn Recorder) {
         let mut inner = self.lock();
         match inner.state {
@@ -222,7 +224,6 @@ impl CircuitBreaker {
             // tripped; its outcome is stale and says nothing new.
             BreakerState::Open => {}
         }
-        recorder.set_gauge("breaker.state", inner.state.gauge());
     }
 
     /// The current state (resolving an elapsed cooldown requires an
@@ -391,7 +392,6 @@ mod tests {
         let reg = obs.registry();
         assert_eq!(reg.counter("breaker.opened"), 1);
         assert_eq!(reg.counter("breaker.closed"), 1);
-        assert_eq!(reg.gauge("breaker.state"), Some(0.0));
     }
 
     #[test]

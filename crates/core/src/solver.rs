@@ -11,7 +11,7 @@
 //! them.
 
 use crate::algorithms::{
-    branch_bound, exhaustive, general, solve_p2_budgeted, Algorithm, Solution,
+    branch_bound, exhaustive, general, solve_p2_budgeted, traced, Algorithm, Solution,
 };
 use crate::budget::{Budget, CancelToken};
 use crate::construct::construct;
@@ -373,21 +373,6 @@ fn search_recorded(
             general::solve_bounded(space, conj, problem, &token)
         }),
     }
-}
-
-/// Runs `solve` under a span named `name`, then tags a degraded incumbent
-/// and flushes its counters inside that span.
-fn traced(
-    recorder: &dyn Recorder,
-    name: &'static str,
-    token: &CancelToken,
-    solve: impl FnOnce() -> Solution,
-) -> Solution {
-    let _span = span_guard(recorder, name);
-    let mut sol = solve();
-    sol.degraded = token.degraded_info();
-    sol.instrument.flush_to(recorder);
-    sol
 }
 
 #[cfg(test)]

@@ -5,10 +5,14 @@
 //! query — and, since the registry is `Sync`, across the workers of a
 //! parallel batch. Counters and gauges are lock-free atomics once created
 //! (a `RwLock` guards only map growth); histograms sit behind one `Mutex`.
+//! Every lock recovers from poisoning, as the span capture's does: a guard
+//! only inserts a name or bumps one histogram, so a panic elsewhere under
+//! it leaves valid data, and it must not turn every later metric write on
+//! the serving path into a panic too.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Number of linear sub-buckets per power-of-two magnitude group.
 const SUB_BUCKETS: u64 = 4;
@@ -228,7 +232,7 @@ impl Registry {
     /// Adds `delta` to the named monotonic counter.
     pub fn add(&self, name: &'static str, delta: u64) {
         {
-            let map = self.counters.read().unwrap();
+            let map = self.counters.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(c) = map.get(name) {
                 c.fetch_add(delta, Ordering::Relaxed);
                 return;
@@ -236,7 +240,7 @@ impl Registry {
         }
         self.counters
             .write()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name)
             .or_insert_with(|| AtomicU64::new(0))
             .fetch_add(delta, Ordering::Relaxed);
@@ -246,7 +250,7 @@ impl Registry {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
             .read()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
@@ -255,7 +259,7 @@ impl Registry {
     pub fn set_gauge(&self, name: &'static str, value: f64) {
         let bits = value.to_bits();
         {
-            let map = self.gauges.read().unwrap();
+            let map = self.gauges.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(g) = map.get(name) {
                 g.store(bits, Ordering::Relaxed);
                 return;
@@ -263,7 +267,7 @@ impl Registry {
         }
         self.gauges
             .write()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name)
             .or_insert_with(|| AtomicU64::new(bits))
             .store(bits, Ordering::Relaxed);
@@ -273,7 +277,7 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges
             .read()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .map(|g| f64::from_bits(g.load(Ordering::Relaxed)))
     }
@@ -282,7 +286,7 @@ impl Registry {
     pub fn observe(&self, name: &'static str, value: u64) {
         self.histograms
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name)
             .or_default()
             .observe(value);
@@ -292,7 +296,7 @@ impl Registry {
     pub fn histogram_buckets(&self, name: &str) -> Vec<(u64, u64)> {
         self.histograms
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .map(|h| h.nonzero_buckets())
             .unwrap_or_default()
@@ -300,7 +304,11 @@ impl Registry {
 
     /// A point-in-time copy of the named histogram, if ever observed.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.histograms.lock().unwrap().get(name).cloned()
+        self.histograms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .cloned()
     }
 
     /// Point-in-time copy of every metric.
@@ -309,21 +317,21 @@ impl Registry {
             counters: self
                 .counters
                 .read()
-                .unwrap()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(&k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
                 .collect(),
             gauges: self
                 .gauges
                 .read()
-                .unwrap()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(&k, v)| (k.to_string(), f64::from_bits(v.load(Ordering::Relaxed))))
                 .collect(),
             histograms: self
                 .histograms
                 .lock()
-                .unwrap()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(&k, h)| (k.to_string(), h.summary()))
                 .collect(),

@@ -1362,16 +1362,11 @@ fn metrics(state: &ServerState) -> Response {
         "Dispatch retries after a caught panic.",
         state.driver.submit_retries(),
     );
-    let breaker_state = state.breaker.state();
     let (br_opened, br_half, br_closed, br_shed) = state.breaker.counters();
     w.gauge(
         "cqp_breaker_state",
         "Circuit breaker: 0 closed, 1 half-open, 2 open.",
-        match breaker_state {
-            BreakerState::Closed => 0.0,
-            BreakerState::HalfOpen => 1.0,
-            BreakerState::Open => 2.0,
-        },
+        state.breaker.state().gauge(),
     );
     w.family(
         "cqp_breaker_transitions_total",

@@ -8,7 +8,7 @@ use cqp_core::budget::{Budget, CancelToken, DegradeReason};
 use cqp_core::construct::{construct, ConstructError};
 use cqp_core::prelude::*;
 use cqp_engine::QueryBuilder;
-use cqp_obs::NoopRecorder;
+use cqp_obs::{NoopRecorder, Obs};
 use cqp_prefs::{ConjModel, Doi, Profile};
 use cqp_prefspace::{PrefParams, PreferenceSpace};
 use cqp_storage::{DataType, Database, RelationSchema, Value};
@@ -95,7 +95,8 @@ const ALL_P2_SEARCHERS: [Algorithm; 7] = [
 
 /// Acceptance gate: `CqpSystem::personalize` with a 0-ms deadline returns a
 /// `Degraded`-tagged solution — never a hang, never a panic — for all five
-/// paper algorithms (plus the exact baselines).
+/// paper algorithms (plus the exact baselines), and counts it once in
+/// `solver.degraded`.
 #[test]
 fn zero_deadline_degrades_every_algorithm_through_the_facade() {
     let db = movie_db();
@@ -112,8 +113,9 @@ fn zero_deadline_degrades_every_algorithm_through_the_facade() {
             budget: Budget::with_deadline_ms(0),
             ..Default::default()
         };
+        let obs = Obs::new();
         let outcome = system
-            .personalize(&base, &profile, &ProblemSpec::p2(100), &config)
+            .personalize_recorded(&base, &profile, &ProblemSpec::p2(100), &config, &obs)
             .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
         let d = outcome
             .solution
@@ -121,6 +123,12 @@ fn zero_deadline_degrades_every_algorithm_through_the_facade() {
             .unwrap_or_else(|| panic!("{} did not degrade", algo.name()));
         assert_eq!(d.reason, DegradeReason::DeadlineExceeded, "{}", algo.name());
         assert!(d.states_visited >= 1, "{}", algo.name());
+        assert_eq!(
+            obs.registry().counter("solver.degraded"),
+            1,
+            "{}",
+            algo.name()
+        );
     }
 }
 
@@ -146,13 +154,15 @@ fn zero_deadline_degrades_the_general_search_on_every_problem_variant() {
             budget: Budget::with_deadline_ms(0),
             ..Default::default()
         };
+        let obs = Obs::new();
         let outcome = system
-            .personalize(&base, &profile, problem, &config)
+            .personalize_recorded(&base, &profile, problem, &config, &obs)
             .unwrap();
         assert!(
             outcome.solution.degraded.is_some(),
             "{problem:?} did not degrade"
         );
+        assert_eq!(obs.registry().counter("solver.degraded"), 1, "{problem:?}");
     }
 }
 
@@ -334,12 +344,19 @@ fn zero_deadline_degrades_partitioned_searches() {
             budget: Budget::with_deadline_ms(0),
             ..Default::default()
         };
+        let obs = Obs::new();
         let outcome = system
-            .personalize(&base, &profile, &ProblemSpec::p2(100), &config)
+            .personalize_recorded(&base, &profile, &ProblemSpec::p2(100), &config, &obs)
             .unwrap();
         assert!(
             outcome.solution.degraded.is_some(),
             "{} (4 threads) did not degrade",
+            algo.name()
+        );
+        assert_eq!(
+            obs.registry().counter("solver.degraded"),
+            1,
+            "{} (4 threads)",
             algo.name()
         );
     }

@@ -288,8 +288,20 @@ fn router_endpoints_and_replica_roles() {
     assert_eq!(body.get("policy").and_then(Json::as_str), Some("divergent"));
     assert!(matches!(body.get("groups"), Some(Json::Arr(groups)) if groups.len() == 1));
 
+    // A router-made 404 and a backend 404 the router relays parse the
+    // same way: `{"error": {"code", "message"}}`.
+    let error_code = |resp: &ClientResponse| -> Option<String> {
+        let body = json::parse(&resp.body_text()).ok()?;
+        let error = body.get("error")?;
+        error.get("message")?.as_str()?;
+        error.get("code")?.as_str().map(str::to_string)
+    };
     let missing = request(addr, "GET", "/metrics", None);
     assert_eq!(missing.status, 404, "per-replica endpoints are not routed");
+    assert_eq!(error_code(&missing).as_deref(), Some("not_routable"));
+    let relayed = request(addr, "GET", "/profiles/nobody", None);
+    assert_eq!(relayed.status, 404, "{}", relayed.body_text());
+    assert_eq!(error_code(&relayed).as_deref(), Some("unknown_user"));
 
     // Replica roles: the primary reports `primary`, the follower
     // `follower`, and a direct write to the follower is refused.

@@ -3,9 +3,9 @@
 //! the `reproduce` binary trustworthy without paying default-scale runtimes
 //! in CI.
 
-use cqp_bench::experiments::{self, FIG12_ALGORITHMS, FIG14_ALGORITHMS};
+use cqp_bench::build_workload;
+use cqp_bench::experiments::{self, Cell, CsvRow, FIG12_ALGORITHMS, FIG14_ALGORITHMS};
 use cqp_bench::harness::{supreme_cost_blocks, Scale};
-use cqp_bench::{build_workload, csvout};
 
 fn tiny() -> cqp_bench::Workload {
     build_workload(&Scale::tiny())
@@ -15,7 +15,8 @@ fn tiny() -> cqp_bench::Workload {
 fn fig12a_rows_cover_every_algorithm_and_k() {
     let w = tiny();
     let ks = [4usize, 6];
-    let rows = experiments::fig12a(&w, &ks, &FIG12_ALGORITHMS);
+    let cells = Cell::k_sweep(&ks, |_| FIG12_ALGORITHMS.to_vec());
+    let (rows, _) = experiments::fig12a(&w, &cells, 1);
     assert_eq!(rows.len(), ks.len() * FIG12_ALGORITHMS.len());
     for r in &rows {
         assert!(r.seconds >= 0.0);
@@ -37,7 +38,7 @@ fn fig12a_rows_cover_every_algorithm_and_k() {
 #[test]
 fn fig12b_prefspace_times_are_sane() {
     let w = tiny();
-    let rows = experiments::fig12b(&w, &[4, 8]);
+    let (rows, _) = experiments::fig12b(&w, &[4, 8]);
     assert_eq!(rows.len(), 4); // 2 Ks × 2 variants
     for r in &rows {
         assert!(r.seconds >= 0.0);
@@ -48,7 +49,8 @@ fn fig12b_prefspace_times_are_sane() {
 #[test]
 fn fig12c_sweeps_percent_of_supreme() {
     let w = tiny();
-    let rows = experiments::fig12c(&w, 6, &[20, 60, 100], &FIG12_ALGORITHMS);
+    let cells = Cell::percent_sweep(6, &[20, 60, 100], &FIG12_ALGORITHMS);
+    let (rows, _) = experiments::fig12c(&w, &cells, 1);
     assert_eq!(rows.len(), 3 * FIG12_ALGORITHMS.len());
     // At 100% everything is feasible: a single climb, minimal states.
     let at_100: Vec<_> = rows.iter().filter(|r| r.x == 100.0).collect();
@@ -64,7 +66,8 @@ fn fig12c_sweeps_percent_of_supreme() {
 #[test]
 fn fig13_memory_rows_are_positive_where_search_happens() {
     let w = tiny();
-    let rows = experiments::fig13a(&w, &[6], &FIG12_ALGORITHMS);
+    let cells = Cell::k_sweep(&[6], |_| FIG12_ALGORITHMS.to_vec());
+    let (rows, _) = experiments::fig13a(&w, &cells, 1);
     assert_eq!(rows.len(), FIG12_ALGORITHMS.len());
     for r in &rows {
         assert!(r.kbytes >= 0.0);
@@ -74,7 +77,8 @@ fn fig13_memory_rows_are_positive_where_search_happens() {
 #[test]
 fn fig14_quality_gaps_nonnegative_and_heuristics_listed() {
     let w = tiny();
-    let rows = experiments::fig14a(&w, &[6], cqp_prefs::ConjModel::NoisyOr);
+    let cells = Cell::k_sweep(&[6], |_| FIG14_ALGORITHMS.to_vec());
+    let (rows, _) = experiments::fig14a(&w, &cells, cqp_prefs::ConjModel::NoisyOr, 1);
     assert_eq!(rows.len(), FIG14_ALGORITHMS.len());
     for r in &rows {
         assert!(r.quality_gap >= 0.0, "{} gap negative", r.algorithm);
@@ -85,7 +89,7 @@ fn fig14_quality_gaps_nonnegative_and_heuristics_listed() {
 #[test]
 fn fig15_estimate_tracks_measurement() {
     let w = tiny();
-    let rows = experiments::fig15(&w, &[3, 6]);
+    let (rows, _) = experiments::fig15(&w, &[3, 6]);
     assert_eq!(rows.len(), 2);
     for r in &rows {
         assert!(r.estimated_ms > 0.0);
@@ -100,7 +104,7 @@ fn fig15_estimate_tracks_measurement() {
 #[test]
 fn table1_solves_all_six_and_matches_exact_where_guaranteed() {
     let w = tiny();
-    let rows = experiments::table1(&w, 8);
+    let (rows, _) = experiments::table1(&w, 8);
     assert_eq!(rows.len(), 6);
     for r in &rows {
         assert!((1..=6).contains(&r.problem));
@@ -124,40 +128,64 @@ fn table1_solves_all_six_and_matches_exact_where_guaranteed() {
 #[test]
 fn ablations_run_at_tiny_scale() {
     let w = tiny();
-    let rows = experiments::ablation_generic(&w, 6);
+    let (rows, _) = experiments::ablation_generic(&w, 6, 1);
     assert!(rows.len() >= 6);
     for (t, q) in &rows {
         assert!(t.seconds >= 0.0);
         assert!(q.quality_gap >= 0.0);
     }
-    let models = experiments::ablation_doi_model(&w, &[5]);
+    let models = experiments::ablation_doi_model(&w, &[5], 1);
     assert_eq!(models.len(), 3);
-    let budget = experiments::ablation_annealing_budget(&w, 6, &[100, 400]);
+    let (budget, _) = experiments::ablation_annealing_budget(&w, 6, &[100, 400]);
     assert_eq!(budget.len(), 2);
     assert!(budget[0].x < budget[1].x);
+}
+
+/// Every row kind renders one CSV line with as many fields as its header
+/// names (the Table 1 spec is one quoted field).
+fn csv_table<R: CsvRow>(rows: &[R]) -> Vec<String> {
+    let columns = R::HEADER.split(',').count();
+    let lines: Vec<String> = rows.iter().map(CsvRow::csv).collect();
+    for line in &lines {
+        let unquoted: String = line.split('"').step_by(2).collect::<Vec<_>>().join("spec");
+        assert_eq!(
+            unquoted.split(',').count(),
+            columns,
+            "{}: {line}",
+            R::HEADER
+        );
+    }
+    lines
 }
 
 #[test]
 fn csv_writers_roundtrip_every_row_kind() {
     let w = tiny();
-    let dir = std::env::temp_dir().join("cqp_harness_csv_test");
-    let times = experiments::fig12a(&w, &[4], &[cqp_core::Algorithm::CMaxBounds]);
-    csvout::write_times(&dir, "t", &times).unwrap();
-    let mem = experiments::fig13a(&w, &[4], &[cqp_core::Algorithm::CMaxBounds]);
-    csvout::write_memory(&dir, "m", &mem).unwrap();
-    let qual = experiments::fig14a(&w, &[4], cqp_prefs::ConjModel::NoisyOr);
-    csvout::write_quality(&dir, "q", &qual).unwrap();
-    let pres = experiments::fig12b(&w, &[4]);
-    csvout::write_prefsel(&dir, "p", &pres).unwrap();
-    let cm = experiments::fig15(&w, &[3]);
-    csvout::write_costmodel(&dir, "c", &cm).unwrap();
-    let probs = experiments::table1(&w, 6);
-    csvout::write_problems(&dir, "x", &probs).unwrap();
-    for f in ["t", "m", "q", "p", "c", "x"] {
-        let content = std::fs::read_to_string(dir.join(format!("{f}.csv"))).unwrap();
-        assert!(content.lines().count() >= 2, "{f}.csv lacks data rows");
+    let cells = Cell::k_sweep(&[4], |_| vec![cqp_core::Algorithm::CMaxBounds]);
+    let times = experiments::fig12a(&w, &cells, 1).0;
+    let mem = experiments::fig13a(&w, &cells, 1).0;
+    let quality_cells = Cell::k_sweep(&[4], |_| FIG14_ALGORITHMS.to_vec());
+    let qual = experiments::fig14a(&w, &quality_cells, cqp_prefs::ConjModel::NoisyOr, 1).0;
+    let pres = experiments::fig12b(&w, &[4]).0;
+    let cm = experiments::fig15(&w, &[3]).0;
+    let probs = experiments::table1(&w, 6).0;
+    let blocks = experiments::ablation_block_size(&[32], 4).0;
+    for lines in [
+        csv_table(&times),
+        csv_table(&mem),
+        csv_table(&qual),
+        csv_table(&pres),
+        csv_table(&cm),
+        csv_table(&probs),
+        csv_table(&blocks),
+    ] {
+        assert!(!lines.is_empty(), "a table lacks data rows");
     }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        experiments::AlgoTimeRow::HEADER,
+        "x,algorithm,seconds,states"
+    );
+    assert!(times[0].csv().starts_with("4,C_MaxBounds,"));
 }
 
 #[test]

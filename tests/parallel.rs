@@ -2,13 +2,14 @@
 //! bit-identical to the sequential one — same selected preferences, same
 //! doi, same cost, same result size — for every paper algorithm.
 
-use cqp_bench::experiments;
+use cqp_bench::experiments::{self, Cell, CsvRow, FIG14_ALGORITHMS};
 use cqp_bench::{build_workload, Scale};
 use cqp_core::batch::{BatchDriver, BatchRequest};
 use cqp_core::prelude::*;
 use cqp_core::solver::Parallelism;
 use cqp_engine::QueryBuilder;
-use cqp_prefs::Profile;
+use cqp_obs::{Json, RunReport};
+use cqp_prefs::{ConjModel, Profile};
 use cqp_storage::{DataType, Database, RelationSchema, Value};
 use std::sync::Arc;
 
@@ -179,36 +180,118 @@ fn partitioned_exact_solvers_match_sequential_through_solver_config() {
     }
 }
 
+/// `json` without the timing fields (`secs`, `mean_seconds`).
+fn untimed(json: Json) -> Json {
+    match json {
+        Json::Obj(members) => Json::Obj(
+            members
+                .into_iter()
+                .filter(|(key, _)| key != "secs" && key != "mean_seconds")
+                .map(|(key, value)| (key, untimed(value)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(untimed).collect()),
+        other => other,
+    }
+}
+
+/// A sweep's CSV lines without the `seconds` column, and its report
+/// lines without timing.
+fn untimed_table<R: CsvRow>((rows, reports): (Vec<R>, Vec<RunReport>)) -> [Vec<String>; 2] {
+    let seconds = R::HEADER.split(',').position(|column| column == "seconds");
+    let lines = rows
+        .iter()
+        .map(|row| {
+            let csv = row.csv();
+            let fields: Vec<&str> = csv.split(',').collect();
+            (0..fields.len())
+                .filter(|&i| Some(i) != seconds)
+                .map(|i| fields[i])
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect();
+    let reports = reports
+        .iter()
+        .map(|r| untimed(r.to_json()).render())
+        .collect();
+    [lines, reports]
+}
+
+/// Every Figure 12–14 sweep and the generic ablation return the same rows
+/// and report lines, in cell order, at 1 and at 4 pool threads once the
+/// timing fields are removed.
 #[test]
 fn parallel_fig12_grid_preserves_cell_order() {
     let w = build_workload(&Scale::tiny());
-    let cells: Vec<(usize, Algorithm)> = [4usize, 6]
-        .iter()
-        .flat_map(|&k| {
-            [
-                Algorithm::CBoundaries,
-                Algorithm::CMaxBounds,
-                Algorithm::DHeurDoi,
-            ]
-            .into_iter()
-            .map(move |a| (k, a))
-        })
-        .collect();
-    let mut seq_reports = Vec::new();
-    let mut par_reports = Vec::new();
-    let seq = experiments::fig12a_parallel(&w, &cells, 1, &mut seq_reports);
-    let par = experiments::fig12a_parallel(&w, &cells, 4, &mut par_reports);
-    assert_eq!(seq.len(), cells.len());
-    assert_eq!(par.len(), cells.len());
-    for ((row_s, row_p), (k, algo)) in seq.iter().zip(&par).zip(&cells) {
-        assert_eq!(row_s.x, *k as f64);
-        assert_eq!(row_p.x, *k as f64);
-        assert_eq!(row_s.algorithm, algo.name());
-        assert_eq!(row_p.algorithm, algo.name());
-        // Work counters are deterministic for these sequential-per-cell
-        // algorithms, so they must agree across pool widths.
-        assert_eq!(row_s.states, row_p.states);
+    let algorithms = [
+        Algorithm::CBoundaries,
+        Algorithm::CMaxBounds,
+        Algorithm::DHeurDoi,
+    ];
+    let k_cells = Cell::k_sweep(&[4, 6], |_| algorithms.to_vec());
+    let percent_cells = Cell::percent_sweep(6, &[30, 60], &algorithms);
+    let quality_k = Cell::k_sweep(&[4, 6], |_| FIG14_ALGORITHMS.to_vec());
+    let quality_percent = Cell::percent_sweep(6, &[30, 60], &FIG14_ALGORITHMS);
+    let noisy_or = ConjModel::NoisyOr;
+    type Sweep<'a> = Box<dyn Fn(usize) -> [Vec<String>; 2] + 'a>;
+    let sweeps: Vec<(&str, usize, Sweep)> = vec![
+        (
+            "fig12a",
+            k_cells.len(),
+            Box::new(|t| untimed_table(experiments::fig12a(&w, &k_cells, t))),
+        ),
+        (
+            "fig12c",
+            percent_cells.len(),
+            Box::new(|t| untimed_table(experiments::fig12c(&w, &percent_cells, t))),
+        ),
+        (
+            "fig13a",
+            k_cells.len(),
+            Box::new(|t| untimed_table(experiments::fig13a(&w, &k_cells, t))),
+        ),
+        (
+            "fig13b",
+            percent_cells.len(),
+            Box::new(|t| untimed_table(experiments::fig13b(&w, &percent_cells, t))),
+        ),
+        (
+            "fig14a",
+            quality_k.len(),
+            Box::new(|t| untimed_table(experiments::fig14a(&w, &quality_k, noisy_or, t))),
+        ),
+        (
+            "fig14b",
+            quality_percent.len(),
+            Box::new(|t| untimed_table(experiments::fig14b(&w, &quality_percent, noisy_or, t))),
+        ),
+        (
+            "ablation_generic",
+            7,
+            Box::new(|t| {
+                let (rows, reports) = experiments::ablation_generic(&w, 6, t);
+                let (times, gaps): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+                let [mut lines, reports] = untimed_table((times, reports));
+                lines.extend(untimed_table((gaps, Vec::new()))[0].clone());
+                [lines, reports]
+            }),
+        ),
+    ];
+    for (name, cells, sweep) in &sweeps {
+        let [seq_rows, seq_reports] = sweep(1);
+        let [par_rows, par_reports] = sweep(4);
+        assert_eq!(seq_reports.len(), *cells, "{name}: one report per cell");
+        assert_eq!(seq_rows, par_rows, "{name}: rows differ across pool widths");
+        assert_eq!(
+            seq_reports, par_reports,
+            "{name}: report lines differ across pool widths"
+        );
     }
-    assert_eq!(seq_reports.len(), cells.len());
-    assert_eq!(par_reports.len(), cells.len());
+    let (rows, reports) = experiments::fig12a(&w, &k_cells, 4);
+    for ((row, report), cell) in rows.iter().zip(&reports).zip(&k_cells) {
+        assert_eq!(row.x, cell.k as f64);
+        assert_eq!(row.algorithm, cell.algorithm.name());
+        assert_eq!(report.label, cell.algorithm.name());
+    }
 }

@@ -532,12 +532,9 @@ fn read_retry_budget_sheds_with_retry_after_when_exhausted() {
     let mut shed: Option<ClientResponse> = None;
     for _ in 0..400 {
         let resp = request(router.addr(), "POST", "/personalize", Some(&body));
-        if resp.status == 503 {
-            let body = json::parse(&resp.body_text()).unwrap_or(Json::Null);
-            if body.get("error").and_then(Json::as_str) == Some("retry_budget_exhausted") {
-                shed = Some(resp);
-                break;
-            }
+        if resp.status == 503 && error_code(&resp).as_deref() == Some("retry_budget_exhausted") {
+            shed = Some(resp);
+            break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }

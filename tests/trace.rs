@@ -299,6 +299,21 @@ fn sampling_does_not_change_what_metrics_count() {
     assert_eq!(value("cqp_batch_latency_us_count"), sent);
     assert_eq!(off.get("cqp_traces_captured_total"), Some(&0.0));
     assert_eq!(full.get("cqp_traces_captured_total"), Some(&sent));
+    // A scrape rejects an exposition that declares one family twice.
+    for h in &servers {
+        let text = request(h.addr(), "GET", "/metrics", &[], None).body_text();
+        let mut declared: BTreeMap<&str, usize> = BTreeMap::new();
+        for line in text.lines() {
+            if let Some(name) = line
+                .strip_prefix("# TYPE ")
+                .and_then(|rest| rest.split_whitespace().next())
+            {
+                *declared.entry(name).or_default() += 1;
+            }
+        }
+        let repeated: Vec<_> = declared.iter().filter(|(_, &n)| n > 1).collect();
+        assert!(repeated.is_empty(), "families declared twice: {repeated:?}");
+    }
     for h in &mut servers {
         h.stop();
     }

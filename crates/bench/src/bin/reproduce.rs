@@ -28,15 +28,10 @@
 //!   resilience seeded fault-injection batch + deadline sweep (degradation rates)
 //!   obs       tracing overhead off/sampled/100% + captured degraded trace +
 //!             Chrome trace dump (BENCH_obs.json, trace_chrome.json)
-//!   recovery  WAL crash differential + drain quantiles + breaker trips
-//!             (BENCH_recovery.json)
-//!   cluster   distributed tier: SIGKILL-failover write-loss audit against
-//!             child serverd pairs + divergent-vs-uniform replica routing
-//!             + ring balance (BENCH_cluster.json)
-//!   partition seeded split-brain and nemesis-churn schedules against a
-//!             nemesis-fronted cluster: epoch fencing on the stale face,
-//!             zero lost acked writes by the consistency checker
-//!             (BENCH_partition.json)
+//!
+//! The serving tier's crash, drain, failover and partition guarantees are
+//! checked by the socket suites (tests/recovery.rs, tests/chaos.rs,
+//! tests/cluster.rs, tests/partition.rs), not here.
 //!
 //! --threads N fans the cells of the Figure 12-14 sweeps and the generic
 //! ablation, and the batch driver, across N work-stealing workers
@@ -48,7 +43,7 @@
 
 use cqp_bench::csvout;
 use cqp_bench::experiments::{self, Cell, CsvRow, FIG12_ALGORITHMS, FIG14_ALGORITHMS};
-use cqp_bench::load::{run_load, run_load_targets, LoadConfig, LoadReport};
+use cqp_bench::load::{run_load, LoadConfig, LoadReport};
 use cqp_bench::{build_workload, harness::Scale, Workload};
 use cqp_core::algorithms::{c_boundaries, c_maxbounds, Algorithm};
 use cqp_core::batch::{BatchDriver, BatchRequest, RetryPolicy};
@@ -64,7 +59,7 @@ use cqp_storage::{FaultMode, FaultPlan};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One experiment: it reads the workload and the command line's knobs and
 /// returns what [`write`] puts under `--out`.
@@ -72,7 +67,7 @@ type Run = fn(&Ctx) -> Vec<Output>;
 
 /// Every experiment, in run order: its name, the other command-line names
 /// that select it (`all` selects every one) and its run.
-const EXPERIMENTS: [(&str, &[&str], Run); 18] = [
+const EXPERIMENTS: [(&str, &[&str], Run); 15] = [
     ("fig12a", &["fig12"], fig12a),
     ("fig12b", &["fig12"], fig12b),
     ("fig12c", &["fig12", "fig12d"], fig12c),
@@ -88,9 +83,6 @@ const EXPERIMENTS: [(&str, &[&str], Run); 18] = [
     ("ablate", &[], ablations),
     ("resilience", &[], resilience),
     ("obs", &[], obs_experiment),
-    ("recovery", &[], recovery),
-    ("cluster", &[], cluster_experiment),
-    ("partition", &[], partition_experiment),
 ];
 
 /// Whether the command-line name `arg` selects the experiment `name`.
@@ -708,7 +700,6 @@ fn obs_experiment(c: &Ctx) -> Vec<Output> {
         zero_deadline_permille: 150,
         top_k_choices: vec![-1, 2, 4],
         trace_every,
-        zipf_theta: 0.0,
     };
 
     // Best-of-N with the modes *interleaved*: closed-loop throughput in a
@@ -943,309 +934,10 @@ fn obs_experiment(c: &Ctx) -> Vec<Output> {
     ]
 }
 
-/// Recovery experiment: the crash-safety face of the serving layer.
-///
-/// Four measurements: (1) a crash differential — a WAL-backed session
-/// store is killed mid-write-burst at seeded byte offsets and every
-/// replayed store must equal the reference store holding exactly the
-/// records that were fully on disk; (2) cold replay throughput over the
-/// full log; (3) graceful-drain latency quantiles over repeated
-/// boot/drain cycles, each with an idle connection and a request that
-/// finishes its arrival mid-drain (answered `503 + Connection: close`);
-/// (4) deterministic circuit-breaker trip/half-open/close counts under
-/// first-K injected faults. Emits `BENCH_recovery.json` plus a
-/// `recovery.report.jsonl` run report in `out`.
-fn recovery(c: &Ctx) -> Vec<Output> {
-    use cqp_core::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-    use cqp_server::http::parse_response;
-    use cqp_server::server::Phase;
-    use cqp_server::SessionStore;
-    use std::io::{BufReader, Read, Write};
-    use std::net::TcpStream;
-
-    let w = &c.w;
-    let catalog = w.db.catalog();
-    let seed: u64 = 0x5E55_10F5;
-    let n_ops = 240usize;
-    let n_users = w.profiles.len().max(1);
-    let op = |i: usize| {
-        (
-            format!("user{:04}", i % n_users + 1),
-            &w.profiles[(i * 7 + 3) % n_users],
-        )
-    };
-    let reference_dump = |k: usize| {
-        let store = SessionStore::new(8);
-        for i in 0..k {
-            let (user, profile) = op(i);
-            store.put(&user, profile.clone());
-        }
-        store.dump(catalog)
-    };
-
-    // (1) Write burst through the durable store, then crash replicas of
-    // its log at seeded offsets and diff each replay.
-    let wal_root = c.out.join("recovery-wal");
-    let _ = std::fs::remove_dir_all(&wal_root);
-    let burst_dir = wal_root.join("burst");
-    let (store, fresh) = SessionStore::recover(8, &burst_dir, catalog).expect("fresh store");
-    assert_eq!(fresh.records_replayed(), 0);
-    for i in 0..n_ops {
-        let (user, profile) = op(i);
-        store.put(&user, profile.clone());
-    }
-    let uncrashed = store.dump(catalog);
-    drop(store);
-    let log = std::fs::read(burst_dir.join("log.wal")).expect("read log");
-    // Every frame is newline-terminated and payloads escape raw
-    // newlines, so each `\n` ends one record.
-    let mut bounds = vec![0usize];
-    bounds.extend(
-        log.iter()
-            .enumerate()
-            .filter(|(_, c)| **c == b'\n')
-            .map(|(i, _)| i + 1),
-    );
-    assert_eq!(bounds.len(), n_ops + 1, "one WAL record per put");
-
-    let crash_points = 8usize;
-    let mut replays_exact = 0usize;
-    for p in 0..crash_points {
-        let mut r = seed ^ (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        r ^= r >> 30;
-        r = r.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        r ^= r >> 27;
-        let cut = (r as usize) % (log.len() + 1);
-        let complete = bounds.iter().filter(|b| **b <= cut).count() - 1;
-        let dir = wal_root.join(format!("crash{p}"));
-        std::fs::create_dir_all(&dir).expect("crash dir");
-        std::fs::write(dir.join("log.wal"), &log[..cut]).expect("crash image");
-        let (replayed, report) = SessionStore::recover(8, &dir, catalog).expect("replay");
-        assert_eq!(report.records_replayed(), complete as u64, "cut {cut}");
-        assert_eq!(
-            replayed.dump(catalog),
-            reference_dump(complete),
-            "crash point {p} (cut {cut}, {complete} records) must replay exactly"
-        );
-        replays_exact += 1;
-    }
-
-    // (2) Cold replay throughput over the intact log.
-    let (full, replay) = SessionStore::recover(8, &burst_dir, catalog).expect("full replay");
-    assert_eq!(full.dump(catalog), uncrashed, "uncrashed differential");
-    assert_eq!(replay.records_replayed(), n_ops as u64);
-    assert_eq!(replay.torn_tail_bytes, 0);
-    let replay_secs = replay.replay_secs.max(1e-9);
-    let records_per_sec = replay.records_replayed() as f64 / replay_secs;
-    let bytes_per_sec = replay.bytes_replayed as f64 / replay_secs;
-    drop(full);
-    println!(
-        "--- recovery: {} records, {} crash points replayed exactly; \
-         cold replay {:.0} rec/s ({:.1} MB/s) ---",
-        n_ops,
-        replays_exact,
-        records_per_sec,
-        bytes_per_sec / 1e6,
-    );
-
-    // (3) Drain latency: boot, open an idle connection plus a request
-    // whose body arrives only after the drain begins, then shut down.
-    let db = Arc::new(w.db.clone());
-    let drain_iters = 20usize;
-    let mut drain_hist = cqp_obs::Histogram::default();
-    let mut graceful = 0usize;
-    let mut forced_total = 0usize;
-    let mut rejected_503 = 0usize;
-    for _ in 0..drain_iters {
-        let handle = cqp_server::start(
-            Arc::clone(&db),
-            cqp_server::ServerConfig {
-                seed_users: 0,
-                read_timeout_ms: 5_000,
-                drain_deadline_ms: 5_000,
-                ..cqp_server::ServerConfig::default()
-            },
-        )
-        .expect("server start");
-        let addr = handle.addr();
-        let state = Arc::clone(handle.state());
-        let mut conn_mid = TcpStream::connect(addr).expect("conn_mid");
-        conn_mid
-            .write_all(b"POST /profiles/u1 HTTP/1.1\r\nhost: t\r\ncontent-length: 4\r\n\r\n")
-            .expect("head");
-        let mut conn_idle = TcpStream::connect(addr).expect("conn_idle");
-        conn_idle
-            .set_read_timeout(Some(Duration::from_millis(3_000)))
-            .expect("idle timeout");
-        std::thread::sleep(Duration::from_millis(20));
-        let t0 = Instant::now();
-        let drainer = std::thread::spawn(move || {
-            let mut handle = handle;
-            handle.shutdown(Duration::from_millis(5_000))
-        });
-        while state.phase() == Phase::Live {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        conn_mid.write_all(b"body").expect("body");
-        let resp = parse_response(&mut BufReader::new(&mut conn_mid)).expect("mid response");
-        if resp.status == 503 {
-            rejected_503 += 1;
-        }
-        let stats = drainer.join().expect("drainer");
-        drain_hist.observe(t0.elapsed().as_micros() as u64);
-        if stats.graceful {
-            graceful += 1;
-        }
-        forced_total += stats.forced;
-        let mut buf = [0u8; 8];
-        assert_eq!(
-            conn_idle.read(&mut buf).expect("idle EOF"),
-            0,
-            "idle connection must be closed by the drain"
-        );
-        assert_eq!(state.active_connections(), 0);
-    }
-    assert_eq!(graceful, drain_iters, "every drain must finish in time");
-    assert_eq!(forced_total, 0, "no connection may be force-severed");
-    assert_eq!(
-        rejected_503, drain_iters,
-        "mid-drain arrivals get their 503"
-    );
-    println!(
-        "drain ({} cycles): p50 {} us  p95 {} us  max {} us  graceful {}/{}  503s {}",
-        drain_iters,
-        drain_hist.quantile(0.5),
-        drain_hist.quantile(0.95),
-        drain_hist.max(),
-        graceful,
-        drain_iters,
-        rejected_503,
-    );
-
-    // (4) Breaker trips under first-K faults, with retries off so every
-    // injected fault is one transient failure: two failures trip the
-    // breaker, sheds follow, and each cooldown's half-open probe either
-    // re-trips (faults remain) or closes (faults exhausted).
-    let obs = Obs::new();
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-        window: 8,
-        failure_threshold: 0.5,
-        min_samples: 2,
-        cooldown_ms: 50,
-        half_open_probes: 1,
-    }));
-    let driver = BatchDriver::new(Arc::clone(&db), 1)
-        .with_execution(0.0)
-        .with_fault_plan(Arc::new(FaultPlan::new(seed, FaultMode::FirstK { k: 4 })))
-        .with_breaker(Arc::clone(&breaker));
-    let (profile, query) = w.pairs().next().expect("workload pair");
-    let req = || BatchRequest {
-        query: query.clone(),
-        profile: profile.clone(),
-        problem: ProblemSpec::p2(w.scale.cmax_blocks),
-        config: SolverConfig::default(),
-    };
-    let mut shed = 0usize;
-    let mut transient = 0usize;
-    let mut ok = 0usize;
-    for i in 0..8 {
-        if i >= 5 {
-            // Let the cooldown lapse so the next submit is the probe.
-            std::thread::sleep(Duration::from_millis(70));
-        }
-        match driver.submit_recorded(req(), &obs) {
-            Ok(_) => ok += 1,
-            Err(e) if matches!(e.kind(), "circuit_open") => shed += 1,
-            Err(e) => {
-                assert!(e.is_transient(), "unexpected breaker-path error: {e}");
-                transient += 1;
-            }
-        }
-    }
-    let (opened, half_opened, closed, shed_count) = breaker.counters();
-    assert_eq!(
-        (transient, shed, ok),
-        (4, 3, 1),
-        "first-K fault schedule is deterministic"
-    );
-    assert_eq!((opened, half_opened, closed), (3, 3, 1));
-    assert_eq!(shed_count, shed as u64);
-    assert_eq!(breaker.state(), BreakerState::Closed);
-    println!(
-        "breaker: opened {opened}  half-open {half_opened}  closed {closed}  shed {shed_count}  final {}",
-        breaker.state().as_str()
-    );
-
-    let doc = vec![
-        ("scale", Json::Str(w.scale.name.to_string())),
-        ("seed", Json::from(seed)),
-        (
-            "crash_differential",
-            Json::obj(vec![
-                ("records_written", Json::from(n_ops as u64)),
-                ("log_bytes", Json::from(log.len() as u64)),
-                ("crash_points", Json::from(crash_points as u64)),
-                ("replays_exact", Json::from(replays_exact as u64)),
-            ]),
-        ),
-        (
-            "replay",
-            Json::obj(vec![
-                ("records_recovered", Json::from(replay.records_replayed())),
-                ("bytes_replayed", Json::from(replay.bytes_replayed)),
-                ("torn_tail_bytes", Json::from(replay.torn_tail_bytes)),
-                ("replay_secs", Json::from(replay_secs)),
-                ("records_per_sec", Json::from(records_per_sec)),
-                ("bytes_per_sec", Json::from(bytes_per_sec)),
-            ]),
-        ),
-        (
-            "drain",
-            Json::obj(vec![
-                ("iterations", Json::from(drain_iters as u64)),
-                ("graceful", Json::from(graceful as u64)),
-                ("forced", Json::from(forced_total as u64)),
-                ("rejected_503", Json::from(rejected_503 as u64)),
-                (
-                    "latency_us",
-                    Json::obj(vec![
-                        ("p50", Json::from(drain_hist.quantile(0.5))),
-                        ("p95", Json::from(drain_hist.quantile(0.95))),
-                        ("max", Json::from(drain_hist.max())),
-                    ]),
-                ),
-            ]),
-        ),
-        (
-            "breaker",
-            Json::obj(vec![
-                ("submits", Json::from(8u64)),
-                ("transient_failures", Json::from(transient as u64)),
-                ("shed", Json::from(shed_count)),
-                ("opened", Json::from(opened)),
-                ("half_opened", Json::from(half_opened)),
-                ("closed", Json::from(closed)),
-                ("final_state", Json::Str(breaker.state().as_str().into())),
-            ]),
-        ),
-    ];
-    let report = RunReport::from_obs("recovery", "summary", &obs)
-        .with_field("records_written", n_ops as u64)
-        .with_field("replays_exact", replays_exact as u64)
-        .with_field("drain_graceful", graceful as u64)
-        .with_field("breaker_opened", opened);
-    let _ = std::fs::remove_dir_all(&wal_root);
-    println!();
-    vec![
-        Output::Bench("recovery", doc),
-        Output::Reports("recovery", vec![report]),
-    ]
-}
-
-/// The experiments' one-shot HTTP client: one request over a fresh
+/// The obs experiment's one-shot HTTP client: one request over a fresh
 /// connection (`connection: close`), with extra request headers (the
-/// partition legs stamp `x-cqp-epoch`, the obs probe `x-cqp-trace-id`) and
-/// an optional body, sent with its `content-length`.
+/// probe stamps `x-cqp-trace-id`) and an optional body, sent with its
+/// `content-length`.
 fn http(
     addr: SocketAddr,
     method: &str,
@@ -1270,770 +962,4 @@ fn http(
     (&stream).write_all(&payload)?;
     cqp_server::http::parse_response(&mut BufReader::new(stream))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Removes `fields` from every object level of `json` — used to compare
-/// personalize answers minus the per-run fields (`latency_us`, `cache`).
-fn cluster_strip(json: Json, fields: &[&str]) -> Json {
-    match json {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .into_iter()
-                .filter(|(k, _)| !fields.contains(&k.as_str()))
-                .map(|(k, v)| (k, cluster_strip(v, fields)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(
-            items
-                .into_iter()
-                .map(|v| cluster_strip(v, fields))
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
-/// One op of the seeded failover burst: `(user, profile wire text)`.
-fn cluster_burst_op(seed: u64, round: u64, i: u64) -> (String, String) {
-    const USERS: [&str; 6] = ["al", "bo", "cy", "di", "ed", "fay"];
-    const GENRES: [&str; 4] = ["comedy", "drama", "horror", "scifi"];
-    let r = rand::splitmix64_mix(seed ^ rand::splitmix64_mix(round.wrapping_mul(0x9E37) ^ i));
-    let user = USERS[(r % USERS.len() as u64) as usize];
-    let genre = GENRES[((r >> 8) % GENRES.len() as u64) as usize];
-    let year = 1970 + ((r >> 16) % 50);
-    (user.to_string(), profile_wire(user, genre, year))
-}
-
-/// A profile's wire text: it likes `genre` films and films from `year` on.
-fn profile_wire(user: &str, genre: &str, year: u64) -> String {
-    format!(
-        "# cqp-profile v1\n\
-         profile {user}\n\
-         join 0.9 MOVIE.mid GENRE.mid\n\
-         select 0.8 GENRE.genre eq \"{genre}\"\n\
-         select 0.6 MOVIE.year ge {year}\n"
-    )
-}
-
-fn cluster_personalize_body(user: &str, sql: &str) -> String {
-    format!(
-        "{{\"user\":{},\"sql\":{},\"problem\":{{\"kind\":\"p2\",\"cmax\":500}},\
-         \"algorithm\":\"c_maxbounds\"}}",
-        Json::Str(user.to_string()).render(),
-        Json::Str(sql.to_string()).render()
-    )
-}
-
-/// Outcome of one kill-the-primary audit round.
-struct ClusterRound {
-    kill_at: u64,
-    acked: u64,
-    lost: u64,
-    mismatches: u64,
-}
-
-/// The write-loss audit against an already-running primary/follower pair:
-/// runs a seeded profile burst against the primary, invokes `kill` after
-/// `kill_at` acknowledged writes (SIGKILL for child processes), promotes
-/// the follower, and checks that every acknowledged write — and the
-/// personalize answer it implies — is present on the promoted follower,
-/// bit-identical to a fresh single-node reference that replayed the same
-/// acknowledged sequence.
-fn cluster_audit_round(
-    db: &Arc<cqp_storage::Database>,
-    primary_addr: SocketAddr,
-    follower_addr: SocketAddr,
-    kill: &mut dyn FnMut(),
-    seed: u64,
-    round: u64,
-) -> ClusterRound {
-    let total = 60u64;
-    let kill_at = 15 + rand::splitmix64_mix(seed.wrapping_add(round.wrapping_mul(0xC13))) % 30;
-    let mut acked: Vec<(String, String)> = Vec::new();
-    for i in 0..total {
-        let (user, text) = cluster_burst_op(seed, round, i);
-        match http(
-            primary_addr,
-            "POST",
-            &format!("/profiles/{user}"),
-            &[],
-            Some(&text),
-        ) {
-            Ok(resp) if resp.status == 200 => acked.push((user, text)),
-            // The primary is gone (or refused): nothing past this point
-            // was acknowledged, so nothing past this point is owed.
-            _ => break,
-        }
-        if acked.len() as u64 == kill_at {
-            kill();
-        }
-    }
-    let promoted =
-        http(follower_addr, "POST", "/admin/promote", &[], Some("")).expect("promote follower");
-    assert_eq!(promoted.status, 200, "{}", promoted.body_text());
-
-    // A fresh single-node reference replays the same acknowledged writes;
-    // the promoted follower must agree with it bit-for-bit.
-    let mut reference = cqp_server::start(
-        Arc::clone(db),
-        cqp_server::ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            seed_users: 0,
-            ..Default::default()
-        },
-    )
-    .expect("reference server");
-    for (user, text) in &acked {
-        let resp = http(
-            reference.addr(),
-            "POST",
-            &format!("/profiles/{user}"),
-            &[],
-            Some(text),
-        )
-        .expect("reference upsert");
-        assert_eq!(resp.status, 200, "{}", resp.body_text());
-    }
-    let users: std::collections::BTreeSet<&str> = acked.iter().map(|(u, _)| u.as_str()).collect();
-    let mut lost = 0u64;
-    let mut mismatches = 0u64;
-    for user in &users {
-        let on_follower = http(
-            follower_addr,
-            "GET",
-            &format!("/profiles/{user}"),
-            &[],
-            None,
-        );
-        let on_reference = http(
-            reference.addr(),
-            "GET",
-            &format!("/profiles/{user}"),
-            &[],
-            None,
-        )
-        .expect("reference read");
-        match on_follower {
-            Ok(resp) if resp.status == 200 && resp.body == on_reference.body => {}
-            _ => lost += 1,
-        }
-        for sql in [
-            "SELECT title FROM MOVIE",
-            "SELECT title FROM MOVIE WHERE MOVIE.year >= 1990",
-        ] {
-            let body = cluster_personalize_body(user, sql);
-            let f = http(follower_addr, "POST", "/personalize", &[], Some(&body))
-                .expect("follower personalize");
-            let r = http(reference.addr(), "POST", "/personalize", &[], Some(&body))
-                .expect("reference personalize");
-            assert_eq!(f.status, 200, "{}", f.body_text());
-            assert_eq!(r.status, 200, "{}", r.body_text());
-            let strip = |resp: &ClientResponse| {
-                cluster_strip(
-                    cqp_server::json::parse(&resp.body_text()).expect("personalize JSON"),
-                    &["latency_us", "cache"],
-                )
-                .render()
-            };
-            if strip(&f) != strip(&r) {
-                mismatches += 1;
-            }
-        }
-    }
-    reference.stop();
-    ClusterRound {
-        kill_at,
-        acked: acked.len() as u64,
-        lost,
-        mismatches,
-    }
-}
-
-/// Spawns a child `serverd`, reading its banner lines. Returns the child,
-/// its serving address, and (for primaries) its replication address.
-fn cluster_spawn_serverd(
-    bin: &Path,
-    wal_dir: &Path,
-    role_args: &[&str],
-) -> (std::process::Child, SocketAddr, Option<SocketAddr>) {
-    use std::io::BufRead;
-    let mut child = std::process::Command::new(bin)
-        .args(["--addr", "127.0.0.1:0", "--seed", "7", "--seed-users", "0"])
-        .arg("--wal-dir")
-        .arg(wal_dir)
-        .args(role_args)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn serverd");
-    let stdout = child.stdout.take().expect("serverd stdout");
-    let mut repl_addr = None;
-    let mut addr = None;
-    for line in std::io::BufReader::new(stdout).lines() {
-        let line = line.expect("serverd banner");
-        if let Some(rest) = line.strip_prefix("replication on ") {
-            repl_addr = rest.split_whitespace().next().and_then(|a| a.parse().ok());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            addr = rest.split_whitespace().next().and_then(|a| a.parse().ok());
-            break;
-        }
-    }
-    (child, addr.expect("serverd readiness banner"), repl_addr)
-}
-
-/// One arm of the divergent-vs-uniform comparison: boots a 2-group
-/// in-process cluster under `policy`, seeds profiles through the router
-/// (so ring placement is real), and drives a Zipf-skewed template mix.
-fn cluster_routing_leg(policy: cqp_cluster::RoutingPolicy, root: &Path) -> LoadReport {
-    use cqp_cluster::{Cluster, ClusterConfig};
-    let mut config = ClusterConfig::new(2, root.join(policy.as_str()));
-    config.policy = policy;
-    let mut cluster = Cluster::start(config).expect("cluster start");
-    let addr = cluster.router.addr();
-    let users: Vec<String> = (0..12).map(|i| format!("user{i:03}")).collect();
-    for user in &users {
-        let text = profile_wire(user, "comedy", 1990);
-        let resp = http(addr, "POST", &format!("/profiles/{user}"), &[], Some(&text))
-            .expect("seed profile");
-        assert_eq!(resp.status, 200, "{}", resp.body_text());
-    }
-    let load = LoadConfig {
-        clients: 4,
-        requests_per_client: 150,
-        seed: 42,
-        users,
-        queries: (0..6)
-            .map(|i| {
-                format!(
-                    "SELECT title FROM MOVIE WHERE MOVIE.year >= {}",
-                    1970 + i * 5
-                )
-            })
-            .collect(),
-        algorithms: vec!["c_maxbounds".to_string()],
-        problems: vec!["{\"kind\":\"p2\",\"cmax\":500}".to_string()],
-        zero_deadline_permille: 0,
-        top_k_choices: vec![-1],
-        zipf_theta: 0.8,
-        ..LoadConfig::default()
-    };
-    let report = run_load_targets(&[addr], &load).expect("cluster load");
-    cluster.stop();
-    report
-}
-
-/// `reproduce cluster` — the distributed-tier audit. Three legs:
-///
-/// 1. **SIGKILL failover, zero lost acknowledged writes** — seeded
-///    rounds against child `serverd` primary/follower pairs (in-process
-///    pairs when the binary is absent): SIGKILL the primary at a seeded
-///    point mid-burst, promote the follower, and verify every
-///    acknowledged write — profile bytes and the personalize answer they
-///    imply — against a fresh single-node reference.
-/// 2. **Divergent vs uniform read routing** — the same Zipf template mix
-///    through a 2-group cluster under both policies; divergent (template
-///    class → pinned replica) must beat uniform on answer-cache hits.
-/// 3. **Ring balance** — placement spread of 10k users over 4 groups.
-///
-/// Emits `BENCH_cluster.json` in `out`.
-fn cluster_experiment(c: &Ctx) -> Vec<Output> {
-    use cqp_cluster::{Ring, RoutingPolicy};
-    use cqp_datagen::{generate_movie_db, MovieDbConfig};
-
-    println!("--- cluster: failover audit + divergent routing + ring balance ---");
-    let seed = 7u64;
-    let rounds = 3u64;
-    let root = c.out.join("cluster-wal");
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("cluster wal root");
-    let db = Arc::new(generate_movie_db(&MovieDbConfig::tiny(seed)));
-
-    let serverd = std::env::current_exe()
-        .ok()
-        .and_then(|exe| exe.parent().map(|d| d.join("serverd")))
-        .filter(|p| p.is_file());
-    let mode = if serverd.is_some() {
-        "child-process"
-    } else {
-        "in-process"
-    };
-    let mut round_docs = Vec::new();
-    let mut total_acked = 0u64;
-    let mut total_lost = 0u64;
-    let mut total_mismatches = 0u64;
-    for round in 0..rounds {
-        let outcome = match &serverd {
-            Some(bin) => {
-                let (mut primary, primary_addr, repl_addr) = cluster_spawn_serverd(
-                    bin,
-                    &root.join(format!("r{round}-primary")),
-                    &["--repl-listen", "127.0.0.1:0"],
-                );
-                let repl_addr = repl_addr.expect("primary replication banner");
-                let (mut follower, follower_addr, _) = cluster_spawn_serverd(
-                    bin,
-                    &root.join(format!("r{round}-follower")),
-                    &["--follow", &repl_addr.to_string()],
-                );
-                let outcome = cluster_audit_round(
-                    &db,
-                    primary_addr,
-                    follower_addr,
-                    &mut || {
-                        // SIGKILL: no drain, no flush courtesy — the
-                        // acked-write contract must hold anyway.
-                        let _ = primary.kill();
-                        let _ = primary.wait();
-                    },
-                    seed,
-                    round,
-                );
-                // Idempotent: the round's kill closure already SIGKILLed
-                // the primary on the expected path.
-                let _ = primary.kill();
-                let _ = primary.wait();
-                let _ = follower.kill();
-                let _ = follower.wait();
-                outcome
-            }
-            None => {
-                let mut primary = cqp_server::start(
-                    Arc::clone(&db),
-                    cqp_server::ServerConfig {
-                        addr: "127.0.0.1:0".into(),
-                        wal_dir: Some(root.join(format!("r{round}-primary"))),
-                        repl_listen: Some("127.0.0.1:0".into()),
-                        seed_users: 0,
-                        ..Default::default()
-                    },
-                )
-                .expect("primary start");
-                let repl_addr = primary.repl_addr().expect("primary repl addr");
-                let mut follower = cqp_server::start(
-                    Arc::clone(&db),
-                    cqp_server::ServerConfig {
-                        addr: "127.0.0.1:0".into(),
-                        wal_dir: Some(root.join(format!("r{round}-follower"))),
-                        follow: Some(repl_addr.to_string()),
-                        seed_users: 0,
-                        ..Default::default()
-                    },
-                )
-                .expect("follower start");
-                let primary_addr = primary.addr();
-                let follower_addr = follower.addr();
-                let outcome = cluster_audit_round(
-                    &db,
-                    primary_addr,
-                    follower_addr,
-                    &mut || primary.stop(),
-                    seed,
-                    round,
-                );
-                follower.stop();
-                outcome
-            }
-        };
-        println!(
-            "round {round}: killed primary after {} acks ({} acked total) — \
-             lost {}  personalize mismatches {}",
-            outcome.kill_at, outcome.acked, outcome.lost, outcome.mismatches
-        );
-        total_acked += outcome.acked;
-        total_lost += outcome.lost;
-        total_mismatches += outcome.mismatches;
-        round_docs.push(Json::obj(vec![
-            ("round", Json::from(round)),
-            ("kill_after_acks", Json::from(outcome.kill_at)),
-            ("acked_writes", Json::from(outcome.acked)),
-            ("lost_acked_writes", Json::from(outcome.lost)),
-            ("personalize_mismatches", Json::from(outcome.mismatches)),
-        ]));
-    }
-    assert_eq!(total_lost, 0, "acknowledged writes lost across failover");
-    assert_eq!(
-        total_mismatches, 0,
-        "post-failover personalize diverged from the single-node reference"
-    );
-
-    let divergent = cluster_routing_leg(RoutingPolicy::Divergent, &root);
-    let uniform = cluster_routing_leg(RoutingPolicy::Uniform, &root);
-    println!(
-        "routing: divergent hit rate {:.3} at {:.0} req/s vs uniform {:.3} at {:.0} req/s",
-        divergent.cache_hit_rate(),
-        divergent.requests_per_sec,
-        uniform.cache_hit_rate(),
-        uniform.requests_per_sec
-    );
-    assert_eq!(divergent.io_errors, 0, "{divergent:?}");
-    assert_eq!(uniform.io_errors, 0, "{uniform:?}");
-    assert!(
-        divergent.cache_hit_rate() > uniform.cache_hit_rate(),
-        "divergent routing must beat uniform on cache hits: {:.3} vs {:.3}",
-        divergent.cache_hit_rate(),
-        uniform.cache_hit_rate()
-    );
-
-    let ring = Ring::with_groups(&["g0", "g1", "g2", "g3"]);
-    let keys: Vec<String> = (0..10_000).map(|i| format!("user{i:05}")).collect();
-    let load = ring.load(&keys);
-    let max = load.iter().map(|(_, c)| *c).max().unwrap_or(0);
-    let min = load.iter().map(|(_, c)| *c).min().unwrap_or(0);
-    println!(
-        "ring: 10k users over 4 groups — min {min}, max {max}, ratio {:.2}",
-        max as f64 / min.max(1) as f64
-    );
-
-    let doc = vec![
-        ("seed", Json::from(seed)),
-        ("mode", Json::Str(mode.into())),
-        (
-            "failover",
-            Json::obj(vec![
-                ("rounds", Json::from(rounds)),
-                ("acked_writes", Json::from(total_acked)),
-                ("lost_acked_writes", Json::from(total_lost)),
-                ("personalize_mismatches", Json::from(total_mismatches)),
-                ("rounds_detail", Json::Arr(round_docs)),
-            ]),
-        ),
-        (
-            "routing",
-            Json::obj(vec![
-                ("divergent", divergent.to_json()),
-                ("uniform", uniform.to_json()),
-                ("divergent_hit_rate", Json::from(divergent.cache_hit_rate())),
-                ("uniform_hit_rate", Json::from(uniform.cache_hit_rate())),
-                (
-                    "hit_rate_advantage",
-                    Json::from(divergent.cache_hit_rate() - uniform.cache_hit_rate()),
-                ),
-                ("divergent_rps", Json::from(divergent.requests_per_sec)),
-                ("uniform_rps", Json::from(uniform.requests_per_sec)),
-            ]),
-        ),
-        (
-            "ring",
-            Json::obj(vec![
-                ("groups", Json::from(4u64)),
-                ("keys", Json::from(10_000u64)),
-                ("min_load", Json::from(min as u64)),
-                ("max_load", Json::from(max as u64)),
-                ("load_ratio", Json::from(max as f64 / min.max(1) as f64)),
-            ]),
-        ),
-    ];
-    let _ = std::fs::remove_dir_all(&root);
-    println!();
-    vec![Output::Bench("cluster", doc)]
-}
-
-/// Writes `user`'s profile through `addr`; a 200 records the ack (version
-/// and epoch from the response body) into `log`. Transport errors and
-/// refusals return normally — in a partition schedule only acks count.
-fn partition_acked_write(
-    addr: SocketAddr,
-    user: &str,
-    log: &cqp_cluster::AckLog,
-) -> std::io::Result<ClientResponse> {
-    let text = profile_wire(user, "comedy", 1990);
-    let resp = http(addr, "POST", &format!("/profiles/{user}"), &[], Some(&text))?;
-    if resp.status == 200 {
-        let body = cqp_server::json::parse(&resp.body_text())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let version = body.get("version").and_then(Json::as_u64).unwrap_or(0);
-        let epoch = body.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-        log.record(user, version, epoch, &text);
-    }
-    Ok(resp)
-}
-
-/// Polls `f` until it returns true or `timeout` elapses.
-fn partition_wait(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let t0 = Instant::now();
-    while t0.elapsed() < timeout {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
-}
-
-/// A replica's `/healthz/ready` role, read directly ("?" on any failure).
-fn partition_role(addr: SocketAddr) -> String {
-    http(addr, "GET", "/healthz/ready", &[], None)
-        .ok()
-        .and_then(|resp| cqp_server::json::parse(&resp.body_text()).ok())
-        .and_then(|j| j.get("role").and_then(|r| r.as_str().map(str::to_string)))
-        .unwrap_or_else(|| "?".to_string())
-}
-
-/// Outcome of one partition leg: the checker verdict plus leg counters.
-struct PartitionLeg {
-    acked: u64,
-    fenced_write_rejections: u64,
-    report: cqp_cluster::ConsistencyReport,
-    detail: Json,
-}
-
-/// The split-brain schedule: partition the primary (HTTP and repl at
-/// once), let the router promote the follower at a higher epoch, write
-/// through both faces of the brain, heal, and run the checker. Every
-/// write the stale face refuses with `stale_epoch` counts as a fenced
-/// rejection — the number the shape gate requires to be positive.
-fn partition_split_brain_leg(root: &Path, seed: u64) -> PartitionLeg {
-    use cqp_cluster::nemesis::Fault;
-    use cqp_cluster::{check, AckLog, Cluster, ClusterConfig, ReplicaDump};
-
-    let mut cluster =
-        Cluster::start(ClusterConfig::with_nemesis(1, root.join("split"))).expect("cluster start");
-    let router_addr = cluster.router.addr();
-    let acks = AckLog::new();
-    let users: Vec<String> = (0..6).map(|i| format!("user{i:03}")).collect();
-    for user in &users {
-        let resp = partition_acked_write(router_addr, user, &acks).expect("healthy write");
-        assert_eq!(resp.status, 200, "{}", resp.body_text());
-    }
-
-    {
-        let nemesis = cluster.groups[0].nemesis.as_ref().expect("nemesis cluster");
-        nemesis.primary_http.set_fault(Fault::Partition);
-        nemesis.repl.set_fault(Fault::Partition);
-    }
-    let promoted = partition_wait(Duration::from_secs(20), || {
-        http(router_addr, "GET", "/router/stats", &[], None)
-            .ok()
-            .and_then(|s| cqp_server::json::parse(&s.body_text()).ok())
-            .and_then(|j| j.get("failovers").and_then(Json::as_u64))
-            .is_some_and(|n| n >= 1)
-    });
-    assert!(promoted, "router never failed over the partitioned primary");
-    for user in &users {
-        let ok = partition_wait(Duration::from_secs(10), || {
-            partition_acked_write(router_addr, user, &acks)
-                .map(|r| r.status == 200)
-                .unwrap_or(false)
-        });
-        assert!(ok, "{user}: healthy side of the brain must accept writes");
-    }
-
-    // The stale face: clients on the old primary's side of the partition
-    // reach it directly. The first write carrying the new epoch fences
-    // it; every refusal is what the experiment exists to count.
-    let old_primary = cluster.groups[0].primary.addr();
-    let stats = http(router_addr, "GET", "/router/stats", &[], None).expect("router stats");
-    let new_epoch = cqp_server::json::parse(&stats.body_text())
-        .ok()
-        .and_then(|j| j.get("groups")?.as_array()?.first()?.get("epoch")?.as_u64())
-        .expect("router stats expose the group epoch");
-    assert!(new_epoch >= 1, "failover must bump the epoch");
-    let epoch_header = new_epoch.to_string();
-    let mut fenced_write_rejections = 0u64;
-    let mut stale_acks = 0u64;
-    for user in &users {
-        let text = format!("# cqp-profile v1\nprofile {user}\nselect 0.5 MOVIE.year ge 2000\n");
-        let resp = http(
-            old_primary,
-            "POST",
-            &format!("/profiles/{user}"),
-            &[("x-cqp-epoch", &epoch_header)],
-            Some(&text),
-        )
-        .expect("old primary reachable directly");
-        if resp.status == 503 {
-            fenced_write_rejections += 1;
-        } else if resp.status == 200 {
-            stale_acks += 1;
-        }
-    }
-    assert_eq!(stale_acks, 0, "the stale face acknowledged a write");
-    let fenced_role = partition_role(old_primary);
-    assert_eq!(fenced_role, "fenced", "old primary must end up fenced");
-
-    {
-        let nemesis = cluster.groups[0].nemesis.as_ref().expect("nemesis cluster");
-        nemesis.primary_http.heal();
-        nemesis.repl.heal();
-    }
-    let healed = partition_wait(Duration::from_secs(10), || {
-        partition_acked_write(router_addr, &users[0], &acks)
-            .map(|r| r.status == 200)
-            .unwrap_or(false)
-    });
-    assert!(
-        healed,
-        "cluster never healed after the split-brain schedule"
-    );
-
-    let catalog = cluster.db().catalog().clone();
-    let dumps = vec![
-        ReplicaDump {
-            name: "g0/old-primary".into(),
-            fenced: true,
-            sessions: cluster.groups[0].primary.state().store.dump(&catalog),
-        },
-        ReplicaDump {
-            name: "g0/new-primary".into(),
-            fenced: false,
-            sessions: cluster.groups[0].follower.state().store.dump(&catalog),
-        },
-    ];
-    let snapshot = acks.snapshot();
-    let report = check(&snapshot, &dumps);
-    println!(
-        "split brain: {} acked writes, {} fenced rejections, epoch {new_epoch} — \
-         lost {}  divergent {}  order violations {}",
-        snapshot.len(),
-        fenced_write_rejections,
-        report.lost_acked_writes,
-        report.split_brain_divergence,
-        report.order_violations
-    );
-    cluster.stop();
-    let detail = Json::obj(vec![
-        ("schedule", Json::Str("split_brain".into())),
-        ("seed", Json::from(seed)),
-        ("failover_epoch", Json::from(new_epoch)),
-        ("checker", report.to_json()),
-    ]);
-    PartitionLeg {
-        acked: snapshot.len() as u64,
-        fenced_write_rejections,
-        report,
-        detail,
-    }
-}
-
-/// The churn schedule: a seeded [`NemesisPlan`] timeline (partitions,
-/// delays, connection drops) flaps the primary's HTTP link while writes
-/// race it best-effort; after the plan drains and the links heal, the
-/// checker audits every ack that made it through.
-///
-/// [`NemesisPlan`]: cqp_cluster::NemesisPlan
-fn partition_churn_leg(root: &Path, seed: u64) -> PartitionLeg {
-    use cqp_cluster::{check, AckLog, Cluster, ClusterConfig, NemesisPlan, ReplicaDump};
-
-    let mut cluster =
-        Cluster::start(ClusterConfig::with_nemesis(1, root.join("churn"))).expect("cluster start");
-    let router_addr = cluster.router.addr();
-    let acks = AckLog::new();
-    let users: Vec<String> = (0..4).map(|i| format!("user{i:03}")).collect();
-    for user in &users {
-        let resp = partition_acked_write(router_addr, user, &acks).expect("healthy write");
-        assert_eq!(resp.status, 200, "{}", resp.body_text());
-    }
-
-    let plan = NemesisPlan::seeded(seed, 8, 40);
-    {
-        let nemesis = cluster.groups[0].nemesis.as_mut().expect("nemesis cluster");
-        nemesis.primary_http.run_plan(plan);
-    }
-    let mut attempted = 0u64;
-    for _round in 0..8 {
-        for user in &users {
-            attempted += 1;
-            let _ = partition_acked_write(router_addr, user, &acks);
-        }
-        std::thread::sleep(Duration::from_millis(30));
-    }
-    {
-        let nemesis = cluster.groups[0].nemesis.as_mut().expect("nemesis cluster");
-        nemesis.primary_http.join_plan();
-        nemesis.primary_http.heal();
-        nemesis.repl.heal();
-    }
-    let healed = partition_wait(Duration::from_secs(10), || {
-        partition_acked_write(router_addr, &users[0], &acks)
-            .map(|r| r.status == 200)
-            .unwrap_or(false)
-    });
-    assert!(healed, "cluster never healed after the churn plan");
-
-    let catalog = cluster.db().catalog().clone();
-    let dumps: Vec<ReplicaDump> = [
-        ("g0/primary", &cluster.groups[0].primary),
-        ("g0/follower", &cluster.groups[0].follower),
-    ]
-    .into_iter()
-    .map(|(name, server)| ReplicaDump {
-        name: name.into(),
-        fenced: partition_role(server.addr()) == "fenced",
-        sessions: server.state().store.dump(&catalog),
-    })
-    .collect();
-    let snapshot = acks.snapshot();
-    let report = check(&snapshot, &dumps);
-    println!(
-        "churn: {} acked writes ({attempted} raced the seeded plan) — \
-         lost {}  divergent {}  order violations {}",
-        snapshot.len(),
-        report.lost_acked_writes,
-        report.split_brain_divergence,
-        report.order_violations
-    );
-    cluster.stop();
-    let detail = Json::obj(vec![
-        ("schedule", Json::Str("seeded_churn".into())),
-        ("seed", Json::from(seed)),
-        ("attempted_writes", Json::from(attempted)),
-        ("checker", report.to_json()),
-    ]);
-    PartitionLeg {
-        acked: snapshot.len() as u64,
-        fenced_write_rejections: 0,
-        report,
-        detail,
-    }
-}
-
-/// `reproduce partition` — the partition-tolerance audit. Two seeded
-/// schedules against a nemesis-fronted in-process cluster:
-///
-/// 1. **Split brain** — partition the primary, promote the follower at a
-///    higher epoch, write through both faces, heal. The stale face must
-///    refuse every write with `stale_epoch` (counted as
-///    `fenced_write_rejections`) and the checker must find zero lost
-///    acked writes and zero divergent `(user, version)` slots.
-/// 2. **Seeded churn** — a deterministic nemesis timeline flaps the
-///    primary's HTTP link under a best-effort write load; every ack that
-///    made it through must survive.
-///
-/// Emits `BENCH_partition.json` in `out`; its
-/// top-level `lost_acked_writes`, `split_brain_divergence`, and
-/// `fenced_write_rejections` fields are CI's shape gate.
-fn partition_experiment(c: &Ctx) -> Vec<Output> {
-    println!("--- partition: split-brain fencing + seeded churn audit ---");
-    let seed = 0xC0FFEE_u64;
-    let root = c.out.join("partition-wal");
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("partition wal root");
-
-    let split = partition_split_brain_leg(&root, seed);
-    let churn = partition_churn_leg(&root, seed);
-
-    let lost = split.report.lost_acked_writes + churn.report.lost_acked_writes;
-    let divergence = split.report.split_brain_divergence + churn.report.split_brain_divergence;
-    let order = split.report.order_violations + churn.report.order_violations;
-    let fenced = split.fenced_write_rejections + churn.fenced_write_rejections;
-    assert_eq!(lost, 0, "acked writes lost across partition schedules");
-    assert_eq!(divergence, 0, "split brain merged divergent state");
-    assert_eq!(order, 0, "acked order not linearizable");
-    assert!(
-        fenced > 0,
-        "no write ever hit the fence — schedule is vacuous"
-    );
-
-    let doc = vec![
-        ("seed", Json::from(seed)),
-        ("acked_writes", Json::from(split.acked + churn.acked)),
-        ("lost_acked_writes", Json::from(lost as u64)),
-        ("split_brain_divergence", Json::from(divergence as u64)),
-        ("order_violations", Json::from(order as u64)),
-        ("fenced_write_rejections", Json::from(fenced)),
-        ("schedules", Json::Arr(vec![split.detail, churn.detail])),
-    ];
-    let _ = std::fs::remove_dir_all(&root);
-    println!();
-    vec![Output::Bench("partition", doc)]
 }

@@ -542,14 +542,16 @@ pub fn ablation_generic(
 /// (Section 7.2.3's remark that a different model "would still exhibit the
 /// same growing trends but might have resulted in larger differences").
 /// Each model reruns Figure 14(a), so its report lines keep `fig14a` as
-/// their experiment tag, qualified by the `conj` field.
+/// their experiment tag, qualified by the `conj` field. Only `Max` and
+/// `Quadrature` run: the noisy-or row is Figure 14(a) itself
+/// (`fig14a.csv`), which this would only recompute.
 pub fn ablation_doi_model(
     w: &Workload,
     ks: &[usize],
     threads: usize,
 ) -> Vec<(String, Vec<QualityRow>, Vec<RunReport>)> {
     let cells = Cell::k_sweep(ks, |_| FIG14_ALGORITHMS.to_vec());
-    [ConjModel::NoisyOr, ConjModel::Max, ConjModel::Quadrature]
+    [ConjModel::Max, ConjModel::Quadrature]
         .into_iter()
         .map(|conj| {
             let (rows, reports) = fig14a(w, &cells, conj, threads);

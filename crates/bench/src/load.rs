@@ -4,11 +4,10 @@
 //! against an in-process server and an external `serverd` alike, and they
 //! share one request renderer and one seeded stream derivation:
 //!
-//! * **Closed loop** ([`run_load`], [`run_load_targets`]). Each client
-//!   thread keeps exactly one request in flight over one keep-alive
-//!   connection, so offered load adapts to observed latency. This measures
-//!   what a well-behaved client sees, not the queue blow-up of an open
-//!   firehose.
+//! * **Closed loop** ([`run_load`]). Each client thread keeps exactly one
+//!   request in flight over one keep-alive connection, so offered load
+//!   adapts to observed latency. This measures what a well-behaved client
+//!   sees, not the queue blow-up of an open firehose.
 //! * **Open loop** ([`run_conn_scale`]), the C10k harness:
 //!   1. an idle herd of keep-alive connections is dialed and held silent.
 //!      Each costs the server a registration, not a thread, and the server
@@ -114,11 +113,6 @@ pub struct LoadConfig {
     /// client (0 = never). The ID is a pure function of `(seed, client,
     /// index)`, and the client verifies the server echoes it back.
     pub trace_every: u64,
-    /// Zipf skew of the user draw: `0.0` keeps the historical uniform
-    /// pick bit-for-bit; `θ > 0` weights rank `i` (0-based position in
-    /// `users`) by `1/(i+1)^θ`, concentrating load on the head — the
-    /// regime where a cross-request answer cache earns its keep.
-    pub zipf_theta: f64,
 }
 
 impl Default for LoadConfig {
@@ -134,7 +128,6 @@ impl Default for LoadConfig {
             zero_deadline_permille: 100,
             top_k_choices: vec![-1, 2, 4],
             trace_every: 0,
-            zipf_theta: 0.0,
         }
     }
 }
@@ -223,8 +216,7 @@ impl LoadReport {
     }
 
     /// Fraction of 200s that avoided a cold solve via the exact or warm
-    /// tier — the number `reproduce cluster` compares across routing
-    /// policies.
+    /// tier.
     pub fn cache_hit_rate(&self) -> f64 {
         if self.ok == 0 {
             0.0
@@ -279,33 +271,6 @@ impl Client {
     }
 }
 
-/// Draws a user index: uniform at `zipf_theta == 0` (bit-identical to the
-/// historical mix) or Zipf-weighted (`1/(rank+1)^θ` over list position)
-/// otherwise. Exactly one generator draw either way, so enabling skew
-/// perturbs nothing downstream of the user pick.
-fn pick_user<'a>(config: &'a LoadConfig, state: &mut u64) -> Option<&'a String> {
-    if config.users.is_empty() {
-        return None;
-    }
-    let r = splitmix64(state);
-    if config.zipf_theta <= 0.0 {
-        return Some(&config.users[(r % config.users.len() as u64) as usize]);
-    }
-    // Inverse-CDF over the (small) user list; the 53-bit mantissa draw
-    // keeps the unit sample unbiased.
-    let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
-    let weight = |i: usize| 1.0 / ((i + 1) as f64).powf(config.zipf_theta);
-    let total: f64 = (0..config.users.len()).map(weight).sum();
-    let mut target = unit * total;
-    for (i, user) in config.users.iter().enumerate() {
-        target -= weight(i);
-        if target <= 0.0 {
-            return Some(user);
-        }
-    }
-    config.users.last()
-}
-
 /// Renders the personalize body for `(client, index)` of the mix. The
 /// closed-loop clients, the open-loop lanes and the chaos template all
 /// draw from it.
@@ -313,7 +278,7 @@ fn render_request(config: &LoadConfig, client: usize, index: usize) -> Option<St
     let mut state = stream(config.seed, MIX, client, index);
     // Warm the stream so nearby (client, index) pairs decorrelate.
     splitmix64(&mut state);
-    let user = pick_user(config, &mut state)?;
+    let user = pick(&config.users, &mut state)?;
     let sql = pick(&config.queries, &mut state)?;
     let problem = pick(&config.problems, &mut state)?;
     let algorithm = pick(&config.algorithms, &mut state);
@@ -352,33 +317,16 @@ fn trace_id_for(config: &LoadConfig, client: usize, index: usize) -> String {
 /// clients saw. Returns an `io::Error` only when a client cannot connect
 /// at all; per-request socket failures are counted in the report.
 pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> io::Result<LoadReport> {
-    run_load_targets(&[addr], config)
-}
-
-/// Multi-target [`run_load`]: client `i` drives `targets[i % len]`, so a
-/// cluster's router processes (or replicas under test) split the closed
-/// loop deterministically. The per-client request streams are identical
-/// to single-target runs — only the socket each client dials differs.
-pub fn run_load_targets(targets: &[SocketAddr], config: &LoadConfig) -> io::Result<LoadReport> {
     if config.users.is_empty() || config.queries.is_empty() || config.problems.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "load config needs at least one user, query, and problem",
         ));
     }
-    if targets.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "load needs at least one target address",
-        ));
-    }
     let t0 = Instant::now();
     let per_client: Vec<(Vec<u64>, LoadReport)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..config.clients.max(1))
-            .map(|c| {
-                let addr = targets[c % targets.len()];
-                s.spawn(move || client_loop(addr, config, c))
-            })
+            .map(|c| s.spawn(move || client_loop(addr, config, c)))
             .collect();
         handles
             .into_iter()
@@ -1082,53 +1030,9 @@ mod tests {
         assert_eq!(parsed.get("deadline_ms").and_then(Json::as_u64), Some(0));
     }
 
-    #[test]
-    fn zipf_skew_concentrates_on_head_users_without_perturbing_rest() {
-        let uniform = LoadConfig {
-            users: (0..10).map(|i| format!("u{i}")).collect(),
-            queries: vec!["SELECT title FROM MOVIE".into()],
-            ..LoadConfig::default()
-        };
-        let skewed = LoadConfig {
-            zipf_theta: 1.2,
-            ..uniform.clone()
-        };
-        let mut head_uniform = 0;
-        let mut head_skewed = 0;
-        for i in 0..400 {
-            let bu = render_request(&uniform, 0, i).unwrap();
-            let bs = render_request(&skewed, 0, i).unwrap();
-            // Only the user draw changes: the same single generator draw
-            // feeds both paths, so everything after the user segment of
-            // the body (deadline included) is identical.
-            assert_eq!(
-                bu.split("\"sql\"").nth(1),
-                bs.split("\"sql\"").nth(1),
-                "skew must not perturb the non-user mix at index {i}"
-            );
-            if bu.contains("\"u0\"") {
-                head_uniform += 1;
-            }
-            if bs.contains("\"u0\"") {
-                head_skewed += 1;
-            }
-        }
-        // θ = 1.2 over 10 users puts ~40% of draws on the head vs 10%.
-        assert!(head_skewed > head_uniform * 2);
-        // θ = 0 is bit-identical to the historical mix.
-        let zero = LoadConfig {
-            zipf_theta: 0.0,
-            ..uniform.clone()
-        };
-        for i in 0..50 {
-            assert_eq!(render_request(&uniform, 1, i), render_request(&zero, 1, i));
-        }
-    }
-
     /// The request mix and the trace IDs are pinned bit for bit, so the
-    /// Zipf mix behind `reproduce cluster` and the traced closed loops do
-    /// not move. The hashes cover 4 clients × 150 requests of the cluster
-    /// experiment's mix and of a default-shaped one.
+    /// closed loops and their traced requests do not move. The hashes cover
+    /// 4 clients × 150 requests of a default-shaped mix.
     #[test]
     fn mix_and_trace_streams_are_pinned() {
         fn fnv1a(h: &mut u64, s: &str) {
@@ -1137,23 +1041,6 @@ mod tests {
                 *h = h.wrapping_mul(0x0100_0000_01b3);
             }
         }
-        let cluster = LoadConfig {
-            users: (0..12).map(|i| format!("user{i:03}")).collect(),
-            queries: (0..6)
-                .map(|i| {
-                    format!(
-                        "SELECT title FROM MOVIE WHERE MOVIE.year >= {}",
-                        1970 + i * 5
-                    )
-                })
-                .collect(),
-            algorithms: vec!["c_maxbounds".to_string()],
-            problems: vec!["{\"kind\":\"p2\",\"cmax\":500}".to_string()],
-            zero_deadline_permille: 0,
-            top_k_choices: vec![-1],
-            zipf_theta: 0.8,
-            ..LoadConfig::default()
-        };
         let plain = LoadConfig {
             seed: 1234,
             users: (1..=4).map(|i| format!("user{i:04}")).collect(),
@@ -1163,25 +1050,16 @@ mod tests {
             ],
             ..LoadConfig::default()
         };
-        let hashes: Vec<(u64, u64)> = [&cluster, &plain]
-            .iter()
-            .map(|config| {
-                let (mut bodies, mut traces) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
-                for client in 0..4 {
-                    for i in 0..150 {
-                        fnv1a(&mut bodies, &render_request(config, client, i).unwrap());
-                        fnv1a(&mut traces, &trace_id_for(config, client, i));
-                    }
-                }
-                (bodies, traces)
-            })
-            .collect();
+        let (mut bodies, mut traces) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+        for client in 0..4 {
+            for i in 0..150 {
+                fnv1a(&mut bodies, &render_request(&plain, client, i).unwrap());
+                fnv1a(&mut traces, &trace_id_for(&plain, client, i));
+            }
+        }
         assert_eq!(
-            hashes,
-            [
-                (0x2949_c263_b2e6_55ab, 0x5e64_b6a2_2a5d_b1d7),
-                (0x8271_64d5_3c82_0f89, 0xf671_07ac_9ce3_097d),
-            ]
+            (bodies, traces),
+            (0x8271_64d5_3c82_0f89, 0xf671_07ac_9ce3_097d)
         );
     }
 

@@ -31,7 +31,6 @@
 //! the stream when deposed, and there is no re-sync), so they are
 //! exempt from the lost-write check — but never from divergence.
 
-use cqp_obs::Json;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -142,33 +141,6 @@ impl ConsistencyReport {
         self.lost_acked_writes == 0
             && self.split_brain_divergence == 0
             && self.order_violations == 0
-    }
-
-    /// The report as a JSON document (for `BENCH_partition.json`).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("acked_writes", Json::from(self.acked_writes as u64)),
-            ("replicas", Json::from(self.replicas as u64)),
-            (
-                "lost_acked_writes",
-                Json::from(self.lost_acked_writes as u64),
-            ),
-            (
-                "split_brain_divergence",
-                Json::from(self.split_brain_divergence as u64),
-            ),
-            ("order_violations", Json::from(self.order_violations as u64)),
-            ("consistent", Json::Bool(self.consistent())),
-            (
-                "details",
-                Json::Arr(
-                    self.details
-                        .iter()
-                        .map(|d| Json::from(d.as_str()))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 

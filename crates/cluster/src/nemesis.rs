@@ -29,8 +29,9 @@
 //!    case the epoch-fencing protocol exists for.
 //!
 //! The harness ([`crate::harness`]) can front every link of an
-//! in-process cluster with one of these; `reproduce partition` drives
-//! the split-brain schedule through it.
+//! in-process cluster with one of these; the partition suite
+//! (`tests/partition.rs`) drives its split-brain and churn schedules
+//! through it.
 
 use rand::{splitmix64, splitmix64_mix};
 use std::io::{self, Read, Write};

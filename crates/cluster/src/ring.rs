@@ -122,19 +122,6 @@ impl Ring {
         let (_, group) = self.points[if i == self.points.len() { 0 } else { i }];
         Some(&self.groups[group])
     }
-
-    /// Per-group key counts for `keys` — the balance diagnostic the
-    /// property tests and `BENCH_cluster.json` report.
-    pub fn load<S: AsRef<str>>(&self, keys: &[S]) -> Vec<(String, usize)> {
-        let mut counts = vec![0usize; self.groups.len()];
-        for k in keys {
-            if let Some(g) = self.place(k.as_ref()) {
-                let idx = self.groups.iter().position(|n| n == g).unwrap();
-                counts[idx] += 1;
-            }
-        }
-        self.groups.iter().cloned().zip(counts).collect()
-    }
 }
 
 #[cfg(test)]
@@ -144,6 +131,16 @@ mod tests {
 
     fn keys(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("user{i:05}")).collect()
+    }
+
+    /// Per-group key counts for `keys`: the balance diagnostic.
+    fn load(ring: &Ring, keys: &[String]) -> Vec<(String, usize)> {
+        let mut counts = vec![0usize; ring.len()];
+        for k in keys {
+            let g = ring.place(k).unwrap();
+            counts[ring.groups().iter().position(|n| n == g).unwrap()] += 1;
+        }
+        ring.groups().iter().cloned().zip(counts).collect()
     }
 
     #[test]
@@ -184,7 +181,7 @@ mod tests {
             let names: Vec<String> =
                 (0..groups).map(|i| format!("shard-{salt}-{i}")).collect();
             let ring = Ring::with_groups(&names);
-            let load = ring.load(&keys(10_000));
+            let load = load(&ring, &keys(10_000));
             let max = load.iter().map(|(_, c)| *c).max().unwrap();
             let min = load.iter().map(|(_, c)| *c).min().unwrap();
             prop_assert!(min > 0, "a group got zero keys: {load:?}");

@@ -896,6 +896,36 @@ mod tests {
         assert_eq!(breaker.state(), BreakerState::Open);
         assert_eq!(shed, 4);
         assert_eq!(breaker.counters().0, 1);
+
+        // First-K faults with no cooldown: two failures trip the breaker,
+        // each of the next two submits is a half-open probe that fails and
+        // re-opens it, and the fifth probe finds the faults spent and
+        // closes it.
+        let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
+            window: 8,
+            failure_threshold: 0.5,
+            min_samples: 2,
+            cooldown_ms: 0,
+            half_open_probes: 1,
+        }));
+        let driver = BatchDriver::new(Arc::clone(&db), 1)
+            .with_execution(0.0)
+            .with_fault_plan(Arc::new(FaultPlan::new(7, FaultMode::FirstK { k: 4 })))
+            .with_breaker(Arc::clone(&breaker));
+        let outcomes: Vec<bool> = paper_requests(&db, 5)
+            .into_iter()
+            .map(|req| match driver.submit(req) {
+                Ok(_) => true,
+                Err(e) => {
+                    assert!(e.is_transient(), "unexpected error: {e}");
+                    false
+                }
+            })
+            .collect();
+        assert_eq!(outcomes, [false, false, false, false, true]);
+        // (opened, half-opened, closed, shed)
+        assert_eq!(breaker.counters(), (3, 3, 1, 0));
+        assert_eq!(breaker.state(), BreakerState::Closed);
     }
 
     #[test]

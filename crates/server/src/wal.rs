@@ -54,7 +54,6 @@ use std::io::{self, Read as _, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Record magic: bump on incompatible format changes.
 const MAGIC: &str = "W1";
@@ -100,8 +99,6 @@ pub struct RecoveryReport {
     pub snapshot_records: u64,
     /// Records replayed from `log.wal`.
     pub log_records: u64,
-    /// Total payload + framing bytes of valid records replayed.
-    pub bytes_replayed: u64,
     /// Bytes truncated off torn/corrupt tails (both files).
     pub torn_tail_bytes: u64,
     /// Checksummed records whose profile text failed to parse later —
@@ -110,8 +107,6 @@ pub struct RecoveryReport {
     /// Highest replication epoch recovered (from `E1` markers and the
     /// optional per-record epoch stamp). Pre-epoch logs recover as 0.
     pub epoch: u64,
-    /// Wall-clock spent replaying, seconds.
-    pub replay_secs: f64,
 }
 
 impl RecoveryReport {
@@ -175,7 +170,6 @@ impl Wal {
     /// returns the replayed records alongside the appendable log.
     pub fn open(dir: &Path) -> io::Result<OpenedWal> {
         std::fs::create_dir_all(dir)?;
-        let t = Instant::now();
         let mut report = RecoveryReport::default();
         let mut records = Vec::new();
         for (file, is_snapshot) in [(SNAPSHOT_FILE, true), (LOG_FILE, false)] {
@@ -194,7 +188,6 @@ impl Wal {
                     .open(&path)?
                     .set_len(valid_bytes)?;
             }
-            report.bytes_replayed += valid_bytes;
             if is_snapshot {
                 report.snapshot_records += recs.len() as u64;
             } else {
@@ -202,7 +195,6 @@ impl Wal {
             }
             records.extend(recs);
         }
-        report.replay_secs = t.elapsed().as_secs_f64();
         let log = OpenOptions::new()
             .create(true)
             .append(true)

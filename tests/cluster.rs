@@ -5,7 +5,9 @@
 //! 1. **Zero lost acknowledged writes** — a profile write acknowledged
 //!    through the router is present on the follower (the replication ack
 //!    is synchronous), so killing the primary and failing over loses
-//!    nothing the client was told succeeded.
+//!    nothing the client was told succeeded. Killed mid-burst, the
+//!    promoted follower answers every acked user exactly as a single node
+//!    that replayed the acked writes does.
 //! 2. **Failover is automatic and transparent** — the router's health
 //!    probe promotes a live follower; reads and writes keep flowing
 //!    through the same front door.
@@ -14,13 +16,16 @@
 //!    alternating replicas over the same workload.
 
 use cqp_cluster::{Cluster, ClusterConfig, RoutingPolicy};
+use cqp_datagen::{generate_movie_db, MovieDbConfig};
 use cqp_obs::Json;
 use cqp_server::http::{parse_response, ClientResponse};
-use cqp_server::json;
+use cqp_server::{json, start, ServerConfig};
+use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 static DIR_SERIAL: AtomicU64 = AtomicU64::new(0);
@@ -205,6 +210,156 @@ fn failover_keeps_every_acknowledged_write_and_accepts_new_ones() {
     );
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     cluster.stop();
+}
+
+/// A personalize answer without its per-run fields (`latency_us` and the
+/// `cache` tier) at every object level, so it compares across servers.
+fn without_run_fields(json: Json) -> Json {
+    match json {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .into_iter()
+                .filter(|(k, _)| k != "latency_us" && k != "cache")
+                .map(|(k, v)| (k, without_run_fields(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(without_run_fields).collect()),
+        other => other,
+    }
+}
+
+/// Op `i` of round `round`'s seeded write burst: `(user, profile text)`.
+/// Six users over up to 45 acked writes, so most users are written more
+/// than once.
+fn burst_op(seed: u64, round: u64, i: u64) -> (String, String) {
+    const USERS: [&str; 6] = ["al", "bo", "cy", "di", "ed", "fay"];
+    const GENRES: [&str; 4] = ["comedy", "drama", "horror", "scifi"];
+    let r = rand::splitmix64_mix(seed ^ rand::splitmix64_mix(round.wrapping_mul(0x9E37) ^ i));
+    let user = USERS[(r % USERS.len() as u64) as usize];
+    let genre = GENRES[((r >> 8) % GENRES.len() as u64) as usize];
+    let year = 1970 + ((r >> 16) % 50);
+    let text = format!(
+        "# cqp-profile v1\n\
+         profile {user}\n\
+         join 0.9 MOVIE.mid GENRE.mid\n\
+         select 0.8 GENRE.genre eq \"{genre}\"\n\
+         select 0.6 MOVIE.year ge {year}\n"
+    );
+    (user.to_string(), text)
+}
+
+/// Kills the primary mid-burst and promotes its follower, then holds the
+/// follower to a single node that replayed exactly the acknowledged
+/// writes: every acked user's profile and both personalize answers (minus
+/// `latency_us` and `cache`) must match. Three seeded rounds, each killing
+/// at its own ack count; writes go straight to the primary.
+#[test]
+fn primary_killed_mid_burst_keeps_every_acked_profile_and_answer() {
+    let seed = 7u64;
+    let db = Arc::new(generate_movie_db(&MovieDbConfig::tiny(seed)));
+    let root = tmpdir("midburst");
+    let boot = |config: ServerConfig| {
+        start(
+            Arc::clone(&db),
+            ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                seed_users: 0,
+                ..config
+            },
+        )
+        .expect("server start")
+    };
+    for round in 0..3u64 {
+        let mut primary = boot(ServerConfig {
+            wal_dir: Some(root.join(format!("r{round}-primary"))),
+            repl_listen: Some("127.0.0.1:0".into()),
+            ..Default::default()
+        });
+        let repl_addr = primary.repl_addr().expect("replication listener");
+        let mut follower = boot(ServerConfig {
+            wal_dir: Some(root.join(format!("r{round}-follower"))),
+            follow: Some(repl_addr.to_string()),
+            ..Default::default()
+        });
+
+        let kill_at = 15 + rand::splitmix64_mix(seed.wrapping_add(round.wrapping_mul(0xC13))) % 30;
+        let mut acked: Vec<(String, String)> = Vec::new();
+        for i in 0..60 {
+            let (user, text) = burst_op(seed, round, i);
+            let resp = request(
+                primary.addr(),
+                "POST",
+                &format!("/profiles/{user}"),
+                Some(&text),
+            );
+            assert_eq!(resp.status, 200, "round {round}: {}", resp.body_text());
+            acked.push((user, text));
+            if acked.len() == 1 {
+                // The follower holds the first ack once it has attached:
+                // from then on every ack waits for its apply.
+                let first = &acked[0].0;
+                let attached = wait_for(Duration::from_secs(10), || {
+                    request(follower.addr(), "GET", &format!("/profiles/{first}"), None).status
+                        == 200
+                });
+                assert!(attached, "round {round}: the follower never attached");
+            }
+            if acked.len() as u64 == kill_at {
+                primary.stop();
+                break;
+            }
+        }
+        assert_eq!(acked.len() as u64, kill_at, "round {round}");
+        let promoted = request(follower.addr(), "POST", "/admin/promote", Some(""));
+        assert_eq!(
+            promoted.status,
+            200,
+            "round {round}: {}",
+            promoted.body_text()
+        );
+
+        let mut reference = boot(ServerConfig::default());
+        for (user, text) in &acked {
+            let resp = request(
+                reference.addr(),
+                "POST",
+                &format!("/profiles/{user}"),
+                Some(text),
+            );
+            assert_eq!(resp.status, 200, "{}", resp.body_text());
+        }
+        let users: BTreeSet<&str> = acked.iter().map(|(u, _)| u.as_str()).collect();
+        for user in users {
+            let path = format!("/profiles/{user}");
+            let on_follower = request(follower.addr(), "GET", &path, None);
+            let on_reference = request(reference.addr(), "GET", &path, None);
+            assert_eq!(on_follower.status, 200, "round {round}: {user} lost");
+            assert_eq!(
+                on_follower.body_text(),
+                on_reference.body_text(),
+                "round {round}: {user}'s profile diverged after the kill at ack {kill_at}"
+            );
+            for sql in [
+                "SELECT title FROM MOVIE",
+                "SELECT title FROM MOVIE WHERE MOVIE.year >= 1990",
+            ] {
+                let body = personalize_body(user, sql);
+                let answer = |addr: SocketAddr| {
+                    let resp = request(addr, "POST", "/personalize", Some(&body));
+                    assert_eq!(resp.status, 200, "{}", resp.body_text());
+                    let parsed = json::parse(&resp.body_text()).expect("personalize JSON");
+                    without_run_fields(parsed).render()
+                };
+                assert_eq!(
+                    answer(follower.addr()),
+                    answer(reference.addr()),
+                    "round {round}: {user}'s answer to {sql:?} diverged after the kill"
+                );
+            }
+        }
+        reference.stop();
+        follower.stop();
+    }
 }
 
 /// Runs `rounds` passes of the same (user × template) personalize mix

@@ -565,26 +565,28 @@ fn read_retry_budget_sheds_with_retry_after_when_exhausted() {
     b.stop();
 }
 
-#[test]
-fn seeded_nemesis_churn_keeps_every_acked_write() {
+/// Runs `plan` on the primary's HTTP link while `users_n` users write
+/// `rounds` rounds through the router, heals, and runs the checker over
+/// every ack. `input` names the schedule in each assertion message.
+fn nemesis_churn(input: &str, plan: NemesisPlan, users_n: usize, rounds: usize) {
     let mut cluster =
         Cluster::start(ClusterConfig::with_nemesis(1, tmpdir("churn"))).expect("cluster");
     let router_addr = cluster.router.addr();
     let acks = AckLog::new();
-    let all = users(3);
+    let all = users(users_n);
     for user in &all {
-        assert_eq!(acked_write(router_addr, user, &acks).status, 200);
+        let resp = acked_write(router_addr, user, &acks);
+        assert_eq!(resp.status, 200, "{input}: {}", resp.body_text());
     }
 
     // A deterministic fault schedule on the primary's HTTP link: same
     // seed, same plan, every run. Writes race the faults; only the
     // acked ones count.
-    let plan = NemesisPlan::seeded(0xC0FFEE, 6, 40);
     {
         let nemesis = cluster.groups[0].nemesis.as_mut().expect("nemesis cluster");
         nemesis.primary_http.run_plan(plan);
     }
-    for _round in 0..5 {
+    for _round in 0..rounds {
         for user in &all {
             // Best effort: a 503 or transport error during a fault is
             // fine — the point is that whatever got a 200 must survive.
@@ -602,7 +604,10 @@ fn seeded_nemesis_churn_keeps_every_acked_write() {
     let healed = wait_for(Duration::from_secs(10), || {
         acked_write(router_addr, &all[0], &acks).status == 200
     });
-    assert!(healed, "cluster never healed after the nemesis plan");
+    assert!(
+        healed,
+        "{input}: cluster never healed after the nemesis plan"
+    );
 
     let catalog = cluster.db().catalog().clone();
     // Which replica is authoritative depends on whether the plan's
@@ -619,8 +624,28 @@ fn seeded_nemesis_churn_keeps_every_acked_write() {
     })
     .collect();
     let report = check(&acks.snapshot(), &dumps);
-    assert_eq!(report.lost_acked_writes, 0, "{:?}", report.details);
-    assert_eq!(report.split_brain_divergence, 0, "{:?}", report.details);
-    assert!(report.consistent(), "{:?}", report.details);
+    assert_eq!(report.lost_acked_writes, 0, "{input}: {:?}", report.details);
+    assert_eq!(
+        report.split_brain_divergence, 0,
+        "{input}: {:?}",
+        report.details
+    );
+    assert!(report.consistent(), "{input}: {:?}", report.details);
     cluster.stop();
+}
+
+#[test]
+fn seeded_nemesis_churn_keeps_every_acked_write() {
+    nemesis_churn(
+        "6 steps, 3 users x 5 rounds",
+        NemesisPlan::seeded(0xC0FFEE, 6, 40),
+        3,
+        5,
+    );
+    nemesis_churn(
+        "8 steps, 4 users x 8 rounds",
+        NemesisPlan::seeded(0xC0FFEE, 8, 40),
+        4,
+        8,
+    );
 }

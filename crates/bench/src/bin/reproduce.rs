@@ -54,9 +54,8 @@ use cqp_obs::reqtrace::fold_traces;
 use cqp_obs::{Json, Obs, RunReport};
 use cqp_prefs::{ConjModel, Doi};
 use cqp_prefspace::{ExtractConfig, PrefParams, PreferenceSpace};
-use cqp_server::http::ClientResponse;
+use cqp_server::http::{self, Request, Timeouts};
 use cqp_storage::{FaultMode, FaultPlan};
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -800,8 +799,13 @@ fn obs_experiment(c: &Ctx) -> Vec<Output> {
 
     // One deadline-tripped request with a client-chosen trace ID, then its
     // span tree back out of the debug endpoint.
+    let timeouts = Timeouts {
+        connect: Duration::from_secs(2),
+        read: Duration::from_secs(20),
+    };
+    let send = |req: &Request| http::exchange(addr, req, timeouts);
     let http_get = |path: &str| -> String {
-        let resp = http(addr, "GET", path, &[], None).expect("GET response");
+        let resp = send(&Request::get(path)).expect("GET response");
         assert_eq!(resp.status, 200, "GET {path}: {}", resp.body_text());
         resp.body_text()
     };
@@ -815,14 +819,8 @@ fn obs_experiment(c: &Ctx) -> Vec<Output> {
         Json::Str(queries[0].clone()).render(),
     );
     let padded = format!("{:0>16}", trace_id);
-    let probe = http(
-        addr,
-        "POST",
-        "/personalize",
-        &[("x-cqp-trace-id", trace_id)],
-        Some(&body),
-    )
-    .expect("probe response");
+    let probe = send(&Request::post("/personalize", &body).with_header("x-cqp-trace-id", trace_id))
+        .expect("probe response");
     assert_eq!(probe.status, 200, "probe: {}", probe.body_text());
     assert_eq!(
         probe.header("x-cqp-trace-id"),
@@ -932,34 +930,4 @@ fn obs_experiment(c: &Ctx) -> Vec<Output> {
         Output::Bench("obs", doc),
         Output::Reports("obs", reports),
     ]
-}
-
-/// The obs experiment's one-shot HTTP client: one request over a fresh
-/// connection (`connection: close`), with extra request headers (the
-/// probe stamps `x-cqp-trace-id`) and an optional body, sent with its
-/// `content-length`.
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: Option<&str>,
-) -> std::io::Result<ClientResponse> {
-    use std::io::{BufReader, Write};
-    let stream = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(20)))?;
-    stream.set_nodelay(true)?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: bench\r\nconnection: close\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    if let Some(b) = body {
-        head.push_str(&format!("content-length: {}\r\n", b.len()));
-    }
-    head.push_str("\r\n");
-    let mut payload = head.into_bytes();
-    payload.extend_from_slice(body.unwrap_or_default().as_bytes());
-    (&stream).write_all(&payload)?;
-    cqp_server::http::parse_response(&mut BufReader::new(stream))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }

@@ -23,7 +23,7 @@ use cqp_par::ThreadPool;
 use cqp_prefs::{ConjModel, Doi};
 use cqp_prefspace::PreferenceSpace;
 use cqp_storage::IoMeter;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The algorithms of Figure 12, in the paper's legend order.
 pub const FIG12_ALGORITHMS: [Algorithm; 5] = [
@@ -298,17 +298,20 @@ impl Cell {
 
 /// Runs every cell on a `threads`-wide work-stealing pool (one thread runs
 /// inline). Each distinct `K`'s spaces are extracted once and shared by
-/// that `K`'s cells. Each cell gets a fresh [`Obs`]: `measure` runs on
-/// every space at the cell's budget, and `finish` turns the per-component
-/// means into the cell's row and completes its report, which arrives
-/// labelled with the algorithm and carrying `percent_supreme` (on a cmax
-/// sweep) and `k`. Rows and reports come back in cell order.
-fn sweep<const N: usize, R: Send>(
+/// that `K`'s cells, and `reference` runs once per space and budget,
+/// shared by the cells of one sweep point. Each cell gets a fresh [`Obs`]:
+/// `measure` runs on every space at the cell's budget with that space's
+/// reference, and `finish` turns the per-component means into the cell's
+/// row and completes its report, which arrives labelled with the algorithm
+/// and carrying `percent_supreme` (on a cmax sweep) and `k`. Rows and
+/// reports come back in cell order.
+fn sweep<const N: usize, R: Send, Ref: Send + Sync>(
     w: &Workload,
     experiment: &str,
     cells: &[Cell],
     threads: usize,
-    measure: impl Fn(&Obs, &PreferenceSpace, u64, Algorithm) -> [f64; N] + Sync,
+    reference: impl Fn(&PreferenceSpace, u64) -> Ref + Sync,
+    measure: impl Fn(&Obs, &PreferenceSpace, u64, Algorithm, &Ref) -> [f64; N] + Sync,
     finish: impl Fn(&Cell, [f64; N], RunReport) -> (R, RunReport) + Sync,
 ) -> (Vec<R>, Vec<RunReport>) {
     let pool = ThreadPool::new(threads);
@@ -319,16 +322,38 @@ fn sweep<const N: usize, R: Send>(
         }
     }
     let spaces_by_k: Vec<Vec<PreferenceSpace>> = pool.map(ks.clone(), |_, k| spaces_at_k(w, k));
+    let k_index = |k| {
+        ks.iter()
+            .position(|&x| x == k)
+            .expect("every K is extracted")
+    };
+    // One reference slot per space, used on the first cell of each sweep
+    // point: whichever of the point's cells reaches a space first fills
+    // it, and the point's other cells wait for that.
+    let references: Vec<Vec<OnceLock<Ref>>> = cells
+        .iter()
+        .map(|cell| {
+            spaces_by_k[k_index(cell.k)]
+                .iter()
+                .map(|_| OnceLock::new())
+                .collect()
+        })
+        .collect();
     pool.map(cells.to_vec(), |_, cell| {
-        let ki = ks
+        let spaces = &spaces_by_k[k_index(cell.k)];
+        let first = cells
             .iter()
-            .position(|&k| k == cell.k)
-            .expect("every K is extracted");
-        let spaces = &spaces_by_k[ki];
+            .position(|c| (c.k, c.percent) == (cell.k, cell.percent))
+            .expect("a cell is in its own sweep");
         let obs = Obs::new();
         let samples: Vec<[f64; N]> = spaces
             .iter()
-            .map(|space| measure(&obs, space, cell.cmax(w, space), cell.algorithm))
+            .zip(&references[first])
+            .map(|(space, slot)| {
+                let cmax = cell.cmax(w, space);
+                let reference = slot.get_or_init(|| reference(space, cmax));
+                measure(&obs, space, cmax, cell.algorithm, reference)
+            })
             .collect();
         let means =
             std::array::from_fn(|i| mean(&samples.iter().map(|s| s[i]).collect::<Vec<_>>()));
@@ -354,7 +379,8 @@ fn time_sweep(
         experiment,
         cells,
         threads,
-        |obs, space, cmax, algorithm| {
+        |_, _| (),
+        |obs, space, cmax, algorithm, _| {
             let (sol, secs) = solve_timed(obs, space, ConjModel::NoisyOr, cmax, algorithm);
             [secs, sol.instrument.states_examined as f64]
         },
@@ -398,7 +424,8 @@ fn memory_sweep(
         experiment,
         cells,
         threads,
-        |obs, space, cmax, algorithm| {
+        |_, _| (),
+        |obs, space, cmax, algorithm, _| {
             let sol = solve_p2_recorded(space, ConjModel::NoisyOr, cmax, algorithm, obs);
             [sol.instrument.peak_kbytes()]
         },
@@ -427,8 +454,8 @@ pub fn fig13b(w: &Workload, cells: &[Cell], threads: usize) -> (Vec<MemoryRow>, 
 }
 
 /// Mean quality gap per cell against C-BOUNDARIES (Figure 14). Only the
-/// heuristic under evaluation is recorded; the reference runs unrecorded
-/// so its counters don't pollute the cell.
+/// heuristic under evaluation is recorded; the reference runs unrecorded,
+/// once per space and budget, so its counters don't pollute the cell.
 fn quality_sweep(
     w: &Workload,
     experiment: &str,
@@ -441,10 +468,10 @@ fn quality_sweep(
         experiment,
         cells,
         threads,
-        |obs, space, cmax, algorithm| {
-            let optimal = solve_p2(space, conj, cmax, Algorithm::CBoundaries);
+        |space, cmax| solve_p2(space, conj, cmax, Algorithm::CBoundaries),
+        |obs, space, cmax, algorithm, optimal| {
             let found = solve_p2_recorded(space, conj, cmax, algorithm, obs);
-            [gap(&optimal, &found)]
+            [gap(optimal, &found)]
         },
         |cell, [quality_gap], report| {
             let row = QualityRow {
@@ -505,13 +532,13 @@ pub fn ablation_generic(
         "ablation_generic",
         &cells,
         threads,
-        |obs, space, cmax, algorithm| {
-            let optimal = solve_p2(space, ConjModel::NoisyOr, cmax, Algorithm::CBoundaries);
+        |space, cmax| solve_p2(space, ConjModel::NoisyOr, cmax, Algorithm::CBoundaries),
+        |obs, space, cmax, algorithm, optimal| {
             let (sol, secs) = solve_timed(obs, space, ConjModel::NoisyOr, cmax, algorithm);
             [
                 secs,
                 sol.instrument.states_examined as f64,
-                gap(&optimal, &sol),
+                gap(optimal, &sol),
             ]
         },
         |cell, [seconds, states, quality_gap], report| {
@@ -725,15 +752,22 @@ pub fn ablation_annealing_budget(
     budgets: &[usize],
 ) -> (Vec<AlgoTimeRow>, Vec<RunReport>) {
     let spaces = spaces_at_k(w, k);
+    // One unrecorded reference per space, shared by every budget.
+    let optima: Vec<Solution> = spaces
+        .iter()
+        .map(|space| {
+            let cmax = w.scale.cmax_for(space);
+            solve_p2(space, ConjModel::NoisyOr, cmax, Algorithm::CBoundaries)
+        })
+        .collect();
     let mut rows = Vec::new();
     let mut reports = Vec::new();
     for &steps in budgets {
         let obs = Obs::new();
         let mut secs = Vec::new();
         let mut gaps = Vec::new();
-        for space in &spaces {
+        for (space, optimal) in spaces.iter().zip(&optima) {
             let cmax = w.scale.cmax_for(space);
-            let optimal = solve_p2(space, ConjModel::NoisyOr, cmax, Algorithm::CBoundaries);
             let cfg = generic::annealing::AnnealingConfig {
                 steps,
                 ..Default::default()
@@ -743,7 +777,7 @@ pub fn ablation_annealing_budget(
             });
             sol.instrument.flush_to(&obs);
             secs.push(t);
-            gaps.push(gap(&optimal, &sol));
+            gaps.push(gap(optimal, &sol));
         }
         rows.push(AlgoTimeRow {
             x: steps as f64,

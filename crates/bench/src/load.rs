@@ -34,7 +34,7 @@
 //! replays exactly. Latencies and reap timing are wall-clock and vary.
 
 use cqp_obs::{Histogram, Json};
-use cqp_server::http::{parse_response, ClientResponse, HttpError};
+use cqp_server::http::{parse_response, Client, Request, Timeouts};
 use cqp_server::{json, TRACE_ID_HEADER};
 use rand::splitmix64;
 use std::io::{self, BufReader, Read, Write};
@@ -73,17 +73,11 @@ fn quantiles(latencies: impl IntoIterator<Item = u64>) -> [u64; 3] {
     [0.50, 0.95, 0.99].map(|q| histogram.quantile(q))
 }
 
-/// The head of a personalize request with a `body_len`-byte body and an
-/// optional explicit trace ID: the one head every driver sends.
-fn personalize_head(body_len: usize, trace_id: Option<&str>) -> String {
-    let mut head =
-        format!("POST /personalize HTTP/1.1\r\nhost: cqp\r\ncontent-length: {body_len}\r\n");
-    if let Some(id) = trace_id {
-        head.push_str(&format!("{TRACE_ID_HEADER}: {id}\r\n"));
-    }
-    head.push_str("\r\n");
-    head
-}
+/// How long a closed-loop client waits to connect and for each response.
+const TIMEOUTS: Timeouts = Timeouts {
+    connect: Duration::from_secs(5),
+    read: Duration::from_secs(60),
+};
 
 /// Shape of the generated load.
 #[derive(Debug, Clone)]
@@ -226,51 +220,6 @@ impl LoadReport {
     }
 }
 
-/// One HTTP client over one keep-alive connection, reconnecting when the
-/// server closes it.
-struct Client {
-    addr: SocketAddr,
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
-            addr,
-            stream,
-            reader,
-        })
-    }
-
-    fn personalize(
-        &mut self,
-        body: &str,
-        trace_id: Option<&str>,
-    ) -> Result<ClientResponse, HttpError> {
-        let head = personalize_head(body.len(), trace_id);
-        match self.send(&head, body) {
-            // One reconnect per request: a keep-alive close between
-            // requests is normal, a second failure is a real error.
-            Err(HttpError::ConnectionClosed | HttpError::Io(_)) => {
-                *self = Client::connect(self.addr)?;
-                self.send(&head, body)
-            }
-            other => other,
-        }
-    }
-
-    fn send(&mut self, head: &str, body: &str) -> Result<ClientResponse, HttpError> {
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
-        parse_response(&mut self.reader)
-    }
-}
-
 /// Renders the personalize body for `(client, index)` of the mix. The
 /// closed-loop clients, the open-loop lanes and the chaos template all
 /// draw from it.
@@ -314,8 +263,9 @@ fn trace_id_for(config: &LoadConfig, client: usize, index: usize) -> String {
 }
 
 /// Runs the configured load against a server and aggregates what the
-/// clients saw. Returns an `io::Error` only when a client cannot connect
-/// at all; per-request socket failures are counted in the report.
+/// clients saw. Returns an `io::Error` only for a config without a user,
+/// query or problem; socket failures, a refused connect included, are
+/// counted per request in the report.
 pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> io::Result<LoadReport> {
     if config.users.is_empty() || config.queries.is_empty() || config.problems.is_empty() {
         return Err(io::Error::new(
@@ -331,10 +281,10 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> io::Result<LoadReport>
         handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(Ok(r)) => r,
+                Ok(r) => r,
                 // A client that died whole-sale: count its planned
                 // requests as io errors.
-                _ => (
+                Err(_) => (
                     Vec::new(),
                     LoadReport {
                         requests: config.requests_per_client as u64,
@@ -378,12 +328,8 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> io::Result<LoadReport>
     Ok(report)
 }
 
-fn client_loop(
-    addr: SocketAddr,
-    config: &LoadConfig,
-    client_id: usize,
-) -> io::Result<(Vec<u64>, LoadReport)> {
-    let mut client = Client::connect(addr)?;
+fn client_loop(addr: SocketAddr, config: &LoadConfig, client_id: usize) -> (Vec<u64>, LoadReport) {
+    let mut client = Client::new(addr, TIMEOUTS);
     let mut report = LoadReport::default();
     let mut latencies = Vec::with_capacity(config.requests_per_client);
     for i in 0..config.requests_per_client {
@@ -393,8 +339,12 @@ fn client_loop(
         report.requests += 1;
         let trace_id = (config.trace_every > 0 && (i as u64) % config.trace_every == 0)
             .then(|| trace_id_for(config, client_id, i));
+        let mut req = Request::post("/personalize", body);
+        if let Some(id) = &trace_id {
+            req = req.with_header(TRACE_ID_HEADER, id.as_str());
+        }
         let t = Instant::now();
-        match client.personalize(&body, trace_id.as_deref()) {
+        match client.exchange(&req) {
             Err(_) => report.io_errors += 1,
             Ok(resp) => {
                 let us = t.elapsed().as_micros() as u64;
@@ -432,7 +382,7 @@ fn client_loop(
             }
         }
     }
-    Ok((latencies, report))
+    (latencies, report)
 }
 
 /// Shape of one connection-scale run.
@@ -688,9 +638,8 @@ fn run_lane(
                 let Some(body) = render_request(&config.mix, lane, i) else {
                     break;
                 };
-                let head = personalize_head(body.len(), None);
-                if w.write_all(head.as_bytes())
-                    .and_then(|()| w.write_all(body.as_bytes()))
+                if Request::post("/personalize", body)
+                    .write_to(&mut w, true)
                     .is_err()
                 {
                     break;
@@ -846,10 +795,10 @@ impl ChaosReport {
     }
 }
 
-/// The valid personalize request (head, body) every attack cuts: the
-/// shared renderer's first draw for `user0001`, the first user a server
-/// seeds, without a deadline.
-fn template_request() -> (String, String) {
+/// The valid personalize request every attack cuts, and the length of its
+/// head: the shared renderer's first draw for `user0001`, the first user a
+/// server seeds, without a deadline.
+fn template_request() -> (Vec<u8>, usize) {
     let mix = LoadConfig {
         users: vec!["user0001".to_string()],
         queries: vec!["SELECT title FROM MOVIE".to_string()],
@@ -857,13 +806,17 @@ fn template_request() -> (String, String) {
         ..LoadConfig::default()
     };
     let body = render_request(&mix, 0, 0).unwrap_or_default();
-    (personalize_head(body.len(), None), body)
+    let mut wire = Vec::new();
+    // Writing into a `Vec` cannot fail.
+    let _ = Request::post("/personalize", &body).write_to(&mut wire, true);
+    let head_len = wire.len() - body.len();
+    (wire, head_len)
 }
 
 /// Slowloris bytes: the template head without its closing blank line,
 /// then header-name filler. No prefix of them is ever a complete head.
-fn drip_source(head: &str) -> impl Iterator<Item = u8> + '_ {
-    head.as_bytes()[..head.len() - 2]
+fn drip_source(head: &[u8]) -> impl Iterator<Item = u8> + '_ {
+    head[..head.len() - 2]
         .iter()
         .copied()
         .chain(std::iter::repeat(b'x'))
@@ -887,17 +840,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosReport> {
 fn attack(cfg: &ChaosConfig, mode: ChaosMode, mut state: u64) -> io::Result<ChaosOutcome> {
     let drip = Duration::from_millis(cfg.drip_interval_ms.max(1));
     let patience = Duration::from_millis(cfg.patience_ms.max(1));
-    let (head, body) = template_request();
+    let (wire, head_len) = template_request();
     let r = splitmix64(&mut state) as usize;
     let payload = match mode {
         // Cut strictly inside the head: at least 1 byte sent, and the
         // terminating blank line never arrives.
-        ChaosMode::TruncatedHead => head.as_bytes()[..1 + r % (head.len() - 4)].to_vec(),
-        ChaosMode::MidBodyDisconnect => {
-            let mut payload = head.into_bytes();
-            payload.extend_from_slice(&body.as_bytes()[..r % body.len()]);
-            payload
-        }
+        ChaosMode::TruncatedHead => wire[..1 + r % (head_len - 4)].to_vec(),
+        ChaosMode::MidBodyDisconnect => wire[..head_len + r % (wire.len() - head_len)].to_vec(),
         // Drip head bytes, never finishing, then go silent with the
         // connection open: only the server's read deadline can end it.
         ChaosMode::Slowloris => return slowloris(&cfg.addr, cfg.drip_bytes, drip, patience),
@@ -932,8 +881,13 @@ fn slowloris<A: std::net::ToSocketAddrs>(
 ) -> io::Result<ChaosOutcome> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let (head, _) = template_request();
-    await_end(&stream, drip_source(&head).take(bytes), interval, patience)
+    let (wire, head_len) = template_request();
+    await_end(
+        &stream,
+        drip_source(&wire[..head_len]).take(bytes),
+        interval,
+        patience,
+    )
 }
 
 /// Writes `drip` one byte per `interval`, reading between bytes, until
@@ -1092,11 +1046,9 @@ mod tests {
             ..cqp_server::ServerConfig::default()
         };
         let mut handle = cqp_server::start(db, config).expect("server start");
-        let (head, body) = template_request();
+        let (wire, _) = template_request();
         let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .write_all(format!("{head}{body}").as_bytes())
-            .expect("write");
+        stream.write_all(&wire).expect("write");
         let resp = parse_response(&mut BufReader::new(&stream)).expect("response");
         assert_eq!(resp.status, 200, "{}", resp.body_text());
         handle.stop();

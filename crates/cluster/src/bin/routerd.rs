@@ -115,8 +115,9 @@ fn main() {
     // Graceful drain: stop() unblocks and joins the accept loop and the
     // probe thread; in-flight connection handlers (each owning its
     // pooled backend connections) finish their current exchange and
-    // exit, closing those connections with them.
-    eprintln!("routerd: termination signal received, draining");
+    // exit, closing those connections with them. Like "routing on", this
+    // line goes to stdout, where CI's SIGTERM smoke looks for it.
+    println!("routerd: termination signal received, draining");
     handle.stop();
     std::process::exit(0);
 }

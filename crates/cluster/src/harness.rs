@@ -5,9 +5,9 @@
 //! is a real `cqp-server` instance with its own WAL directory, real
 //! loopback sockets, and a real replication stream — only the process
 //! boundary is folded away so tests can reach into [`ServerHandle`]s
-//! (stop a primary, dump a store) without signals. The `reproduce
-//! cluster` bench uses actual child `serverd` processes for the SIGKILL
-//! failover audit; everything else runs on this harness.
+//! (stop a primary, dump a store) without signals. CI's kill-primary
+//! smoke runs `routerd` over child `serverd` processes for the SIGKILL
+//! failover check; the cluster and partition suites run on this harness.
 
 use crate::nemesis::{start_nemesis, NemesisHandle};
 use crate::router::{start_router, RouterConfig, RouterHandle, RoutingPolicy, ShardSpec};

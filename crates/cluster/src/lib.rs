@@ -16,8 +16,9 @@
 //! * [`ring`] — placement (balance + minimal movement, property-tested).
 //! * [`router`] — the HTTP front door: routing, failover, health
 //!   probes, epoch fencing.
-//! * [`harness`] — an in-process N-group cluster for tests and benches,
-//!   optionally with every link fronted by a nemesis proxy.
+//! * [`harness`] — an in-process N-group cluster for the cluster and
+//!   partition suites, optionally with every link fronted by a nemesis
+//!   proxy.
 //! * [`nemesis`] — a deterministic, seeded TCP fault injector
 //!   (partition / delay / connection-drop) for partition testing.
 //! * [`checker`] — the acked-write consistency checker that decides

@@ -20,28 +20,31 @@
 //!   pins each template class to one replica: the replica's answer and
 //!   cost caches stay warm for *its* templates instead of every replica
 //!   paying cold misses for every template. [`RoutingPolicy::Uniform`]
-//!   alternates replicas and is kept as the control arm the bench
-//!   compares against. Reads retry once on the other replica, which is
-//!   safe (reads are idempotent) and is what masks a replica death until
-//!   the health probe notices.
+//!   alternates replicas and is kept as the control arm of
+//!   `tests/cluster.rs`'s divergent-versus-uniform hit-rate test. Reads
+//!   retry once on the other replica, which is safe (reads are
+//!   idempotent) and is what masks a replica death until the health
+//!   probe notices.
 //!
 //! A background probe thread polls `/healthz/ready` on every replica and
 //! proactively fails over groups whose primary died, so a SIGKILLed
 //! primary is replaced within one probe interval even on an idle cluster.
 //!
 //! The proxy itself is deliberately plain: thread-per-connection,
-//! blocking sockets, the same HTTP/1.1 codec the server uses
-//! ([`cqp_server::http`]), with per-client-connection keep-alive reuse of
-//! backend connections for reads.
+//! blocking sockets, and the server's HTTP/1.1 codec
+//! ([`cqp_server::http`]) for every message it reads or writes. A write
+//! is one [`http::exchange`] over a fresh connection; reads share one
+//! keep-alive [`http::Client`] per backend per client connection. Relayed
+//! and locally built responses both go out through `Response::write_to`.
 
 use crate::ring::Ring;
 use cqp_core::answer_cache::{fnv1a, FNV_OFFSET};
 use cqp_obs::Json;
-use cqp_server::http::{parse_request, parse_response, ClientResponse, HttpError, Request};
+use cqp_server::http::{self, parse_request, HttpError, Request, Response, Timeouts};
 use cqp_server::{canonicalize_sql, json};
 use rand::splitmix64_mix;
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -139,6 +142,9 @@ const ROLE_UNKNOWN: u8 = 3;
 const RETRY_COST_MILLIS: i64 = 1000;
 const RETRY_REFILL_MILLIS: i64 = 100;
 
+/// How long a forward waits for its backend's response.
+const BACKEND_READ_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Live view of one replica.
 #[derive(Debug)]
 struct Replica {
@@ -228,7 +234,9 @@ pub struct Router {
     groups: Vec<Group>,
     policy: RoutingPolicy,
     stats: RouterStats,
-    connect_timeout: Duration,
+    /// Forward deadlines: the configured connect timeout and
+    /// `BACKEND_READ_TIMEOUT`.
+    timeouts: Timeouts,
     /// Retry-budget cap in milli-tokens (`retry_budget * 1000`).
     retry_cap_millis: i64,
     /// Seed for the jittered retry backoff.
@@ -292,7 +300,10 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         groups,
         policy: config.policy,
         stats: RouterStats::default(),
-        connect_timeout: config.connect_timeout,
+        timeouts: Timeouts {
+            connect: config.connect_timeout,
+            read: BACKEND_READ_TIMEOUT,
+        },
         retry_cap_millis: config.retry_budget as i64 * RETRY_COST_MILLIS,
         retry_seed: config.retry_seed,
         stopping: AtomicBool::new(false),
@@ -396,6 +407,14 @@ impl Router {
         )
     }
 
+    /// Probes and promotes wait the connect timeout for the answer too.
+    fn probe_timeouts(&self) -> Timeouts {
+        Timeouts {
+            read: self.timeouts.connect,
+            ..self.timeouts
+        }
+    }
+
     /// The group owning `user` (placement is total once groups exist).
     fn group_for(&self, user: &str) -> &Group {
         let name = self
@@ -416,7 +435,7 @@ impl Router {
         for group in &self.groups {
             for replica in &group.replicas {
                 let group_epoch = group.epoch.load(Ordering::SeqCst);
-                match probe_replica(replica.addr, group_epoch, self.connect_timeout) {
+                match probe_replica(replica.addr, group_epoch, self.probe_timeouts()) {
                     Some((role, epoch)) => {
                         replica.alive.store(true, Ordering::SeqCst);
                         replica.role.store(role, Ordering::SeqCst);
@@ -466,7 +485,7 @@ impl Router {
                 let target = group.epoch.load(Ordering::SeqCst) + 1;
                 if let Some(epoch) = promote(
                     group.replicas[winner].addr,
-                    self.connect_timeout,
+                    self.probe_timeouts(),
                     Some(target),
                 ) {
                     group.primary.store(winner, Ordering::SeqCst);
@@ -507,7 +526,7 @@ impl Router {
                 continue;
             }
             let target = group.epoch.load(Ordering::SeqCst) + 1;
-            if let Some(epoch) = promote(replica.addr, self.connect_timeout, Some(target)) {
+            if let Some(epoch) = promote(replica.addr, self.probe_timeouts(), Some(target)) {
                 group.primary.store(i, Ordering::SeqCst);
                 replica.role.store(ROLE_PRIMARY, Ordering::SeqCst);
                 replica.epoch.store(epoch, Ordering::SeqCst);
@@ -521,17 +540,17 @@ impl Router {
     }
 
     /// Routes one request, producing the response to relay.
-    fn route(&self, req: &Request, backends: &mut BackendPool) -> ClientResponse {
+    fn route(&self, req: &Request, backends: &mut BackendPool) -> Response {
         let segments = req.segments();
         match (req.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz", "live"]) => local_json(
+            ("GET", ["healthz", "live"]) => Response::json(
                 200,
-                Json::obj(vec![
+                &Json::obj(vec![
                     ("status", Json::from("live")),
                     ("component", Json::from("router")),
                 ]),
             ),
-            ("GET", ["router", "stats"]) => local_json(200, self.stats_json()),
+            ("GET", ["router", "stats"]) => Response::json(200, &self.stats_json()),
             (_, ["profiles", user, ..]) => {
                 let user = user.to_string();
                 if req.method == "GET" {
@@ -543,7 +562,7 @@ impl Router {
             ("POST", ["personalize"]) => self.route_personalize(req, backends),
             _ => {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                local_error(
+                Response::error(
                     404,
                     "not_routable",
                     "the router forwards /profiles/{user} and /personalize; \
@@ -556,15 +575,15 @@ impl Router {
     /// Profile mutation: current primary only, fresh connection, never
     /// retried — a failed forward may have been applied, and the
     /// replication ack ledger (not the router) defines durability.
-    fn route_write(&self, req: &Request, user: &str) -> ClientResponse {
+    fn route_write(&self, req: &Request, user: &str) -> Response {
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         let group = self.group_for(user);
         let Some(primary) = self.ensure_primary(group) else {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return local_error(
+            return Response::error(
                 503,
                 "no_primary",
-                format!("no live replica in group {:?}", group.name),
+                &format!("no live replica in group {:?}", group.name),
             );
         };
         let replica = &group.replicas[primary];
@@ -579,10 +598,10 @@ impl Router {
             "x-cqp-epoch".into(),
             group.epoch.load(Ordering::SeqCst).to_string(),
         ));
-        match forward_fresh(replica.addr, &req, self.connect_timeout) {
+        match http::exchange(replica.addr, &req, self.timeouts) {
             Ok(resp) => {
                 self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                resp
+                Response::from(resp)
             }
             Err(_) => {
                 // Demote and fail over eagerly; the client retries the
@@ -590,7 +609,7 @@ impl Router {
                 replica.alive.store(false, Ordering::SeqCst);
                 self.ensure_primary(group);
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                local_error(
+                Response::error(
                     503,
                     "write_forward_failed",
                     "primary unreachable; failover triggered, retry the write",
@@ -606,7 +625,7 @@ impl Router {
         req: &Request,
         user: &str,
         backends: &mut BackendPool,
-    ) -> ClientResponse {
+    ) -> Response {
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         let group = self.group_for(user);
         let preferred = group.primary.load(Ordering::SeqCst);
@@ -614,10 +633,10 @@ impl Router {
     }
 
     /// Personalize: group by the `user` in the body, replica by policy.
-    fn route_personalize(&self, req: &Request, backends: &mut BackendPool) -> ClientResponse {
+    fn route_personalize(&self, req: &Request, backends: &mut BackendPool) -> Response {
         let Some((user, sql)) = personalize_fields(&req.body) else {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return local_error(
+            return Response::error(
                 400,
                 "bad_route_body",
                 "`user` and `sql` (strings) are required to route /personalize",
@@ -654,7 +673,7 @@ impl Router {
         group: &Group,
         preferred: usize,
         backends: &mut BackendPool,
-    ) -> ClientResponse {
+    ) -> Response {
         let n = group.replicas.len();
         let mut attempted = false;
         for offset in 0..n {
@@ -671,22 +690,24 @@ impl Router {
                         .retry_budget_exhausted
                         .fetch_add(1, Ordering::Relaxed);
                     self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    let mut resp = local_error(
+                    return Response::error(
                         503,
                         "retry_budget_exhausted",
-                        format!(
+                        &format!(
                             "group {:?} exhausted its read-retry budget; back off",
                             group.name
                         ),
-                    );
-                    resp.headers.push(("retry-after".into(), "1".into()));
-                    return resp;
+                    )
+                    .with_header("retry-after", "1");
                 }
                 self.stats.read_retries.fetch_add(1, Ordering::Relaxed);
                 thread::sleep(Duration::from_millis(self.retry_backoff_ms(group)));
             }
             attempted = true;
-            match forward_reused(backends, replica.addr, req, self.connect_timeout) {
+            let backend = backends
+                .entry(replica.addr)
+                .or_insert_with(|| http::Client::new(replica.addr, self.timeouts));
+            match backend.exchange(req) {
                 Ok(resp) => {
                     self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
                     if offset == 0 {
@@ -694,16 +715,16 @@ impl Router {
                         // slowly pay the budget back.
                         group.refill_retry(self.retry_cap_millis);
                     }
-                    return resp;
+                    return Response::from(resp);
                 }
                 Err(_) => replica.alive.store(false, Ordering::SeqCst),
             }
         }
         self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        local_error(
+        Response::error(
             503,
             "no_replica",
-            format!("no live replica in group {:?}", group.name),
+            &format!("no live replica in group {:?}", group.name),
         )
     }
 
@@ -775,9 +796,9 @@ impl Router {
     }
 }
 
-/// Per-client-connection pool of keep-alive backend connections, used
-/// for reads only (writes always get a fresh connection).
-type BackendPool = HashMap<SocketAddr, TcpStream>;
+/// Per-client-connection pool of keep-alive backend clients, used for
+/// reads only (writes always get a fresh connection).
+type BackendPool = HashMap<SocketAddr, http::Client>;
 
 /// One client connection: parse → route → relay, keep-alive aware.
 fn handle_connection(router: &Router, stream: TcpStream) {
@@ -795,14 +816,14 @@ fn handle_connection(router: &Router, stream: TcpStream) {
             Ok(req) => req,
             Err(HttpError::ConnectionClosed) => return,
             Err(_) => {
-                let resp = local_error(400, "bad_request", "malformed HTTP request");
-                let _ = write_client_response(&mut writer, &resp, false);
+                let resp = Response::error(400, "bad_request", "malformed HTTP request");
+                let _ = resp.write_to(&mut writer, false);
                 return;
             }
         };
         let keep_alive = req.keep_alive;
         let resp = router.route(&req, &mut backends);
-        if write_client_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {
+        if resp.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
             return;
         }
     }
@@ -824,9 +845,9 @@ fn personalize_fields(body: &[u8]) -> Option<(String, String)> {
 /// of the readiness body. Liveness is still just "status 200" — a
 /// pre-epoch backend with no role/epoch fields probes as an unknown-role
 /// epoch-0 replica and everything behaves as before.
-fn probe_replica(addr: SocketAddr, group_epoch: u64, timeout: Duration) -> Option<(u8, u64)> {
-    let headers = [("x-cqp-epoch", group_epoch.to_string())];
-    let resp = send_local_request(addr, "GET", "/healthz/ready", &headers, timeout).ok()?;
+fn probe_replica(addr: SocketAddr, group_epoch: u64, timeouts: Timeouts) -> Option<(u8, u64)> {
+    let req = Request::get("/healthz/ready").with_header("x-cqp-epoch", group_epoch.to_string());
+    let resp = http::exchange(addr, &req, timeouts).ok()?;
     if resp.status != 200 {
         return None;
     }
@@ -856,12 +877,12 @@ fn probe_replica(addr: SocketAddr, group_epoch: u64, timeout: Duration) -> Optio
 /// exact epoch (the backend refuses, idempotently, if it is already at
 /// or past it). Success means the backend now reports itself primary;
 /// returns its resulting epoch (0 for pre-epoch backends).
-fn promote(addr: SocketAddr, timeout: Duration, target: Option<u64>) -> Option<u64> {
+fn promote(addr: SocketAddr, timeouts: Timeouts, target: Option<u64>) -> Option<u64> {
     let path = match target {
         Some(epoch) => format!("/admin/promote?epoch={epoch}"),
         None => "/admin/promote".to_string(),
     };
-    let resp = send_local_request(addr, "POST", &path, &[], timeout).ok()?;
+    let resp = http::exchange(addr, &Request::new("POST", &path), timeouts).ok()?;
     if resp.status != 200 {
         return None;
     }
@@ -872,186 +893,4 @@ fn promote(addr: SocketAddr, timeout: Duration, target: Option<u64>) -> Option<u
         Some("primary") => Some(body.get("epoch").and_then(Json::as_u64).unwrap_or(0)),
         _ => None,
     }
-}
-
-/// A one-shot router-originated request (probe, promote).
-fn send_local_request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, String)],
-    timeout: Duration,
-) -> io::Result<ClientResponse> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: cqp-router\r\ncontent-length: 0\r\n");
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("connection: close\r\n\r\n");
-    writer.write_all(head.as_bytes())?;
-    writer.flush()?;
-    parse_response(&mut BufReader::new(stream)).map_err(http_to_io)
-}
-
-/// Forwards `req` over a fresh, immediately-closed connection (writes).
-fn forward_fresh(addr: SocketAddr, req: &Request, timeout: Duration) -> io::Result<ClientResponse> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    write_backend_request(&mut writer, req, false)?;
-    parse_response(&mut BufReader::new(stream)).map_err(http_to_io)
-}
-
-/// Forwards `req` over the pooled keep-alive connection to `addr`,
-/// transparently replacing a stale one (reads only — a retried write
-/// could double-apply).
-fn forward_reused(
-    backends: &mut BackendPool,
-    addr: SocketAddr,
-    req: &Request,
-    connect_timeout: Duration,
-) -> io::Result<ClientResponse> {
-    let reused = backends.contains_key(&addr);
-    if let Some(stream) = backends.get_mut(&addr) {
-        match forward_on(stream, req) {
-            Ok(resp) => return Ok(resp),
-            Err(_) => {
-                // Stale keep-alive (idle-timeout race); rebuild below.
-                backends.remove(&addr);
-            }
-        }
-    }
-    let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_nodelay(true)?;
-    backends.insert(addr, stream);
-    let stream = backends.get_mut(&addr).expect("just inserted");
-    match forward_on(stream, req) {
-        Ok(resp) => Ok(resp),
-        Err(e) => {
-            backends.remove(&addr);
-            // One rebuild attempt per call: if a fresh connection also
-            // failed, the replica is genuinely unreachable.
-            let _ = reused;
-            Err(e)
-        }
-    }
-}
-
-/// One request/response exchange on an established backend connection.
-fn forward_on(stream: &mut TcpStream, req: &Request) -> io::Result<ClientResponse> {
-    write_backend_request(stream, req, true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    parse_response(&mut reader).map_err(http_to_io)
-}
-
-/// Serializes `req` toward a backend, preserving application headers
-/// (trace IDs, deadlines) and owning the hop-by-hop ones.
-fn write_backend_request<W: Write>(
-    writer: &mut W,
-    req: &Request,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut head = format!(
-        "{} {} HTTP/1.1\r\nhost: cqp-router\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        req.method,
-        req.path,
-        req.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in &req.headers {
-        if matches!(name.as_str(), "host" | "content-length" | "connection") {
-            continue;
-        }
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
-    out.extend_from_slice(&req.body);
-    writer.write_all(&out)?;
-    writer.flush()
-}
-
-/// Relays a backend (or locally built) response to the client. The
-/// router owns the hop-by-hop headers; everything else passes through.
-fn write_client_response<W: Write>(
-    writer: &mut W,
-    resp: &ClientResponse,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, reason(resp.status));
-    for (name, value) in &resp.headers {
-        if matches!(name.as_str(), "content-length" | "connection") {
-            continue;
-        }
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str(&format!(
-        "content-length: {}\r\nconnection: {}\r\n\r\n",
-        resp.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    ));
-    let mut out = head.into_bytes();
-    out.extend_from_slice(&resp.body);
-    writer.write_all(&out)?;
-    writer.flush()
-}
-
-/// Standard reason phrases for the statuses the router relays.
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "",
-    }
-}
-
-/// A locally generated JSON response.
-fn local_json(status: u16, body: Json) -> ClientResponse {
-    ClientResponse {
-        status,
-        headers: vec![("content-type".into(), "application/json".into())],
-        body: body.render().into_bytes(),
-    }
-}
-
-/// A locally generated error in the backend's `ApiError` wire shape,
-/// `{"error": {"code", "message"}}`.
-fn local_error(status: u16, code: &'static str, message: impl Into<String>) -> ClientResponse {
-    local_json(
-        status,
-        Json::obj(vec![(
-            "error",
-            Json::obj(vec![
-                ("code", Json::from(code)),
-                ("message", Json::from(message.into())),
-            ]),
-        )]),
-    )
-}
-
-fn http_to_io(e: HttpError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }

@@ -5,8 +5,20 @@
 //! hard limits on header and body size so a misbehaving client cannot make
 //! the server allocate unboundedly. Every malformed input maps to a typed
 //! [`HttpError`] the router turns into a 4xx — parsing never panics.
+//!
+//! This module is the only code in the workspace that writes an HTTP/1.1
+//! message. [`Request::write_to`] and [`Response::write_to`] own the
+//! framing headers (`content-length`, `connection`, and `host` or
+//! `content-type`), pass every other header through, and send head and
+//! body in one write. [`exchange`] is the one-shot client (a fresh
+//! connection, `connection: close`) and [`Client`] the keep-alive one,
+//! which rebuilds a stale connection once.
 
-use std::io::{self, BufRead, Write};
+use cqp_obs::Json;
+use std::borrow::Cow;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// Longest accepted request line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -57,6 +69,15 @@ impl From<io::Error> for HttpError {
     }
 }
 
+impl From<HttpError> for io::Error {
+    fn from(e: HttpError) -> Self {
+        match e {
+            HttpError::Io(kind) => kind.into(),
+            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -73,6 +94,52 @@ pub struct Request {
 }
 
 impl Request {
+    /// A request to send: `method` on `path`, with no headers and no body.
+    pub fn new(method: &str, path: &str) -> Request {
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            headers: Vec::new(),
+            body: Vec::new(),
+            keep_alive: true,
+        }
+    }
+
+    /// A `GET` of `path`.
+    pub fn get(path: &str) -> Request {
+        Request::new("GET", path)
+    }
+
+    /// A `POST` of `body` to `path`.
+    pub fn post(path: &str, body: impl AsRef<[u8]>) -> Request {
+        Request {
+            body: body.as_ref().to_vec(),
+            ..Request::new("POST", path)
+        }
+    }
+
+    /// Adds a header (builder-style).
+    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Request {
+        self.headers.push((name.to_string(), value.into()));
+        self
+    }
+
+    /// Serializes the request onto `writer` in one write. The writer owns
+    /// `host`, `content-length` and `connection` (keep-alive or close, per
+    /// `keep_alive` rather than the parsed `self.keep_alive`) and passes
+    /// every other header through, so a relay forwards trace IDs and
+    /// deadlines untouched.
+    pub fn write_to<W: Write>(&self, writer: &mut W, keep_alive: bool) -> io::Result<()> {
+        write_message(
+            writer,
+            format_args!("{} {} HTTP/1.1", self.method, self.path),
+            ("host", "cqp"),
+            keep_alive,
+            &self.headers,
+            &self.body,
+        )
+    }
+
     /// First header value with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers
@@ -455,29 +522,35 @@ pub struct Response {
     pub headers: Vec<(String, String)>,
     /// Body bytes.
     pub body: Vec<u8>,
-    /// `Content-Type` value.
-    pub content_type: &'static str,
+    /// `Content-Type` value: a constant for the server's own responses,
+    /// the peer's value for a relayed one.
+    pub content_type: Cow<'static, str>,
 }
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: &cqp_obs::Json) -> Response {
-        Response {
+    pub fn json(status: u16, body: &Json) -> Response {
+        Response::text_with_type(status, body.render(), "application/json")
+    }
+
+    /// The JSON error every serving tier answers with:
+    /// `{"error": {"code", "message"}}`.
+    pub fn error(status: u16, code: &str, message: &str) -> Response {
+        Response::json(
             status,
-            headers: Vec::new(),
-            body: body.render().into_bytes(),
-            content_type: "application/json",
-        }
+            &Json::obj(vec![(
+                "error",
+                Json::obj(vec![
+                    ("code", Json::from(code)),
+                    ("message", Json::from(message)),
+                ]),
+            )]),
+        )
     }
 
     /// A plain-text response.
     pub fn text(status: u16, body: impl Into<String>) -> Response {
-        Response {
-            status,
-            headers: Vec::new(),
-            body: body.into().into_bytes(),
-            content_type: "text/plain",
-        }
+        Response::text_with_type(status, body, "text/plain")
     }
 
     /// A text response with an explicit `Content-Type` — the Prometheus
@@ -491,7 +564,7 @@ impl Response {
             status,
             headers: Vec::new(),
             body: body.into().into_bytes(),
-            content_type,
+            content_type: Cow::Borrowed(content_type),
         }
     }
 
@@ -519,32 +592,78 @@ impl Response {
         }
     }
 
-    /// Serializes the response onto `writer` (one flat write + flush).
+    /// Serializes the response onto `writer` in one write. The writer
+    /// owns `content-type`, `content-length` and `connection`; every
+    /// other header passes through.
     pub fn write_to<W: Write>(&self, writer: &mut W, keep_alive: bool) -> io::Result<()> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-            self.status,
-            self.reason(),
-            self.content_type,
-            self.body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        );
-        for (k, v) in &self.headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        let mut out = head.into_bytes();
-        out.extend_from_slice(&self.body);
-        writer.write_all(&out)?;
-        writer.flush()
+        write_message(
+            writer,
+            format_args!("HTTP/1.1 {} {}", self.status, self.reason()),
+            ("content-type", self.content_type.as_ref()),
+            keep_alive,
+            &self.headers,
+            &self.body,
+        )
     }
 }
 
-/// A client-side view of one response (used by the load generator and the
-/// socket tests; not a general client).
+/// A response relayed from a peer: its status, body and end-to-end
+/// headers, with its `content-type` kept. [`Response::write_to`] writes
+/// the framing headers anew.
+impl From<ClientResponse> for Response {
+    fn from(mut resp: ClientResponse) -> Response {
+        let content_type = match resp.headers.iter().position(|(k, _)| k == "content-type") {
+            Some(i) => Cow::Owned(resp.headers.remove(i).1),
+            None => Cow::Borrowed("application/octet-stream"),
+        };
+        Response {
+            status: resp.status,
+            headers: resp.headers,
+            body: resp.body,
+            content_type,
+        }
+    }
+}
+
+/// Writes one message in one write: the `start` line, the `first` header
+/// the message type owns (`host` or `content-type`), `content-length`,
+/// `connection`, every other header of `headers`, the blank line and
+/// `body`. A header in `headers` that the writer owns is dropped, so the
+/// message carries exactly one of each.
+fn write_message<W: Write>(
+    writer: &mut W,
+    start: std::fmt::Arguments<'_>,
+    first: (&str, &str),
+    keep_alive: bool,
+    headers: &[(String, String)],
+    body: &[u8],
+) -> io::Result<()> {
+    let owned = |name: &str| {
+        [first.0, "content-length", "connection"]
+            .iter()
+            .any(|o| name.eq_ignore_ascii_case(o))
+    };
+    let extra: usize = headers.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+    let mut out = Vec::with_capacity(160 + first.1.len() + extra + body.len());
+    write!(
+        out,
+        "{start}\r\n{}: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+        first.0,
+        first.1,
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
+    )?;
+    for (name, value) in headers.iter().filter(|(name, _)| !owned(name)) {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    writer.write_all(&out)?;
+    writer.flush()
+}
+
+/// A client-side view of one response (used by the router, the load
+/// drivers and the socket tests; not a general client).
 #[derive(Debug)]
 pub struct ClientResponse {
     /// Status code.
@@ -609,10 +728,83 @@ pub fn parse_response<R: BufRead>(reader: &mut R) -> Result<ClientResponse, Http
     })
 }
 
+/// How long a client exchange waits.
+#[derive(Debug, Clone, Copy)]
+pub struct Timeouts {
+    /// For the TCP connect.
+    pub connect: Duration,
+    /// For each read of the response.
+    pub read: Duration,
+}
+
+/// A connection to `addr` with the caller's deadlines; writes go through
+/// the reader's stream.
+fn connect(addr: SocketAddr, timeouts: Timeouts) -> io::Result<BufReader<TcpStream>> {
+    let stream = TcpStream::connect_timeout(&addr, timeouts.connect)?;
+    stream.set_read_timeout(Some(timeouts.read))?;
+    stream.set_nodelay(true)?;
+    Ok(BufReader::new(stream))
+}
+
+/// Writes `req` on `conn` and reads its response.
+fn round_trip(
+    conn: &mut BufReader<TcpStream>,
+    req: &Request,
+    keep_alive: bool,
+) -> io::Result<ClientResponse> {
+    req.write_to(conn.get_mut(), keep_alive)?;
+    Ok(parse_response(conn)?)
+}
+
+/// One request over a fresh connection to `addr` that closes after the
+/// response (`connection: close`). Nothing is re-sent: the one exchange
+/// for requests that must not be applied twice.
+pub fn exchange(addr: SocketAddr, req: &Request, timeouts: Timeouts) -> io::Result<ClientResponse> {
+    round_trip(&mut connect(addr, timeouts)?, req, false)
+}
+
+/// A keep-alive client of one peer. Each [`Client::exchange`] reuses the
+/// open connection; when that fails (the peer closed it while idle), the
+/// request is sent once more over a rebuilt connection, so use it only
+/// for requests that are safe to send twice.
+#[derive(Debug)]
+pub struct Client {
+    addr: SocketAddr,
+    timeouts: Timeouts,
+    conn: Option<BufReader<TcpStream>>,
+}
+
+impl Client {
+    /// A client of `addr`; it connects on its first exchange.
+    pub fn new(addr: SocketAddr, timeouts: Timeouts) -> Client {
+        Client {
+            addr,
+            timeouts,
+            conn: None,
+        }
+    }
+
+    /// One request over the kept connection, rebuilt at most once. A
+    /// failure on a fresh connection is returned and leaves none kept.
+    pub fn exchange(&mut self, req: &Request) -> io::Result<ClientResponse> {
+        if let Some(conn) = &mut self.conn {
+            match round_trip(conn, req, true) {
+                Ok(resp) => return Ok(resp),
+                Err(_) => self.conn = None,
+            }
+        }
+        let conn = self.conn.insert(connect(self.addr, self.timeouts)?);
+        let resp = round_trip(conn, req, true);
+        if resp.is_err() {
+            self.conn = None;
+        }
+        resp
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(text: &str) -> Result<Request, HttpError> {
         parse_request(&mut BufReader::new(text.as_bytes()))
@@ -681,15 +873,117 @@ mod tests {
         assert!(!req.keep_alive);
     }
 
+    /// The bytes are pinned: the response writer's output must not move.
     #[test]
     fn response_round_trips_through_client_parser() {
         let body = cqp_obs::Json::obj(vec![("ok", cqp_obs::Json::Bool(true))]);
-        let resp = Response::json(429, &body).with_header("retry-after", "1");
+        let resp = Response::json(429, &body)
+            .with_header("retry-after", "1")
+            .with_header("x-cqp-trace-id", "00000000feedc0de");
         let mut wire = Vec::new();
         resp.write_to(&mut wire, true).unwrap();
+        assert_eq!(
+            wire,
+            b"HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+              content-length: 11\r\nconnection: keep-alive\r\nretry-after: 1\r\n\
+              x-cqp-trace-id: 00000000feedc0de\r\n\r\n{\"ok\":true}"
+        );
         let parsed = parse_response(&mut BufReader::new(wire.as_slice())).unwrap();
         assert_eq!(parsed.status, 429);
         assert_eq!(parsed.header("retry-after"), Some("1"));
         assert_eq!(parsed.body_text(), r#"{"ok":true}"#);
+    }
+
+    #[test]
+    fn written_requests_parse_back_whole_and_byte_by_byte() {
+        for sent in [
+            Request::get("/healthz?x=1"),
+            Request::post("/p", "{\"u\":1}"),
+        ] {
+            let sent = sent.with_header("x-cqp-trace-id", "ab");
+            for keep_alive in [true, false] {
+                let mut wire = Vec::new();
+                sent.write_to(&mut wire, keep_alive).unwrap();
+                let mut parser = RequestParser::new();
+                let mut incremental = None;
+                for byte in &wire {
+                    parser.feed(std::slice::from_ref(byte));
+                    incremental = incremental.or(parser.try_next().unwrap());
+                }
+                for got in [parse_request(&mut &wire[..]).unwrap(), incremental.unwrap()] {
+                    assert_eq!((&got.method, &got.path), (&sent.method, &sent.path));
+                    assert_eq!((&got.body, got.keep_alive), (&sent.body, keep_alive));
+                    // `host`, `content-length` and `connection` come first.
+                    assert_eq!(got.headers[3..], sent.headers);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relayed_response_keeps_end_to_end_headers_and_owns_the_framing() {
+        let backend = b"HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+            x-cqp-trace-id: 00000000000000ab\r\ncontent-length: 2\r\nretry-after: 1\r\n\
+            connection: keep-alive\r\n\r\n{}";
+        let relayed = Response::from(parse_response(&mut &backend[..]).unwrap());
+        let mut wire = Vec::new();
+        relayed.write_to(&mut wire, false).unwrap();
+        let got = parse_response(&mut &wire[..]).unwrap();
+        let count = |name: &str| got.headers.iter().filter(|(k, _)| k == name).count();
+        assert_eq!((count("content-length"), count("connection")), (1, 1));
+        assert_eq!(got.header("connection"), Some("close"));
+        assert_eq!(got.header("content-type"), Some("application/json"));
+        assert_eq!(got.header("x-cqp-trace-id"), Some("00000000000000ab"));
+        assert_eq!(got.header("retry-after"), Some("1"));
+        assert_eq!((got.status, got.body_text().as_str()), (503, "{}"));
+    }
+
+    #[test]
+    fn keep_alive_client_rebuilds_a_stale_connection_once() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (closed, on_close) = std::sync::mpsc::channel();
+        // Connection i answers `answers[i]` requests, then the peer closes it.
+        let peer = std::thread::spawn(move || {
+            for answers in [1, 1, 0] {
+                let mut conn = BufReader::new(listener.accept().unwrap().0);
+                for _ in 0..answers {
+                    let req = parse_request(&mut conn).unwrap();
+                    let resp = Response::text(200, req.path);
+                    resp.write_to(conn.get_mut(), true).unwrap();
+                }
+                drop(conn);
+                closed.send(()).unwrap();
+            }
+            listener
+        });
+        let wait = Duration::from_secs(5);
+        let mut client = Client::new(
+            addr,
+            Timeouts {
+                connect: wait,
+                read: wait,
+            },
+        );
+        assert_eq!(
+            client.exchange(&Request::get("/a")).unwrap().body_text(),
+            "/a"
+        );
+        on_close.recv().unwrap();
+        // The kept connection is closed: rebuilt once, and answered there.
+        assert_eq!(
+            client.exchange(&Request::get("/b")).unwrap().body_text(),
+            "/b"
+        );
+        on_close.recv().unwrap();
+        // Closed again, and the rebuilt connection fails too: an error,
+        // with no third connection tried.
+        assert!(client.exchange(&Request::get("/c")).is_err());
+        let listener = peer.join().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        assert_eq!(
+            listener.accept().unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
     }
 }

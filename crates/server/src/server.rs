@@ -475,7 +475,6 @@ impl ServerHandle {
                 graceful: true,
             };
         }
-        self.state.registry.set_gauge("server.phase", 1.0);
         let forced = match &mut self.backend {
             BackendImpl::Threaded {
                 accept_thread,
@@ -524,7 +523,6 @@ impl ServerHandle {
         self.state
             .phase
             .store(Phase::Stopped as u8, Ordering::SeqCst);
-        self.state.registry.set_gauge("server.phase", 2.0);
         let stats = DrainStats {
             drain_ms: t0.elapsed().as_millis() as u64,
             forced,
@@ -613,10 +611,6 @@ pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<ServerH
         (None, None) => None,
     };
     let registry = Registry::new();
-    if let Some(r) = &recovery {
-        registry.add("server.wal_records_recovered", r.records_replayed());
-        registry.add("server.wal_torn_tail_bytes", r.torn_tail_bytes);
-    }
     let telemetry = Telemetry::new(
         config.trace_sample_every,
         config.trace_ring_shards,
@@ -852,7 +846,6 @@ pub(crate) fn handle_request(
         // and debug stay reachable so pollers (and an operator pulling
         // traces) see the transition.
         state.drain_rejected.fetch_add(1, Ordering::Relaxed);
-        state.registry.add("server.drain_rejected", 1);
         (draining_response(), false)
     } else {
         let keep = req.keep_alive
@@ -904,16 +897,7 @@ impl ApiError {
     }
 
     fn response(&self) -> Response {
-        let resp = Response::json(
-            self.status,
-            &Json::obj(vec![(
-                "error",
-                Json::obj(vec![
-                    ("code", Json::from(self.code)),
-                    ("message", Json::from(self.message.as_str())),
-                ]),
-            )]),
-        );
+        let resp = Response::error(self.status, self.code, &self.message);
         match self.retry_after_ms {
             // Retry-After is whole seconds on the wire; round up so the
             // hint never tells a client to come back too early.
@@ -959,7 +943,6 @@ fn outcome_for_status(status: u16) -> &'static str {
 /// arriving; `parse_us` is how long HTTP parsing took (the first span of
 /// a captured trace).
 fn route(state: &ServerState, req: &Request, t0: Instant, parse_us: u64) -> Response {
-    state.registry.add("server.requests", 1);
     let segments = req.segments();
     let endpoint = endpoint_label(segments.as_slice());
     let result = match (req.method.as_str(), segments.as_slice()) {
@@ -1866,17 +1849,13 @@ fn personalize(
     let _permit = permit.map_err(|e| {
         ctx.outcome = "shed";
         match e {
-            AdmissionError::Overloaded { retry_after_ms } => {
-                state.registry.add("server.rejected", 1);
-                ApiError::new(
-                    429,
-                    "overloaded",
-                    format!("retry after {retry_after_ms} ms"),
-                )
-                .with_retry_after_ms(retry_after_ms)
-            }
+            AdmissionError::Overloaded { retry_after_ms } => ApiError::new(
+                429,
+                "overloaded",
+                format!("retry after {retry_after_ms} ms"),
+            )
+            .with_retry_after_ms(retry_after_ms),
             AdmissionError::QueueTimeout => {
-                state.registry.add("server.queue_timeouts", 1);
                 ApiError::new(503, "queue_timeout", "no execution slot freed in time")
             }
         }

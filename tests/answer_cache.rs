@@ -13,14 +13,20 @@ use cqp_core::ProblemSpec;
 use cqp_obs::Json;
 use cqp_prefs::{ConjModel, Doi};
 use cqp_prefspace::{PrefParams, PreferenceSpace};
-use cqp_server::http::{parse_response, ClientResponse};
+use cqp_server::http::{exchange, Request, Timeouts};
 use cqp_server::{json, start, ServerConfig, ServerHandle, TRACE_ID_HEADER};
 use proptest::prelude::*;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(60),
+    read: Duration::from_secs(60),
+};
 
 const PROFILE_WIRE: &str = "# cqp-profile v1\n\
     profile al\n\
@@ -58,32 +64,6 @@ fn boot(config: ServerConfig) -> ServerHandle {
     start(db, config).expect("server start")
 }
 
-/// One request over a fresh connection; closes after the response.
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: Option<&str>,
-) -> ClientResponse {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
-    if let Some(b) = body {
-        head.push_str(&format!("content-length: {}\r\n", b.len()));
-    }
-    for (k, v) in headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str("\r\n");
-    let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(&payload).expect("write");
-    stream.flush().expect("flush");
-    parse_response(&mut BufReader::new(stream)).expect("response")
-}
-
 fn personalize_body(sql: &str, problem: &str) -> String {
     format!(
         "{{\"user\":\"al\",\"sql\":{},\"problem\":{problem},\
@@ -93,13 +73,12 @@ fn personalize_body(sql: &str, problem: &str) -> String {
 }
 
 fn personalize(addr: SocketAddr, sql: &str, problem: &str) -> Json {
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[],
-        Some(&personalize_body(sql, problem)),
-    );
+        &Request::post("/personalize", personalize_body(sql, problem)),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     json::parse(&resp.body_text()).expect("personalize body is JSON")
 }
@@ -140,7 +119,9 @@ fn prom_value(text: &str, prefix: &str) -> Option<f64> {
 /// The solver's search-work counters on `/metrics`: states examined and
 /// parameter evaluations. Both must be exported.
 fn search_counters(addr: SocketAddr) -> (f64, f64) {
-    let text = request(addr, "GET", "/metrics", &[], None).body_text();
+    let text = exchange(addr, &Request::get("/metrics"), WAIT)
+        .unwrap()
+        .body_text();
     let counter = |name: &str| {
         prom_value(&text, name).unwrap_or_else(|| panic!("{name} missing from /metrics"))
     };
@@ -175,7 +156,7 @@ fn exact_hits_are_bit_identical_across_all_six_problems() {
         ..ServerConfig::default()
     });
     for h in [&cached, &cold] {
-        let resp = request(h.addr(), "POST", "/profiles/al", &[], Some(PROFILE_WIRE));
+        let resp = exchange(h.addr(), &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
     for problem in &six_problems() {
@@ -220,10 +201,8 @@ fn exact_hits_are_bit_identical_across_all_six_problems() {
 fn spelling_variants_of_one_template_share_a_family() {
     let mut handle = boot(ServerConfig::default());
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
     let problem = "{\"kind\":\"p2\",\"cmax\":500}";
     let base = personalize(
         addr,
@@ -260,7 +239,7 @@ fn warm_hits_match_cold_solves_at_moved_budgets() {
         ..ServerConfig::default()
     });
     for h in [&cached, &cold] {
-        let resp = request(h.addr(), "POST", "/profiles/al", &[], Some(PROFILE_WIRE));
+        let resp = exchange(h.addr(), &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
     let first = personalize(cached.addr(), SQL, "{\"kind\":\"p2\",\"cmax\":500}");
@@ -301,7 +280,7 @@ fn profile_writes_invalidate_and_wal_recovery_serves_fresh_answers() {
 
     // Version 1 everywhere, and a hot exact tier on the cached server.
     for h in [&cached, &cold] {
-        let resp = request(h.addr(), "POST", "/profiles/al", &[], Some(PROFILE_WIRE));
+        let resp = exchange(h.addr(), &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
     let v1 = personalize(cached.addr(), SQL, problem);
@@ -318,13 +297,12 @@ fn profile_writes_invalidate_and_wal_recovery_serves_fresh_answers() {
 
     // The write: a merge upsert that moves the profile to version 2.
     for h in [&cached, &cold] {
-        let resp = request(
+        let resp = exchange(
             h.addr(),
-            "POST",
-            "/profiles/al?merge=true",
-            &[],
-            Some(PROFILE_DELTA_WIRE),
-        );
+            &Request::post("/profiles/al?merge=true", PROFILE_DELTA_WIRE),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
         let body = json::parse(&resp.body_text()).unwrap();
         assert_eq!(body.get("version").and_then(Json::as_u64), Some(2));
@@ -348,7 +326,7 @@ fn profile_writes_invalidate_and_wal_recovery_serves_fresh_answers() {
 
     // The cache metrics saw all of it: exact hits, an invalidation, and a
     // live entries gauge.
-    let metrics = request(cached.addr(), "GET", "/metrics", &[], None);
+    let metrics = exchange(cached.addr(), &Request::get("/metrics"), WAIT).unwrap();
     assert_eq!(metrics.status, 200);
     let text = metrics.body_text();
     assert!(
@@ -401,21 +379,19 @@ fn profile_writes_invalidate_and_wal_recovery_serves_fresh_answers() {
 fn cache_tier_is_recorded_in_request_traces() {
     let mut handle = boot(ServerConfig::default());
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
     let problem = "{\"kind\":\"p2\",\"cmax\":500}";
     for (id, want) in [("ca11ab1e00000001", "miss"), ("ca11ab1e00000002", "exact")] {
-        let resp = request(
+        let resp = exchange(
             addr,
-            "POST",
-            "/personalize",
-            &[(TRACE_ID_HEADER, id)],
-            Some(&personalize_body(SQL, problem)),
-        );
+            &Request::post("/personalize", personalize_body(SQL, problem))
+                .with_header(TRACE_ID_HEADER, id),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
-        let trace = request(addr, "GET", &format!("/debug/traces?id={id}"), &[], None);
+        let trace = exchange(addr, &Request::get(&format!("/debug/traces?id={id}")), WAIT).unwrap();
         assert_eq!(trace.status, 200, "{}", trace.body_text());
         assert!(
             trace.body_text().contains(&format!("answer cache: {want}")),

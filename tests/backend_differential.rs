@@ -15,11 +15,18 @@
 
 use cqp_bench::load::{run_load, LoadConfig, LoadReport};
 use cqp_obs::Json;
-use cqp_server::http::{parse_response, ClientResponse};
+use cqp_server::http::{exchange, parse_response, Request, Timeouts};
 use cqp_server::{json, start, Backend, ServerConfig, ServerHandle};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(60),
+    read: Duration::from_secs(60),
+};
 
 const PROFILE_WIRE: &str = "# cqp-profile v1\n\
     profile al\n\
@@ -35,22 +42,6 @@ fn boot(backend: Backend, config: ServerConfig) -> ServerHandle {
         &cqp_datagen::MovieDbConfig::tiny(7),
     ));
     start(db, ServerConfig { backend, ..config }).expect("server start")
-}
-
-/// One request over a fresh connection; closes after the response.
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
-    if let Some(b) = body {
-        head.push_str(&format!("content-length: {}\r\n", b.len()));
-    }
-    head.push_str("\r\n");
-    let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(&payload).expect("write");
-    parse_response(&mut BufReader::new(stream)).expect("response")
 }
 
 /// Sends raw bytes and returns the raw response status + body (or EOF).
@@ -70,7 +61,7 @@ fn personalize(addr: SocketAddr, problem: &str) -> Json {
         "{{\"user\":\"al\",\"sql\":{},\"problem\":{problem},\"algorithm\":\"branch_bound\"}}",
         Json::Str(SQL.to_string()).render()
     );
-    let resp = request(addr, "POST", "/personalize", Some(&body));
+    let resp = exchange(addr, &Request::post("/personalize", &body), WAIT).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     json::parse(&resp.body_text()).expect("personalize body is JSON")
 }
@@ -128,7 +119,7 @@ const COMPARED_COUNTERS: &[&str] = &[
 
 fn compare_counters(threaded: &ServerHandle, epoll: &ServerHandle, context: &str) {
     let scrape = |h: &ServerHandle| {
-        let resp = request(h.addr(), "GET", "/metrics", None);
+        let resp = exchange(h.addr(), &Request::get("/metrics"), WAIT).unwrap();
         assert_eq!(resp.status, 200);
         resp.body_text()
     };
@@ -151,7 +142,7 @@ fn six_problems_are_bit_identical_across_backends() {
     let mut threaded = boot(Backend::Threaded, ServerConfig::default());
     let mut epoll = boot(Backend::Epoll, ServerConfig::default());
     for h in [&threaded, &epoll] {
-        let resp = request(h.addr(), "POST", "/profiles/al", Some(PROFILE_WIRE));
+        let resp = exchange(h.addr(), &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
     for problem in &six_problems() {

@@ -15,14 +15,20 @@ use cqp_bench::load::{
 use cqp_core::prelude::*;
 use cqp_datagen::{generate_movie_db, MovieDbConfig};
 use cqp_obs::Json;
-use cqp_server::http::{parse_response, ClientResponse, HttpError};
+use cqp_server::http::{exchange, parse_response, HttpError, Request, Timeouts};
 use cqp_server::server::Phase;
 use cqp_server::{json, start, Backend, ServerConfig, ServerHandle};
 use cqp_storage::Database;
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(60),
+    read: Duration::from_secs(60),
+};
 
 /// Every socket-level scenario in this file runs against both serving
 /// backends: misbehaving clients and drains are exactly where the epoll
@@ -41,21 +47,6 @@ fn boot(config: ServerConfig) -> (Arc<Database>, ServerHandle) {
     let db = Arc::new(generate_movie_db(&MovieDbConfig::tiny(7)));
     let handle = start(Arc::clone(&db), config).expect("server start");
     (db, handle)
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
-    if let Some(b) = body {
-        head.push_str(&format!("content-length: {}\r\n", b.len()));
-    }
-    head.push_str("\r\n");
-    let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(&payload).expect("write");
-    parse_response(&mut BufReader::new(stream)).expect("response")
 }
 
 fn personalize_body() -> String {
@@ -83,10 +74,8 @@ fn chaos_modes_answer_or_reap(backend: Backend) {
         ..ServerConfig::default()
     });
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
 
     let report = run_chaos(&ChaosConfig {
         addr: addr.to_string(),
@@ -139,7 +128,12 @@ fn chaos_modes_answer_or_reap(backend: Backend) {
 
     // Post-chaos smoke: the answer over the abused server is
     // bit-identical to the in-process pipeline.
-    let resp = request(addr, "POST", "/personalize", Some(&personalize_body()));
+    let resp = exchange(
+        addr,
+        &Request::post("/personalize", personalize_body()),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let served = json::parse(&resp.body_text()).unwrap();
     let profile = cqp_prefs::from_text(PROFILE_WIRE, db.catalog()).unwrap();
@@ -287,12 +281,12 @@ fn healthz_reachable_mid_drain(backend: Backend) {
     let state = Arc::clone(handle.state());
 
     // Readiness before drain: 200 ready, breaker closed.
-    let resp = request(addr, "GET", "/healthz/ready", None);
+    let resp = exchange(addr, &Request::get("/healthz/ready"), WAIT).unwrap();
     assert_eq!(resp.status, 200);
     let body = json::parse(&resp.body_text()).unwrap();
     assert_eq!(body.get("status").and_then(Json::as_str), Some("ready"));
     assert_eq!(body.get("breaker").and_then(Json::as_str), Some("closed"));
-    let resp = request(addr, "GET", "/healthz/live", None);
+    let resp = exchange(addr, &Request::get("/healthz/live"), WAIT).unwrap();
     assert_eq!(resp.status, 200);
 
     // A readiness probe whose head is still arriving when the drain

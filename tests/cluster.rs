@@ -18,15 +18,20 @@
 use cqp_cluster::{Cluster, ClusterConfig, RoutingPolicy};
 use cqp_datagen::{generate_movie_db, MovieDbConfig};
 use cqp_obs::Json;
-use cqp_server::http::{parse_response, ClientResponse};
+use cqp_server::http::{exchange, ClientResponse, Request, Timeouts};
 use cqp_server::{json, start, ServerConfig};
 use std::collections::BTreeSet;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(60),
+    read: Duration::from_secs(60),
+};
 
 static DIR_SERIAL: AtomicU64 = AtomicU64::new(0);
 
@@ -38,23 +43,6 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&d);
     d
-}
-
-/// One request over a fresh connection; closes after the response.
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
-    if let Some(b) = body {
-        head.push_str(&format!("content-length: {}\r\n", b.len()));
-    }
-    head.push_str("\r\n");
-    let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(&payload).expect("write");
-    stream.flush().expect("flush");
-    parse_response(&mut BufReader::new(stream)).expect("response")
 }
 
 fn profile_wire(user: &str) -> String {
@@ -108,12 +96,12 @@ fn writes_through_the_router_replicate_to_every_follower() {
     let addr = cluster.router.addr();
     let all = users(8);
     for user in &all {
-        let resp = request(
+        let resp = exchange(
             addr,
-            "POST",
-            &format!("/profiles/{user}"),
-            Some(&profile_wire(user)),
-        );
+            &Request::post(&format!("/profiles/{user}"), profile_wire(user)),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
         let body = json::parse(&resp.body_text()).unwrap();
         assert_eq!(body.get("version").and_then(Json::as_u64), Some(1));
@@ -137,7 +125,7 @@ fn writes_through_the_router_replicate_to_every_follower() {
 
     // Reads through the router see every profile regardless of group.
     for user in &all {
-        let resp = request(addr, "GET", &format!("/profiles/{user}"), None);
+        let resp = exchange(addr, &Request::get(&format!("/profiles/{user}")), WAIT).unwrap();
         assert_eq!(resp.status, 200, "{user}: {}", resp.body_text());
         assert!(resp.body_text().contains(&format!("profile {user}")));
     }
@@ -152,12 +140,12 @@ fn failover_keeps_every_acknowledged_write_and_accepts_new_ones() {
     // Two acknowledged versions per user.
     for round in 1..=2u64 {
         for user in &all {
-            let resp = request(
+            let resp = exchange(
                 addr,
-                "POST",
-                &format!("/profiles/{user}"),
-                Some(&profile_wire(user)),
-            );
+                &Request::post(&format!("/profiles/{user}"), profile_wire(user)),
+                WAIT,
+            )
+            .unwrap();
             assert_eq!(resp.status, 200, "{}", resp.body_text());
             let body = json::parse(&resp.body_text()).unwrap();
             assert_eq!(body.get("version").and_then(Json::as_u64), Some(round));
@@ -165,14 +153,18 @@ fn failover_keeps_every_acknowledged_write_and_accepts_new_ones() {
     }
     let reference: Vec<String> = all
         .iter()
-        .map(|user| request(addr, "GET", &format!("/profiles/{user}"), None).body_text())
+        .map(|user| {
+            exchange(addr, &Request::get(&format!("/profiles/{user}")), WAIT)
+                .unwrap()
+                .body_text()
+        })
         .collect();
 
     // Kill the primary. The router's probe notices and promotes the
     // follower (counted in /router/stats).
     cluster.groups[0].primary.stop();
     let promoted = wait_for(Duration::from_secs(10), || {
-        let stats = request(addr, "GET", "/router/stats", None);
+        let stats = exchange(addr, &Request::get("/router/stats"), WAIT).unwrap();
         json::parse(&stats.body_text())
             .ok()
             .and_then(|j| j.get("failovers").and_then(Json::as_u64))
@@ -182,7 +174,7 @@ fn failover_keeps_every_acknowledged_write_and_accepts_new_ones() {
 
     // Every acknowledged write survives, bit-identical.
     for (user, expected) in all.iter().zip(&reference) {
-        let resp = request(addr, "GET", &format!("/profiles/{user}"), None);
+        let resp = exchange(addr, &Request::get(&format!("/profiles/{user}")), WAIT).unwrap();
         assert_eq!(resp.status, 200, "{user} lost after failover");
         assert_eq!(
             &resp.body_text(),
@@ -193,21 +185,24 @@ fn failover_keeps_every_acknowledged_write_and_accepts_new_ones() {
 
     // The promoted follower accepts new writes (version continues) and
     // serves personalize.
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        &format!("/profiles/{}", all[0]),
-        Some(&profile_wire(&all[0])),
-    );
+        &Request::post(&format!("/profiles/{}", all[0]), profile_wire(&all[0])),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let body = json::parse(&resp.body_text()).unwrap();
     assert_eq!(body.get("version").and_then(Json::as_u64), Some(3));
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        Some(&personalize_body(&all[0], "SELECT title FROM MOVIE")),
-    );
+        &Request::post(
+            "/personalize",
+            personalize_body(&all[0], "SELECT title FROM MOVIE"),
+        ),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     cluster.stop();
 }
@@ -286,12 +281,12 @@ fn primary_killed_mid_burst_keeps_every_acked_profile_and_answer() {
         let mut acked: Vec<(String, String)> = Vec::new();
         for i in 0..60 {
             let (user, text) = burst_op(seed, round, i);
-            let resp = request(
+            let resp = exchange(
                 primary.addr(),
-                "POST",
-                &format!("/profiles/{user}"),
-                Some(&text),
-            );
+                &Request::post(&format!("/profiles/{user}"), &text),
+                WAIT,
+            )
+            .unwrap();
             assert_eq!(resp.status, 200, "round {round}: {}", resp.body_text());
             acked.push((user, text));
             if acked.len() == 1 {
@@ -299,7 +294,13 @@ fn primary_killed_mid_burst_keeps_every_acked_profile_and_answer() {
                 // from then on every ack waits for its apply.
                 let first = &acked[0].0;
                 let attached = wait_for(Duration::from_secs(10), || {
-                    request(follower.addr(), "GET", &format!("/profiles/{first}"), None).status
+                    exchange(
+                        follower.addr(),
+                        &Request::get(&format!("/profiles/{first}")),
+                        WAIT,
+                    )
+                    .unwrap()
+                    .status
                         == 200
                 });
                 assert!(attached, "round {round}: the follower never attached");
@@ -310,7 +311,8 @@ fn primary_killed_mid_burst_keeps_every_acked_profile_and_answer() {
             }
         }
         assert_eq!(acked.len() as u64, kill_at, "round {round}");
-        let promoted = request(follower.addr(), "POST", "/admin/promote", Some(""));
+        let promoted =
+            exchange(follower.addr(), &Request::post("/admin/promote", ""), WAIT).unwrap();
         assert_eq!(
             promoted.status,
             200,
@@ -320,19 +322,19 @@ fn primary_killed_mid_burst_keeps_every_acked_profile_and_answer() {
 
         let mut reference = boot(ServerConfig::default());
         for (user, text) in &acked {
-            let resp = request(
+            let resp = exchange(
                 reference.addr(),
-                "POST",
-                &format!("/profiles/{user}"),
-                Some(text),
-            );
+                &Request::post(&format!("/profiles/{user}"), text),
+                WAIT,
+            )
+            .unwrap();
             assert_eq!(resp.status, 200, "{}", resp.body_text());
         }
         let users: BTreeSet<&str> = acked.iter().map(|(u, _)| u.as_str()).collect();
         for user in users {
             let path = format!("/profiles/{user}");
-            let on_follower = request(follower.addr(), "GET", &path, None);
-            let on_reference = request(reference.addr(), "GET", &path, None);
+            let on_follower = exchange(follower.addr(), &Request::get(&path), WAIT).unwrap();
+            let on_reference = exchange(reference.addr(), &Request::get(&path), WAIT).unwrap();
             assert_eq!(on_follower.status, 200, "round {round}: {user} lost");
             assert_eq!(
                 on_follower.body_text(),
@@ -345,7 +347,7 @@ fn primary_killed_mid_burst_keeps_every_acked_profile_and_answer() {
             ] {
                 let body = personalize_body(user, sql);
                 let answer = |addr: SocketAddr| {
-                    let resp = request(addr, "POST", "/personalize", Some(&body));
+                    let resp = exchange(addr, &Request::post("/personalize", &body), WAIT).unwrap();
                     assert_eq!(resp.status, 200, "{}", resp.body_text());
                     let parsed = json::parse(&resp.body_text()).expect("personalize JSON");
                     without_run_fields(parsed).render()
@@ -372,12 +374,12 @@ fn cache_hits(policy: RoutingPolicy, tag: &str, rounds: usize) -> u64 {
     let addr = cluster.router.addr();
     let all = users(5);
     for user in &all {
-        let resp = request(
+        let resp = exchange(
             addr,
-            "POST",
-            &format!("/profiles/{user}"),
-            Some(&profile_wire(user)),
-        );
+            &Request::post(&format!("/profiles/{user}"), profile_wire(user)),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
     // Three templates (distinct constants = distinct canonical classes)
@@ -393,12 +395,12 @@ fn cache_hits(policy: RoutingPolicy, tag: &str, rounds: usize) -> u64 {
     for _ in 0..rounds {
         for user in &all {
             for sql in &templates {
-                let resp = request(
+                let resp = exchange(
                     addr,
-                    "POST",
-                    "/personalize",
-                    Some(&personalize_body(user, sql)),
-                );
+                    &Request::post("/personalize", personalize_body(user, sql)),
+                    WAIT,
+                )
+                .unwrap();
                 assert_eq!(resp.status, 200, "{}", resp.body_text());
                 if matches!(cache_tier(&resp).as_str(), "exact" | "warm") {
                     hits += 1;
@@ -432,12 +434,12 @@ fn router_endpoints_and_replica_roles() {
     let mut cluster = Cluster::start(ClusterConfig::new(1, tmpdir("roles"))).expect("cluster");
     let addr = cluster.router.addr();
 
-    let live = request(addr, "GET", "/healthz/live", None);
+    let live = exchange(addr, &Request::get("/healthz/live"), WAIT).unwrap();
     assert_eq!(live.status, 200);
     let body = json::parse(&live.body_text()).unwrap();
     assert_eq!(body.get("component").and_then(Json::as_str), Some("router"));
 
-    let stats = request(addr, "GET", "/router/stats", None);
+    let stats = exchange(addr, &Request::get("/router/stats"), WAIT).unwrap();
     assert_eq!(stats.status, 200);
     let body = json::parse(&stats.body_text()).unwrap();
     assert_eq!(body.get("policy").and_then(Json::as_str), Some("divergent"));
@@ -451,28 +453,28 @@ fn router_endpoints_and_replica_roles() {
         error.get("message")?.as_str()?;
         error.get("code")?.as_str().map(str::to_string)
     };
-    let missing = request(addr, "GET", "/metrics", None);
+    let missing = exchange(addr, &Request::get("/metrics"), WAIT).unwrap();
     assert_eq!(missing.status, 404, "per-replica endpoints are not routed");
     assert_eq!(error_code(&missing).as_deref(), Some("not_routable"));
-    let relayed = request(addr, "GET", "/profiles/nobody", None);
+    let relayed = exchange(addr, &Request::get("/profiles/nobody"), WAIT).unwrap();
     assert_eq!(relayed.status, 404, "{}", relayed.body_text());
     assert_eq!(error_code(&relayed).as_deref(), Some("unknown_user"));
 
     // Replica roles: the primary reports `primary`, the follower
     // `follower`, and a direct write to the follower is refused.
     let group = &cluster.groups[0];
-    let ready = request(group.primary.addr(), "GET", "/healthz/ready", None);
+    let ready = exchange(group.primary.addr(), &Request::get("/healthz/ready"), WAIT).unwrap();
     let body = json::parse(&ready.body_text()).unwrap();
     assert_eq!(body.get("role").and_then(Json::as_str), Some("primary"));
-    let ready = request(group.follower.addr(), "GET", "/healthz/ready", None);
+    let ready = exchange(group.follower.addr(), &Request::get("/healthz/ready"), WAIT).unwrap();
     let body = json::parse(&ready.body_text()).unwrap();
     assert_eq!(body.get("role").and_then(Json::as_str), Some("follower"));
-    let refused = request(
+    let refused = exchange(
         group.follower.addr(),
-        "POST",
-        "/profiles/al",
-        Some(&profile_wire("al")),
-    );
+        &Request::post("/profiles/al", profile_wire("al")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(refused.status, 503);
     let body = json::parse(&refused.body_text()).unwrap();
     assert_eq!(

@@ -29,14 +29,19 @@ use cqp_cluster::{
 use cqp_core::answer_cache::{fnv1a, FNV_OFFSET};
 use cqp_datagen::{generate_movie_db, MovieDbConfig};
 use cqp_obs::Json;
-use cqp_server::http::{parse_response, ClientResponse};
+use cqp_server::http::{exchange, ClientResponse, Request, Timeouts};
 use cqp_server::{json, start, ServerConfig};
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(2),
+    read: Duration::from_secs(10),
+};
 
 static DIR_SERIAL: AtomicU64 = AtomicU64::new(0);
 
@@ -48,36 +53,6 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&d);
     d
-}
-
-/// One request over a fresh connection, with optional extra headers.
-fn request_with(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: Option<&str>,
-) -> std::io::Result<ClientResponse> {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("content-length: {}\r\n", body.map_or(0, str::len)));
-    head.push_str("\r\n");
-    let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.write_all(&payload)?;
-    stream.flush()?;
-    parse_response(&mut BufReader::new(stream))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-    request_with(addr, method, path, &[], body).expect("request")
 }
 
 fn profile_wire(user: &str) -> String {
@@ -127,7 +102,11 @@ fn acked_write(addr: SocketAddr, user: &str, log: &AckLog) -> ClientResponse {
 /// needs, where only 200s count and everything else is noise.
 fn try_acked_write(addr: SocketAddr, user: &str, log: &AckLog) -> std::io::Result<ClientResponse> {
     let text = profile_wire(user);
-    let resp = request_with(addr, "POST", &format!("/profiles/{user}"), &[], Some(&text))?;
+    let resp = exchange(
+        addr,
+        &Request::post(&format!("/profiles/{user}"), &text),
+        WAIT,
+    )?;
     if resp.status == 200 {
         let body = json::parse(&resp.body_text()).expect("write ack is JSON");
         let version = body
@@ -142,7 +121,7 @@ fn try_acked_write(addr: SocketAddr, user: &str, log: &AckLog) -> std::io::Resul
 
 /// A replica's `/healthz/ready` role and epoch, read directly.
 fn role_and_epoch(addr: SocketAddr) -> (String, u64) {
-    let resp = request(addr, "GET", "/healthz/ready", None);
+    let resp = exchange(addr, &Request::get("/healthz/ready"), WAIT).unwrap();
     let body = json::parse(&resp.body_text()).expect("readiness is JSON");
     (
         body.get("role")
@@ -159,23 +138,21 @@ fn higher_epoch_write_header_fences_a_primary_permanently() {
     let primary_addr = cluster.groups[0].primary.addr();
 
     // A normal write lands (directly on the primary; no header = epoch 0).
-    let resp = request(
+    let resp = exchange(
         primary_addr,
-        "POST",
-        "/profiles/al",
-        Some(&profile_wire("al")),
-    );
+        &Request::post("/profiles/al", profile_wire("al")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     assert_eq!(role_and_epoch(primary_addr), ("primary".into(), 0));
 
     // A write stamped with a higher epoch means a newer primary exists
     // somewhere: the replica must refuse it AND stop being a primary.
-    let refused = request_with(
+    let refused = exchange(
         primary_addr,
-        "POST",
-        "/profiles/al",
-        &[("x-cqp-epoch", "5")],
-        Some(&profile_wire("al")),
+        &Request::post("/profiles/al", profile_wire("al")).with_header("x-cqp-epoch", "5"),
+        WAIT,
     )
     .expect("request");
     assert_eq!(refused.status, 503, "{}", refused.body_text());
@@ -185,18 +162,18 @@ fn higher_epoch_write_header_fences_a_primary_permanently() {
     // epoch, and every further write — with or without a header — is
     // refused with `stale_epoch`.
     assert_eq!(role_and_epoch(primary_addr), ("fenced".into(), 5));
-    let refused = request(
+    let refused = exchange(
         primary_addr,
-        "POST",
-        "/profiles/al",
-        Some(&profile_wire("al")),
-    );
+        &Request::post("/profiles/al", profile_wire("al")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(refused.status, 503);
     assert_eq!(error_code(&refused).as_deref(), Some("stale_epoch"));
 
     // Reads still work (staleness is the router's problem to route
     // around; the data it does have is intact).
-    let read = request(primary_addr, "GET", "/profiles/al", None);
+    let read = exchange(primary_addr, &Request::get("/profiles/al"), WAIT).unwrap();
     assert_eq!(read.status, 200);
     cluster.stop();
 }
@@ -225,7 +202,7 @@ fn split_brain_schedule_fences_old_primary_and_loses_no_acked_write() {
 
     // The router notices and promotes the follower at a higher epoch.
     let promoted = wait_for(Duration::from_secs(10), || {
-        let stats = request(router_addr, "GET", "/router/stats", None);
+        let stats = exchange(router_addr, &Request::get("/router/stats"), WAIT).unwrap();
         json::parse(&stats.body_text())
             .ok()
             .and_then(|j| j.get("failovers").and_then(Json::as_u64))
@@ -251,7 +228,7 @@ fn split_brain_schedule_fences_old_primary_and_loses_no_acked_write() {
     // it; everything after dies with `stale_epoch` — the brain's stale
     // face never acknowledges a conflicting write.
     let old_primary = cluster.groups[0].primary.addr();
-    let stats = request(router_addr, "GET", "/router/stats", None);
+    let stats = exchange(router_addr, &Request::get("/router/stats"), WAIT).unwrap();
     let new_epoch = json::parse(&stats.body_text())
         .ok()
         .and_then(|j| j.get("groups")?.as_array()?.first()?.get("epoch")?.as_u64())
@@ -260,12 +237,11 @@ fn split_brain_schedule_fences_old_primary_and_loses_no_acked_write() {
     let epoch_header = new_epoch.to_string();
     let mut fenced_rejections = 0u64;
     for user in &all {
-        let resp = request_with(
+        let resp = exchange(
             old_primary,
-            "POST",
-            &format!("/profiles/{user}"),
-            &[("x-cqp-epoch", &epoch_header)],
-            Some(&profile_wire(user)),
+            &Request::post(&format!("/profiles/{user}"), profile_wire(user))
+                .with_header("x-cqp-epoch", &epoch_header),
+            WAIT,
         )
         .expect("old primary reachable directly");
         assert_eq!(
@@ -349,12 +325,12 @@ fn racing_promotions_crown_exactly_one_primary_and_fence_the_loser() {
     let mut follower_b = start_follower("follower-b");
 
     // Replicate one write so both followers have state.
-    let resp = request(
+    let resp = exchange(
         primary.addr(),
-        "POST",
-        "/profiles/al",
-        Some(&profile_wire("al")),
-    );
+        &Request::post("/profiles/al", profile_wire("al")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
 
     let mut router = start_router(RouterConfig {
@@ -372,8 +348,16 @@ fn racing_promotions_crown_exactly_one_primary_and_fence_the_loser() {
     // each follower bumps its own epoch to 1 and claims primaryship.
     primary.stop();
     let (addr_a, addr_b) = (follower_a.addr(), follower_b.addr());
-    let ta = std::thread::spawn(move || request(addr_a, "POST", "/admin/promote", None).status);
-    let tb = std::thread::spawn(move || request(addr_b, "POST", "/admin/promote", None).status);
+    let ta = std::thread::spawn(move || {
+        exchange(addr_a, &Request::new("POST", "/admin/promote"), WAIT)
+            .unwrap()
+            .status
+    });
+    let tb = std::thread::spawn(move || {
+        exchange(addr_b, &Request::new("POST", "/admin/promote"), WAIT)
+            .unwrap()
+            .status
+    });
     assert_eq!(ta.join().unwrap(), 200);
     assert_eq!(tb.join().unwrap(), 200);
 
@@ -409,15 +393,20 @@ fn racing_promotions_crown_exactly_one_primary_and_fence_the_loser() {
 
     // Writes through the router land on the winner; the fenced loser
     // refuses direct writes.
-    let resp = request(
+    let resp = exchange(
         router.addr(),
-        "POST",
-        "/profiles/al",
-        Some(&profile_wire("al")),
-    );
+        &Request::post("/profiles/al", profile_wire("al")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let loser = if role_a == "fenced" { addr_a } else { addr_b };
-    let refused = request(loser, "POST", "/profiles/al", Some(&profile_wire("al")));
+    let refused = exchange(
+        loser,
+        &Request::post("/profiles/al", profile_wire("al")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(refused.status, 503);
     assert_eq!(error_code(&refused).as_deref(), Some("stale_epoch"));
 
@@ -463,13 +452,13 @@ fn pre_epoch_seed_format_wal_recovers_and_serves() {
 
     // The profile recovered, the server reports epoch 0, and new writes
     // continue the version chain.
-    let read = request(server.addr(), "GET", "/profiles/al", None);
+    let read = exchange(server.addr(), &Request::get("/profiles/al"), WAIT).unwrap();
     assert_eq!(read.status, 200, "{}", read.body_text());
     assert!(read.body_text().contains("profile al"));
-    let ready = request(server.addr(), "GET", "/healthz/ready", None);
+    let ready = exchange(server.addr(), &Request::get("/healthz/ready"), WAIT).unwrap();
     let body = json::parse(&ready.body_text()).unwrap();
     assert_eq!(body.get("epoch").and_then(Json::as_u64), Some(0));
-    let resp = request(server.addr(), "POST", "/profiles/al", Some(&text));
+    let resp = exchange(server.addr(), &Request::post("/profiles/al", &text), WAIT).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let body = json::parse(&resp.body_text()).unwrap();
     assert_eq!(body.get("version").and_then(Json::as_u64), Some(2));
@@ -531,14 +520,16 @@ fn read_retry_budget_sheds_with_retry_after_when_exhausted() {
     // so with budget 2 the shed must appear well within the loop.
     let mut shed: Option<ClientResponse> = None;
     for _ in 0..400 {
-        let resp = request(router.addr(), "POST", "/personalize", Some(&body));
+        let resp = exchange(router.addr(), &Request::post("/personalize", &body), WAIT).unwrap();
         if resp.status == 503 && error_code(&resp).as_deref() == Some("retry_budget_exhausted") {
             shed = Some(resp);
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    let final_stats = request(router.addr(), "GET", "/router/stats", None).body_text();
+    let final_stats = exchange(router.addr(), &Request::get("/router/stats"), WAIT)
+        .unwrap()
+        .body_text();
     let shed = shed.unwrap_or_else(|| {
         panic!("the retry budget never exhausted under a flapping replica: {final_stats}")
     });
@@ -549,7 +540,7 @@ fn read_retry_budget_sheds_with_retry_after_when_exhausted() {
         "shed responses must carry retry-after: {:?}",
         shed.headers
     );
-    let stats = request(router.addr(), "GET", "/router/stats", None);
+    let stats = exchange(router.addr(), &Request::get("/router/stats"), WAIT).unwrap();
     let body = json::parse(&stats.body_text()).unwrap();
     assert!(
         body.get("retry_budget_exhausted")

@@ -8,7 +8,7 @@
 //! store as recovering once.
 
 use cqp_datagen::{generate_movie_db, MovieDbConfig};
-use cqp_server::http::parse_response;
+use cqp_server::http::{exchange, Request, Timeouts};
 use cqp_server::{start, Backend, ServerConfig, SessionStore, UpsertMode};
 use cqp_storage::{Catalog, Database};
 use proptest::prelude::*;
@@ -16,6 +16,13 @@ use rand::splitmix64_mix as splitmix64;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(60),
+    read: Duration::from_secs(60),
+};
 
 /// Matches `wal.rs`'s private file names: the on-disk layout is part of
 /// the crash contract these tests exercise, so name them once here.
@@ -291,20 +298,6 @@ fn crash_between_snapshot_rename_and_log_truncation_never_regresses() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Upserts one profile through a live server socket; panics on non-200.
-fn socket_upsert(addr: std::net::SocketAddr, user: &str, text: &str) {
-    use std::io::Write;
-    let payload = format!(
-        "POST /profiles/{user} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
-         content-length: {}\r\n\r\n{text}",
-        text.len()
-    );
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.write_all(payload.as_bytes()).expect("write");
-    let resp = parse_response(&mut std::io::BufReader::new(stream)).expect("response");
-    assert_eq!(resp.status, 200, "upsert {user}: {}", resp.body_text());
-}
-
 /// WAL durability is backend-independent: a burst written through real
 /// sockets against either serving backend leaves a log that (a) recovers
 /// to the exact reference store, and (b) a server on the *other* backend
@@ -332,7 +325,9 @@ fn wal_written_through_either_backend_recovers_identically() {
         let mut server = start(db.clone(), config(first)).expect("first server");
         for i in 0..split {
             let (user, text) = burst_op(seed, i as u64);
-            socket_upsert(server.addr(), &user, &text);
+            let req = Request::post(&format!("/profiles/{user}"), &text);
+            let resp = exchange(server.addr(), &req, WAIT).unwrap();
+            assert_eq!(resp.status, 200, "upsert {user}: {}", resp.body_text());
         }
         server.stop();
 
@@ -347,7 +342,9 @@ fn wal_written_through_either_backend_recovers_identically() {
         let mut server = start(db.clone(), config(second)).expect("second server");
         for i in split..ops {
             let (user, text) = burst_op(seed, i as u64);
-            socket_upsert(server.addr(), &user, &text);
+            let req = Request::post(&format!("/profiles/{user}"), &text);
+            let resp = exchange(server.addr(), &req, WAIT).unwrap();
+            assert_eq!(resp.status, 200, "upsert {user}: {}", resp.body_text());
         }
         server.stop();
 

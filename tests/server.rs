@@ -10,13 +10,19 @@ use cqp_core::prelude::*;
 use cqp_datagen::{generate_movie_db, MovieDbConfig};
 use cqp_engine::{execute_ranked, parse_query, Matching};
 use cqp_obs::Json;
-use cqp_server::http::{parse_response, ClientResponse};
+use cqp_server::http::{exchange, parse_response, ClientResponse, Request, Timeouts};
 use cqp_server::{json, start, ServerConfig, ServerHandle};
 use cqp_storage::{Database, IoMeter};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(60),
+    read: Duration::from_secs(60),
+};
 
 const PROFILE_WIRE: &str = "# cqp-profile v1\n\
     profile al\n\
@@ -32,29 +38,6 @@ fn boot(config: ServerConfig) -> (Arc<Database>, ServerHandle) {
     let db = Arc::new(generate_movie_db(&MovieDbConfig::tiny(7)));
     let handle = start(Arc::clone(&db), config).expect("server start");
     (db, handle)
-}
-
-/// One request over a fresh connection; closes after the response.
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: Option<&str>,
-) -> ClientResponse {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
-    if let Some(b) = body {
-        head.push_str(&format!("content-length: {}\r\n", b.len()));
-    }
-    for (k, v) in headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str("\r\n");
-    let mut payload = head.into_bytes();
-    if let Some(b) = body {
-        payload.extend_from_slice(b.as_bytes());
-    }
-    raw(addr, &payload)
 }
 
 /// Sends raw bytes, returns the parsed response.
@@ -88,24 +71,24 @@ fn socket_answer_is_bit_identical_to_in_process_pipeline() {
     let addr = handle.addr();
 
     // Upsert the profile over the wire, then read it back.
-    let resp = request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE));
+    let resp = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let body = json::parse(&resp.body_text()).unwrap();
     assert_eq!(body.get("version").and_then(Json::as_u64), Some(1));
     assert_eq!(body.get("preferences").and_then(Json::as_u64), Some(4));
-    let stored = request(addr, "GET", "/profiles/al", &[], None);
+    let stored = exchange(addr, &Request::get("/profiles/al"), WAIT).unwrap();
     assert_eq!(stored.status, 200);
 
     // Personalize over the socket, asking for ranked rows.
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[],
-        Some(&personalize_body(
-            ",\"rank\":{\"min_match\":1},\"rows\":true",
-        )),
-    );
+        &Request::post(
+            "/personalize",
+            personalize_body(",\"rank\":{\"min_match\":1},\"rows\":true"),
+        ),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let served = json::parse(&resp.body_text()).unwrap();
 
@@ -203,10 +186,8 @@ fn overload_is_shed_with_429_and_zero_panics() {
         ..ServerConfig::default()
     });
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
 
     // Hold the only execution slot through the handle, then knock.
     let permit = handle
@@ -215,13 +196,12 @@ fn overload_is_shed_with_429_and_zero_panics() {
         .admit(Duration::ZERO)
         .expect("slot free");
     for _ in 0..3 {
-        let resp = request(
+        let resp = exchange(
             addr,
-            "POST",
-            "/personalize",
-            &[],
-            Some(&personalize_body("")),
-        );
+            &Request::post("/personalize", personalize_body("")),
+            WAIT,
+        )
+        .unwrap();
         assert_eq!(resp.status, 429, "{}", resp.body_text());
         assert_eq!(error_code(&resp), "overloaded");
         let retry_after = resp.header("retry-after").expect("retry-after on 429");
@@ -231,13 +211,12 @@ fn overload_is_shed_with_429_and_zero_panics() {
 
     // The slot freed: the same request now succeeds, and nothing panicked
     // anywhere in the shedding path.
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[],
-        Some(&personalize_body("")),
-    );
+        &Request::post("/personalize", personalize_body("")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let (_, rejected, _) = handle.state().gate.counters();
     assert_eq!(rejected, 3);
@@ -249,20 +228,17 @@ fn overload_is_shed_with_429_and_zero_panics() {
 fn zero_deadline_degrades_but_answer_stays_well_formed() {
     let (_db, mut handle) = boot(ServerConfig::default());
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
 
     // The header wins over the body and a 0-ms deadline trips the budget
     // before the first state is expanded — deterministically degraded.
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[("x-cqp-deadline-ms", "0")],
-        Some(&personalize_body("")),
-    );
+        &Request::post("/personalize", personalize_body("")).with_header("x-cqp-deadline-ms", "0"),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let body = json::parse(&resp.body_text()).unwrap();
     let solution = body.get("solution").expect("solution present");
@@ -285,100 +261,66 @@ fn zero_deadline_degrades_but_answer_stays_well_formed() {
 fn malformed_requests_get_typed_4xx_never_500() {
     let (_db, mut handle) = boot(ServerConfig::default());
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
 
     // (status, expected error code, request)
-    let cases: Vec<(u16, &str, ClientResponse)> = vec![
-        (
-            400,
-            "bad_json",
-            request(addr, "POST", "/personalize", &[], Some("{not json")),
-        ),
-        (
-            400,
-            "missing_field",
-            request(addr, "POST", "/personalize", &[], Some("{}")),
-        ),
+    let cases: Vec<(u16, &str, Request)> = vec![
+        (400, "bad_json", Request::post("/personalize", "{not json")),
+        (400, "missing_field", Request::post("/personalize", "{}")),
         (
             404,
             "unknown_user",
-            request(
-                addr,
-                "POST",
+            Request::post(
                 "/personalize",
-                &[],
-                Some(&personalize_body("").replace("\"al\"", "\"nobody\"")),
+                personalize_body("").replace("\"al\"", "\"nobody\""),
             ),
         ),
         (
             400,
             "bad_query",
-            request(
-                addr,
-                "POST",
+            Request::post(
                 "/personalize",
-                &[],
-                Some(&personalize_body("").replace(SQL, "SELECT nope FROM NOWHERE")),
+                personalize_body("").replace(SQL, "SELECT nope FROM NOWHERE"),
             ),
         ),
         (
             400,
             "bad_problem",
-            request(
-                addr,
-                "POST",
+            Request::post(
                 "/personalize",
-                &[],
-                Some(&personalize_body("").replace("\"p2\"", "\"p9\"")),
+                personalize_body("").replace("\"p2\"", "\"p9\""),
             ),
         ),
         (
             400,
             "bad_algorithm",
-            request(
-                addr,
-                "POST",
+            Request::post(
                 "/personalize",
-                &[],
-                Some(&personalize_body("").replace("c_maxbounds", "quantum")),
+                personalize_body("").replace("c_maxbounds", "quantum"),
             ),
         ),
         (
             400,
             "bad_deadline",
-            request(
-                addr,
-                "POST",
-                "/personalize",
-                &[("x-cqp-deadline-ms", "soon")],
-                Some(&personalize_body("")),
-            ),
+            Request::post("/personalize", personalize_body(""))
+                .with_header("x-cqp-deadline-ms", "soon"),
         ),
         (
             400,
             "bad_profile",
-            request(addr, "POST", "/profiles/al", &[], Some("select nonsense")),
+            Request::post("/profiles/al", "select nonsense"),
         ),
-        (
-            404,
-            "unknown_user",
-            request(addr, "GET", "/profiles/nobody", &[], None),
-        ),
-        (
-            404,
-            "not_found",
-            request(addr, "GET", "/nope/nope", &[], None),
-        ),
+        (404, "unknown_user", Request::get("/profiles/nobody")),
+        (404, "not_found", Request::get("/nope/nope")),
         (
             405,
             "method_not_allowed",
-            request(addr, "DELETE", "/healthz", &[], None),
+            Request::new("DELETE", "/healthz"),
         ),
     ];
-    for (status, code, resp) in cases {
+    for (status, code, req) in cases {
+        let resp = exchange(addr, &req, WAIT).unwrap();
         assert_eq!(resp.status, status, "{code}: {}", resp.body_text());
         assert_eq!(error_code(&resp), code);
     }
@@ -397,16 +339,15 @@ fn malformed_requests_get_typed_4xx_never_500() {
 
     // After all that abuse: still healthy, nothing panicked, no 500 was
     // ever minted.
-    let resp = request(addr, "GET", "/healthz", &[], None);
+    let resp = exchange(addr, &Request::get("/healthz"), WAIT).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(handle.state().driver.submit_panics(), 0);
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[],
-        Some(&personalize_body("")),
-    );
+        &Request::post("/personalize", personalize_body("")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     handle.stop();
 }
@@ -415,27 +356,23 @@ fn malformed_requests_get_typed_4xx_never_500() {
 fn metrics_endpoint_reports_counters_and_top_k_depth_works() {
     let (_db, mut handle) = boot(ServerConfig::default());
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
     // Personalize at depth 1: only the highest-doi selection survives, so
     // the answer can never select more preferences than a full-depth run.
-    let shallow = request(
+    let shallow = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[],
-        Some(&personalize_body(",\"top_k\":1")),
-    );
+        &Request::post("/personalize", personalize_body(",\"top_k\":1")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(shallow.status, 200, "{}", shallow.body_text());
-    let full = request(
+    let full = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[],
-        Some(&personalize_body("")),
-    );
+        &Request::post("/personalize", personalize_body("")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(full.status, 200);
     let count = |resp: &ClientResponse| {
         json::parse(&resp.body_text())
@@ -448,7 +385,7 @@ fn metrics_endpoint_reports_counters_and_top_k_depth_works() {
     };
     assert!(count(&shallow) <= count(&full));
 
-    let resp = request(addr, "GET", "/metrics", &[], None);
+    let resp = exchange(addr, &Request::get("/metrics"), WAIT).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(
         resp.header("content-type"),

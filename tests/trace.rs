@@ -11,12 +11,18 @@
 use cqp_datagen::{generate_movie_db, MovieDbConfig};
 use cqp_obs::reqtrace::{RequestTrace, SpanRecord, TraceId, TraceRing};
 use cqp_obs::Json;
-use cqp_server::http::{parse_response, ClientResponse};
+use cqp_server::http::{exchange, Request, Timeouts};
 use cqp_server::{json, start, ServerConfig, ServerHandle, TRACE_ID_HEADER};
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long each request a test sends waits to connect and to be answered.
+const WAIT: Timeouts = Timeouts {
+    connect: Duration::from_secs(60),
+    read: Duration::from_secs(60),
+};
 
 const PROFILE_WIRE: &str = "# cqp-profile v1\n\
     profile al\n\
@@ -28,30 +34,6 @@ const PROFILE_WIRE: &str = "# cqp-profile v1\n\
 fn boot(config: ServerConfig) -> ServerHandle {
     let db = Arc::new(generate_movie_db(&MovieDbConfig::tiny(7)));
     start(db, config).expect("server start")
-}
-
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: Option<&str>,
-) -> ClientResponse {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n");
-    if let Some(b) = body {
-        head.push_str(&format!("content-length: {}\r\n", b.len()));
-    }
-    for (k, v) in headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str("\r\n");
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(head.as_bytes()).expect("write head");
-    if let Some(b) = body {
-        stream.write_all(b.as_bytes()).expect("write body");
-    }
-    stream.flush().expect("flush");
-    parse_response(&mut BufReader::new(stream)).expect("response")
 }
 
 fn personalize_body(extra: &str) -> String {
@@ -82,20 +64,19 @@ fn explicit_trace_id_propagates_from_header_to_span_tree_and_slow_log() {
         ..ServerConfig::default()
     });
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
 
     // A deadline-tripped (degraded) request with a client-chosen trace ID.
     let id = "deadbeef00c0ffee";
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[(TRACE_ID_HEADER, id), ("x-cqp-deadline-ms", "0")],
-        Some(&personalize_body("")),
-    );
+        &Request::post("/personalize", personalize_body(""))
+            .with_header(TRACE_ID_HEADER, id)
+            .with_header("x-cqp-deadline-ms", "0"),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     // The response echoes the ID and reports remaining deadline budget.
     assert_eq!(resp.header(TRACE_ID_HEADER), Some(id));
@@ -115,7 +96,7 @@ fn explicit_trace_id_propagates_from_header_to_span_tree_and_slow_log() {
     );
 
     // The captured trace is retrievable by that exact ID...
-    let resp = request(addr, "GET", &format!("/debug/traces?id={id}"), &[], None);
+    let resp = exchange(addr, &Request::get(&format!("/debug/traces?id={id}")), WAIT).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     let trace = json::parse(&resp.body_text()).unwrap();
     assert_eq!(trace.get("trace_id").and_then(Json::as_str), Some(id));
@@ -146,7 +127,7 @@ fn explicit_trace_id_propagates_from_header_to_span_tree_and_slow_log() {
 
     // The only request served so far is by definition among the worst-N:
     // the slow log holds the same trace under the same ID.
-    let resp = request(addr, "GET", "/debug/slow", &[], None);
+    let resp = exchange(addr, &Request::get("/debug/slow"), WAIT).unwrap();
     assert_eq!(resp.status, 200);
     let slow = json::parse(&resp.body_text()).unwrap();
     let ids: Vec<&str> = slow
@@ -160,26 +141,24 @@ fn explicit_trace_id_propagates_from_header_to_span_tree_and_slow_log() {
 
     // An untraced follow-up (no header, off-period) still echoes *some*
     // server-assigned ID but is not captured.
-    let resp = request(
+    let resp = exchange(
         addr,
-        "POST",
-        "/personalize",
-        &[],
-        Some(&personalize_body("")),
-    );
+        &Request::post("/personalize", personalize_body("")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 200);
     let assigned = resp
         .header(TRACE_ID_HEADER)
         .expect("assigned ID")
         .to_string();
     assert_ne!(assigned, id);
-    let resp = request(
+    let resp = exchange(
         addr,
-        "GET",
-        &format!("/debug/traces?id={assigned}"),
-        &[],
-        None,
-    );
+        &Request::get(&format!("/debug/traces?id={assigned}")),
+        WAIT,
+    )
+    .unwrap();
     assert_eq!(resp.status, 404, "off-period request must not be captured");
     handle.stop();
 }
@@ -191,24 +170,21 @@ fn chrome_export_covers_captured_traces() {
         ..ServerConfig::default()
     });
     let addr = handle.addr();
-    assert_eq!(
-        request(addr, "POST", "/profiles/al", &[], Some(PROFILE_WIRE)).status,
-        200
-    );
+    let upsert = exchange(addr, &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
+    assert_eq!(upsert.status, 200);
     for _ in 0..3 {
         assert_eq!(
-            request(
+            exchange(
                 addr,
-                "POST",
-                "/personalize",
-                &[],
-                Some(&personalize_body(""))
+                &Request::post("/personalize", personalize_body("")),
+                WAIT
             )
+            .unwrap()
             .status,
             200
         );
     }
-    let resp = request(addr, "GET", "/debug/traces?format=chrome", &[], None);
+    let resp = exchange(addr, &Request::get("/debug/traces?format=chrome"), WAIT).unwrap();
     assert_eq!(resp.status, 200);
     let doc = json::parse(&resp.body_text()).expect("chrome doc parses");
     let events = doc
@@ -230,7 +206,9 @@ fn chrome_export_covers_captured_traces() {
 
 /// `/metrics` samples as `name{labels}` → value.
 fn metric_samples(addr: SocketAddr) -> BTreeMap<String, f64> {
-    let text = request(addr, "GET", "/metrics", &[], None).body_text();
+    let text = exchange(addr, &Request::get("/metrics"), WAIT)
+        .unwrap()
+        .body_text();
     text.lines()
         .filter(|l| !l.starts_with('#'))
         .filter_map(|l| l.rsplit_once(' '))
@@ -256,7 +234,7 @@ fn sampling_does_not_change_what_metrics_count() {
         })
         .collect();
     for h in &servers {
-        let resp = request(h.addr(), "POST", "/profiles/al", &[], Some(PROFILE_WIRE));
+        let resp = exchange(h.addr(), &Request::post("/profiles/al", PROFILE_WIRE), WAIT).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_text());
     }
     let mut sent = 0.0;
@@ -268,7 +246,7 @@ fn sampling_does_not_change_what_metrics_count() {
                  \"algorithm\":\"{algorithm}\"}}"
             );
             for h in &servers {
-                let resp = request(h.addr(), "POST", "/personalize", &[], Some(&body));
+                let resp = exchange(h.addr(), &Request::post("/personalize", &body), WAIT).unwrap();
                 assert_eq!(resp.status, 200, "{}", resp.body_text());
                 let served = json::parse(&resp.body_text()).unwrap();
                 assert_eq!(
@@ -301,7 +279,9 @@ fn sampling_does_not_change_what_metrics_count() {
     assert_eq!(full.get("cqp_traces_captured_total"), Some(&sent));
     // A scrape rejects an exposition that declares one family twice.
     for h in &servers {
-        let text = request(h.addr(), "GET", "/metrics", &[], None).body_text();
+        let text = exchange(h.addr(), &Request::get("/metrics"), WAIT)
+            .unwrap()
+            .body_text();
         let mut declared: BTreeMap<&str, usize> = BTreeMap::new();
         for line in text.lines() {
             if let Some(name) = line
